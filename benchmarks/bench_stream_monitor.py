@@ -148,13 +148,14 @@ def _fleet():
 def _check_and_record(mode, mux, verdicts, elapsed, report, bench_record):
     stats = mux.stats()
     rejected = sum(1 for v in verdicts.values() if v is StreamVerdict.REJECTED)
-    events = sum(s.monitor.events_ingested for s in mux._sessions.values())
+    monitors = [mux.monitor(name) for name in mux.active]
+    events = sum(m.events_ingested for m in monitors)
     eps = round(events / max(elapsed, 1e-9), 1)
     # bounded memory: every session's reorder buffer under the limit,
     # session table exactly the fleet
     assert N_SESSIONS >= 200
     assert stats["active"] == N_SESSIONS
-    assert all(s.monitor.pending <= BUFFER_LIMIT for s in mux._sessions.values())
+    assert all(m.pending <= BUFFER_LIMIT for m in monitors)
     assert rejected == N_SESSIONS // 10  # exactly the stalling streams
     bench_record(
         mode=mode,

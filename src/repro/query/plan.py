@@ -25,7 +25,8 @@ a channel is *zero*: channel REJECTED (out of ``live_q``) and the
 green guarantee are both **forward-closed** — the current state alone
 decides them — and accept recency derives from per-state visit
 bookkeeping (two O(1) writes per event), so :class:`PlanMonitor`
-judges channels lazily at read time.  The verdict streams are pinned
+judges channels lazily at read time; the slot table's scan and wave
+kernel write that ledger per slot.  The verdict streams are pinned
 identical to k independent per-query monitors by the conformance
 harness (``--gen query``) and ``tests/test_query_plan.py``.
 
@@ -62,12 +63,7 @@ from ..spec.combinators import (
 )
 from ..spec.compile import _and_fold, _rename_clocks, to_tba
 from ..stream.compiled import compiled_for
-from ..stream.monitor import (
-    StreamVerdict,
-    TBAMonitor,
-    _BaseMonitor,
-    analysis_for,
-)
+from ..stream.monitor import StreamVerdict, TBAMonitor, analysis_for
 from .builder import Query
 
 __all__ = ["QueryPlan", "PlanMonitor", "DEAD"]
@@ -363,14 +359,15 @@ class QueryPlan:
 class PlanMonitor(TBAMonitor):
     """One monitor, k verdict channels, O(1) extra work per event.
 
-    The base-class machinery (watermark, reorder heap, compiled
+    The base-class machinery (watermark, reorder heap, slot-table
     stepping, headline verdict) runs on the plan's product automaton;
     the headline verdict is the disjunction — REJECTED only once every
     channel is dead — and :meth:`query_verdicts` is the real output.
 
     Channels are judged *lazily*.  Per applied event the monitor
     records only per-state occupancy (visit count and last-visit time
-    for the state it landed in — two O(1) writes).  At read time a
+    for the state it landed in — two O(1) writes the slot table's scan
+    and wave kernel make into the slot's ledger).  At read time a
     channel's LTL₃ verdict derives exactly:
 
     * REJECTED iff the current state is outside ``live_q`` — sound to
@@ -393,7 +390,7 @@ class PlanMonitor(TBAMonitor):
     silently dropping the channels.
     """
 
-    _wave_custom = True
+    _ledger = True
 
     def __init__(
         self,
@@ -405,7 +402,6 @@ class PlanMonitor(TBAMonitor):
         compiled: Optional[bool] = None,
     ):
         self.plan = plan
-        self._ch_names = plan.names
         super().__init__(
             plan.tba,
             analysis=plan.analysis,
@@ -414,203 +410,55 @@ class PlanMonitor(TBAMonitor):
             f_window=f_window,
             compiled=compiled,
         )
-        comp = self._compiled
-        if comp is not None and comp.deterministic:
-            n = comp.n_configs
-            #: Per-state occupancy: visit counts and last-visit times,
-            #: indexed like the compiled table (trap row included).
-            self._svc: Any = [0] * (n + 1)
-            self._slt: Any = [None] * (n + 1)
-            #: Per-channel flag views and accepting state indices —
-            #: plan-level constants shared across sessions.
-            views = plan.channel_views(comp)
-            self._ch_flags: Optional[List[Any]] = views[0]
-            self._ch_acc_idx: Optional[List[List[int]]] = views[1]
-            self._ch_sets = None
-        else:
-            self._svc = {}
-            self._slt = {}
-            self._ch_flags = None
-            self._ch_acc_idx = None
-            self._ch_sets = [plan.channels[name] for name in self._ch_names]
 
-    # -- occupancy bookkeeping ---------------------------------------------
-    def _record(self, t: int) -> None:
-        if self._ch_flags is not None:
-            ci = self._ci
-            self._svc[ci] += 1
-            self._slt[ci] = t
-        else:
-            for c in self._configs:
-                self._svc[c] = self._svc.get(c, 0) + 1
-                self._slt[c] = t
+    # -- occupancy ledger ----------------------------------------------------
+    @property
+    def _svc(self) -> Any:
+        """Visit counts per compiled state index (or configuration)."""
+        return self._tab.svc[self._slot]
+
+    @property
+    def _slt(self) -> Any:
+        """Last visit times, keyed like :attr:`_svc`."""
+        return self._tab.slt[self._slot]
 
     def _advance(self, symbol: Any, t: int) -> None:
-        if self.verdict is StreamVerdict.REJECTED:
-            return
+        record = self._tab.comp is None and self.verdict is not StreamVerdict.REJECTED
         super()._advance(symbol, t)
-        self._record(t)
-
-    def ingest_many(self, events) -> StreamVerdict:
-        """The compiled bulk scan plus the two occupancy writes.
-
-        Same eligibility and semantics as ``TBAMonitor.ingest_many``
-        (on-time, in-order, compiled deterministic, no buffering);
-        otherwise the generic loop routes every event through
-        :meth:`_advance`, which records occupancy too.
-        """
-        comp = self._compiled
-        if (
-            comp is None
-            or not comp.deterministic
-            or self.lateness != 0
-            or self._heap
-        ):
-            return _BaseMonitor.ingest_many(self, events)
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
-        table = comp.table_list
-        get = comp.sym_index.get
-        unknown = comp.n_symbols
-        cap = comp.gap_cap
-        acc = comp.accepting_list
-        live = comp.live_list
-        green = comp.green_list
-        svc = self._svc
-        slt = self._slt
-        ci = self._ci
-        pt = self.prev_t
-        ms = self.max_seen
-        visits = self.accept_visits
-        lat = self._last_accept_time
-        glock = self._green_locked
-        fw = self.f_window
-        verdict = self.verdict
-        REJ = StreamVerdict.REJECTED
-        ACC = StreamVerdict.ACCEPTING
-        INC = StreamVerdict.INCONCLUSIVE
-        rejected = verdict is REJ
-        applied = 0
-        resume = False
-        wm = -1 if ms is None else ms
-        for symbol, t in events:
-            if t < wm or t < 0:
-                resume = True
-                break
-            applied += 1
-            wm = t
-            if rejected:
-                continue
-            gap = t - pt
-            pt = t
-            row = table[ci][get(symbol, unknown)]
-            ci = row[gap] if gap <= cap else row[cap]
-            svc[ci] += 1
-            slt[ci] = t
-            if acc[ci]:
-                visits += 1
-                lat = t
-            if not live[ci]:
-                rejected = True
-                self._set_verdict(REJ)
-                verdict = REJ
-                continue
-            if glock or green[ci]:
-                glock = True
-                if verdict is not ACC:
-                    self._set_verdict(ACC)
-                    verdict = ACC
-            elif lat is not None and (fw is None or t - lat <= fw):
-                if verdict is not ACC:
-                    self._set_verdict(ACC)
-                    verdict = ACC
-            elif verdict is not INC:
-                self._set_verdict(INC)
-                verdict = INC
-        self._ci = ci
-        self.prev_t = pt
-        if wm >= 0:
-            self.max_seen = wm
-        self.accept_visits = visits
-        self._last_accept_time = lat
-        self._green_locked = glock
-        self.events_ingested += applied
-        self.events_released += applied
-        self._seq += applied
-        h = _obs.HOOKS
-        if h is not None and applied:
-            h.count("stream.events_ingested", applied, outcome="ok")
-            h.count("stream.events_released", applied)
-            h.count("stream.compiled_steps", applied, path="bulk")
-        if resume:
-            for symbol, t in events[applied:]:
-                self.ingest(symbol, t)
-        return self.verdict
-
-    def _apply_wave(self, ci: int, t: int) -> None:
-        """Apply one already-gathered wave step (the mux computed the
-        successor index through the shared table; this does the base
-        bookkeeping ``SessionMux._step_waves`` would inline for a plain
-        monitor, plus the occupancy writes)."""
-        self._ci = ci
-        self.prev_t = t
-        self.max_seen = t
-        self.events_ingested += 1
-        self.events_released += 1
-        self._seq += 1
-        comp = self._compiled
-        self._svc[ci] += 1
-        self._slt[ci] = t
-        if comp.accepting_list[ci]:
-            self.accept_visits += 1
-            self._last_accept_time = t
-        if not comp.live_list[ci]:
-            self._set_verdict(StreamVerdict.REJECTED)
-            return
-        if comp.green_list[ci]:
-            self._green_locked = True
-        if self._green_locked or (
-            self._last_accept_time is not None
-            and (
-                self.f_window is None
-                or t - self._last_accept_time <= self.f_window
-            )
-        ):
-            self._set_verdict(StreamVerdict.ACCEPTING)
-        else:
-            self._set_verdict(StreamVerdict.INCONCLUSIVE)
+        if record:
+            svc, slt = self._svc, self._slt
+            for c in self.configs:
+                svc[c] = svc.get(c, 0) + 1
+                slt[c] = t
 
     # -- channel judgement (derived at read time) --------------------------
     def _channel_verdict(self, q: int) -> StreamVerdict:
         now = self.prev_t
         fw = self.f_window
-        flags = self._ch_flags
-        if flags is not None:
+        slt = self._slt
+        lat: Optional[int] = None
+        if self._tab.comp is not None:
+            flags, acc_idx = self.plan.channel_views(self._compiled)
             ci = self._ci
             _acc, lv, gr = flags[q]
             if not lv[ci]:
                 return StreamVerdict.REJECTED
             if gr[ci]:
                 return StreamVerdict.ACCEPTING
-            slt = self._slt
-            lat: Optional[int] = None
-            for i in self._ch_acc_idx[q]:
+            for i in acc_idx[q]:
                 ts = slt[i]
                 if ts is not None and (lat is None or ts > lat):
                     lat = ts
-            if lat is not None and (fw is None or now - lat <= fw):
+        else:
+            acc_s, lv_s, gr_s = self.plan.channels[self.plan.names[q]]
+            cs = self.configs
+            if not (cs & lv_s):
+                return StreamVerdict.REJECTED
+            if gr_s and cs <= gr_s:
                 return StreamVerdict.ACCEPTING
-            return StreamVerdict.INCONCLUSIVE
-        acc_s, lv_s, gr_s = self._ch_sets[q]
-        cs = self.configs
-        if not (cs & lv_s):
-            return StreamVerdict.REJECTED
-        if gr_s and cs <= gr_s:
-            return StreamVerdict.ACCEPTING
-        lat = None
-        for c, ts in self._slt.items():
-            if c in acc_s and (lat is None or ts > lat):
-                lat = ts
+            for c, ts in slt.items():
+                if c in acc_s and (lat is None or ts > lat):
+                    lat = ts
         if lat is not None and (fw is None or now - lat <= fw):
             return StreamVerdict.ACCEPTING
         return StreamVerdict.INCONCLUSIVE
@@ -619,34 +467,33 @@ class PlanMonitor(TBAMonitor):
         """Current verdict-so-far per query channel."""
         return {
             name: self._channel_verdict(q)
-            for q, name in enumerate(self._ch_names)
+            for q, name in enumerate(self.plan.names)
         }
 
     def channel_verdict(self, name: str) -> StreamVerdict:
         """One channel's verdict-so-far (ValueError if unknown)."""
         try:
-            q = self._ch_names.index(name)
+            q = self.plan.names.index(name)
         except ValueError:
             raise ValueError(
-                f"no channel {name!r} in plan {self._ch_names}"
+                f"no channel {name!r} in plan {self.plan.names}"
             ) from None
         return self._channel_verdict(q)
 
     def channel_accept_visits(self) -> Dict[str, int]:
         """Applied events per channel that landed in an accepting
         configuration (the per-channel mirror of ``accept_visits``)."""
-        out: Dict[str, int] = {}
-        if self._ch_flags is not None:
-            svc = self._svc
-            for q, name in enumerate(self._ch_names):
-                out[name] = sum(svc[i] for i in self._ch_acc_idx[q])
-        else:
-            for q, name in enumerate(self._ch_names):
-                acc_s = self._ch_sets[q][0]
-                out[name] = sum(
-                    n for c, n in self._svc.items() if c in acc_s
-                )
-        return out
+        svc = self._svc
+        if self._tab.comp is not None:
+            acc_idx = self.plan.channel_views(self._compiled)[1]
+            return {
+                name: sum(svc[i] for i in acc_idx[q])
+                for q, name in enumerate(self.plan.names)
+            }
+        return {
+            name: sum(n for c, n in svc.items() if c in self.plan.channels[name][0])
+            for name in self.plan.names
+        }
 
     @property
     def absorbed(self) -> bool:
@@ -655,13 +502,12 @@ class PlanMonitor(TBAMonitor):
             return True  # base live is the union: every channel is dead
         if not self._green_locked:
             return False
-        if self._ch_flags is not None:
+        if self._tab.comp is not None:
             ci = self._ci
-            return all(
-                not lv[ci] or gr[ci] for _acc, lv, gr in self._ch_flags
-            )
+            flags = self.plan.channel_views(self._compiled)[0]
+            return all(not lv[ci] or gr[ci] for _acc, lv, gr in flags)
         cs = self.configs
         return all(
             not (cs & lv_s) or (gr_s and cs <= gr_s)
-            for _acc_s, lv_s, gr_s in self._ch_sets
+            for _acc_s, lv_s, gr_s in self.plan.channels.values()
         )

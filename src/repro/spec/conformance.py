@@ -27,6 +27,14 @@ output needed:
     across *both* stepping paths (compiled snapshot → interpreted
     restore and vice versa, plus a JSON round-trip) vs the
     uninterrupted run.
+``mux``
+    :meth:`~repro.stream.session.SessionMux.ingest_batch` on the
+    shared compiled table vs scalar ``ingest`` on
+    ``SessionMux(compiled=False)``: jittered copies of the word (in
+    order, shifted, out of order, with stale events spliced in) replay
+    into several sessions, cut into random batch sizes so the wave
+    kernel, the deep-slice scan and the late fallback all run —
+    verdicts after every batch, ``stats()`` and per-session state.
 
 Words and specs come from a seeded generator (reproducible without any
 third-party dependency; ``tests/test_spec_conformance.py`` adds a
@@ -62,6 +70,10 @@ through every pair above, plus two query-layer differentials per case:
     ``query_verdicts()`` streams must match on both stepping paths,
     and the plan monitor's bulk scan must land where its scalar loop
     does.
+``query-mux`` (with the ``mux`` pair)
+    the same plan as a ``SessionMux(plan=...)`` fed by ``ingest_batch``
+    vs one scalar mux per query — every session's ``query_verdicts()``
+    after every batch, on both stepping paths.
 
 CLI::
 
@@ -135,6 +147,7 @@ PAIRS: Tuple[str, ...] = (
     "strategy",
     "shards",
     "checkpoint",
+    "mux",
 )
 
 #: Events replayed into stream monitors per word (prefix + unrollings).
@@ -642,6 +655,133 @@ def _check_checkpoint(
     return None
 
 
+#: Sessions the ``mux`` pair replays each case word into.
+MUX_SESSIONS = 5
+
+
+def _mux_feed(events) -> List[List[Tuple[str, Any, int]]]:
+    """Jittered copies of ``events`` in several sessions, interleaved
+    in bursts (each session's order kept) and cut into batches of
+    random sizes — so a batch may be a run of waves, a few deep
+    slices, or carry late events for the scalar fallback.  Seeded by
+    the events themselves: a pinned case replays the same feed."""
+    rng = random.Random(repr(events))
+    stale: List[Tuple[Any, int]] = []
+    for i, (s, t) in enumerate(events):
+        stale.append((s, t))
+        if i % 3 == 2:
+            stale.append((events[i // 2][0], max(t - 3, 0)))
+    copies = [
+        events,
+        [(s, t + 1) for s, t in events],
+        _jittered(events, LATENESS),
+        stale,
+        events[: len(events) // 2],
+    ][:MUX_SESSIONS]
+    queues = [[(f"s{k}", s, t) for s, t in c] for k, c in enumerate(copies)]
+    feed: List[Tuple[str, Any, int]] = []
+    while any(queues):
+        q = rng.choice([q for q in queues if q])
+        n = rng.randint(1, 8)
+        feed.extend(q[:n])
+        del q[:n]
+    batches = []
+    i = 0
+    while i < len(feed):
+        n = rng.choice((1, 3, 8, 24, 96))
+        batches.append(feed[i : i + n])
+        i += n
+    return batches
+
+
+def _session_state(m) -> Tuple[Any, ...]:
+    return (
+        m.verdict.value,
+        sorted(m.configs, key=repr),
+        m.prev_t,
+        m.max_seen,
+        m.events_ingested,
+        m.events_released,
+        m.late_events,
+        m.accept_visits,
+        m.verdict_flips,
+        m._green_locked,
+    )
+
+
+def _check_mux(
+    spec: Case, alphabet: Tuple[Any, ...], word: TimedWord
+) -> Optional[str]:
+    """Batched mux vs scalar mux: ``ingest_batch`` on the shared
+    compiled table against a loop of ``ingest`` on the interpreter."""
+    from ..stream.session import SessionMux
+
+    tba = _case_tba(spec, alphabet)
+    batches = _mux_feed(_events(word, _replay_len(word)))
+    for fw in F_WINDOWS:
+        batched = SessionMux(tba, late_policy="drop", f_window=fw)
+        scalar = SessionMux(tba, late_policy="drop", f_window=fw, compiled=False)
+        for k, batch in enumerate(batches):
+            batched.ingest_batch(batch)
+            for name, s, t in batch:
+                scalar.ingest(name, s, t)
+            if batched.verdicts() != scalar.verdicts():
+                return (
+                    f"f_window={fw}: after batch {k} ({len(batch)} events) "
+                    f"ingest_batch says {batched.verdicts()} but scalar "
+                    f"ingest says {scalar.verdicts()}"
+                )
+        if batched.stats() != scalar.stats():
+            return (
+                f"f_window={fw}: batched stats {batched.stats()} != "
+                f"scalar {scalar.stats()}"
+            )
+        for name in scalar.active:
+            b = _session_state(batched.monitor(name))
+            s = _session_state(scalar.monitor(name))
+            if b != s:
+                return (
+                    f"f_window={fw}: session {name} ends batched at {b} but "
+                    f"scalar at {s}"
+                )
+    return None
+
+
+def _check_query_mux(
+    queries: Dict[str, Any], alphabet: Tuple[Any, ...], word: TimedWord
+) -> Optional[str]:
+    """A fused plan mux fed by ``ingest_batch`` vs one scalar mux per
+    query: every session's ``query_verdicts()`` after every batch."""
+    from ..query import QueryPlan
+    from ..stream.session import SessionMux
+
+    plan = QueryPlan(queries, alphabet)
+    batches = _mux_feed(_events(word, _replay_len(word)))
+    for compiled in (None, False):
+        fused = SessionMux(plan=plan, late_policy="drop", compiled=compiled)
+        singles = {
+            name: SessionMux(q.tba(alphabet), late_policy="drop", compiled=False)
+            for name, q in queries.items()
+        }
+        for k, batch in enumerate(batches):
+            fused.ingest_batch(batch)
+            for mux in singles.values():
+                for name, s, t in batch:
+                    mux.ingest(name, s, t)
+            for name in fused.active:
+                got = fused.monitor(name).query_verdicts()
+                want = {q: mux.monitor(name).verdict for q, mux in singles.items()}
+                if got != want:
+                    return (
+                        f"compiled={compiled}: after batch {k} session {name} "
+                        f"has fused verdicts "
+                        f"{ {q: v.value for q, v in got.items()} } but "
+                        f"per-query muxes say "
+                        f"{ {q: v.value for q, v in want.items()} }"
+                    )
+    return None
+
+
 def _check_query_roundtrip(query: Any) -> Optional[str]:
     """Text grammar vs fluent builder: ``parse(to_text(q))`` must lower
     to the identical combinator spec."""
@@ -725,6 +865,8 @@ def check_pair(
         return _check_shards(spec, alpha, [word])
     if pair == "checkpoint":
         return _check_checkpoint(spec, alpha, word)
+    if pair == "mux":
+        return _check_mux(spec, alpha, word)
     raise ValueError(f"unknown pair {pair!r}; known: {PAIRS}")
 
 
@@ -937,7 +1079,8 @@ def run(
     ``gen="tba"`` draws raw automata (:func:`gen_tba`) through the same
     oracle pairs and minimizer; ``gen="query"`` draws builder queries
     (:func:`gen_query`), runs their lowered specs through every pair,
-    and adds the ``query-roundtrip`` / ``query-plan`` differentials.
+    and adds the ``query-roundtrip`` / ``query-plan`` differentials
+    (and ``query-mux`` when the ``mux`` pair runs).
     """
     for p in pairs:
         if p not in PAIRS:
@@ -994,6 +1137,20 @@ def run(
                         detail,
                     )
                 )
+            if "mux" in pairs:
+                stats.checks["query-mux"] = stats.checks.get("query-mux", 0) + 1
+                detail = _check_query_mux(pqs, alphabet, pword)
+                if detail is not None:
+                    log(f"case {case}: DISAGREEMENT query-mux")
+                    stats.disagreements.append(
+                        Disagreement(
+                            "query-mux",
+                            alt(*(q.spec() for q in pqs.values())),
+                            alphabet,
+                            pword,
+                            detail,
+                        )
+                    )
         for pair in pairs:
             if pair == "shards":
                 # One pooled batch per case (the pool is persistent, so

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import ast
 import json
+from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional
 
 from ..automata.timed import TimedBuchiAutomaton
+from ..engine.verdict import DecisionReport, Verdict
 from ..obs import hooks as _obs
 from .monitor import Monitor, StreamVerdict, TBAAnalysis, TBAMonitor, analysis_for
-from .session import SessionMux, _Session
+from .session import SessionMux, SessionReport
 
 __all__ = [
     "checkpoint",
@@ -84,13 +86,13 @@ def _base_state(monitor: Any) -> Dict[str, Any]:
 
 
 def _restore_base(monitor: Any, state: Dict[str, Any]) -> None:
+    # ``events_released`` and ``seq`` are derived from the ingested
+    # count and the buffer; the snapshot keeps them for readers.
     monitor.verdict = StreamVerdict(state["verdict"])
     monitor.max_seen = state["max_seen"]
     monitor.events_ingested = state["events_ingested"]
-    monitor.events_released = state["events_released"]
     monitor.late_events = state["late_events"]
     monitor.verdict_flips = state["verdict_flips"]
-    monitor._seq = state["seq"]
     monitor._heap = [(t, seq, _dec(sym)) for t, seq, sym in state["buffer"]]
 
 
@@ -99,7 +101,7 @@ def checkpoint(monitor: Any) -> Dict[str, Any]:
     h = _obs.HOOKS
     if h is not None:
         h.count("stream.checkpoints", op="save")
-    if getattr(monitor, "_wave_custom", False):
+    if hasattr(monitor, "query_verdicts"):
         # PlanMonitors carry per-channel occupancy books the TBA
         # snapshot format cannot express; snapshotting them as plain
         # TBAMonitors would silently lose the per-query verdicts.
@@ -207,8 +209,33 @@ def restore(
     raise ValueError(f"unknown checkpoint kind {kind!r}")
 
 
+def _report_state(report: SessionReport) -> Dict[str, Any]:
+    # Plain data: the verdict enums become their values.
+    return json.loads(json.dumps(asdict(report), default=lambda e: e.value))
+
+
+def _restore_report(state: Dict[str, Any]) -> SessionReport:
+    d = state["decision"]
+    qv = state["query_verdicts"]
+    return SessionReport(**dict(
+        state,
+        verdict=StreamVerdict(state["verdict"]),
+        decision=None if d is None else DecisionReport(**dict(d, verdict=Verdict(d["verdict"]))),
+        query_verdicts=None if qv is None else {k: StreamVerdict(v) for k, v in qv.items()},
+    ))
+
+
+def _session_entry(mux: SessionMux, name: str, monitor: Any) -> Dict[str, Any]:
+    return {
+        "snapshot": checkpoint(monitor),
+        "last_event_time": monitor.max_seen,
+        "drops": mux._drops.get(name, 0),
+    }
+
+
 def checkpoint_mux(mux: SessionMux) -> Dict[str, Any]:
-    """Snapshot a whole mux (every session plus the mux counters)."""
+    """Snapshot a whole mux: every session, the mux counters, and the
+    undrained eviction reports."""
     return {
         "version": FORMAT_VERSION,
         "kind": "mux",
@@ -217,16 +244,38 @@ def checkpoint_mux(mux: SessionMux) -> Dict[str, Any]:
             "sessions_opened": mux.sessions_opened,
             "sessions_closed": mux.sessions_closed,
             "sessions_evicted": mux.sessions_evicted,
+            "eviction_reports_dropped": mux.eviction_reports_dropped,
         },
+        "eviction_reports": [_report_state(r) for r in mux.eviction_reports],
         "sessions": {
-            name: {
-                "snapshot": checkpoint(s.monitor),
-                "last_event_time": s.last_event_time,
-                "drops": s.drops,
-            }
-            for name, s in mux._sessions.items()
+            name: _session_entry(mux, name, m) for name, m in mux._sessions.items()
         },
     }
+
+
+def _restore_entries(
+    mux: SessionMux,
+    entries: Dict[str, Dict[str, Any]],
+    tba: Optional[TimedBuchiAutomaton],
+    acceptor: Any,
+    compiled: Optional[bool],
+) -> List[str]:
+    # One analysis per language, shared by every restored session —
+    # without this, each restore() re-derives it from scratch (the
+    # one-build-per-language invariant is pinned by
+    # tests/test_stream_compiled.py).
+    analysis = analysis_for(tba) if tba is not None else None
+    kw = dict(tba=tba, acceptor=acceptor, analysis=analysis, compiled=compiled)
+    for name, entry in entries.items():
+        if name in mux:
+            raise ValueError(f"session {name!r} already live on this mux")
+        mux._add(name, restore(entry["snapshot"], **kw))
+        if entry["drops"]:
+            mux._drops[name] = entry["drops"]
+    h = _obs.HOOKS
+    if entries and h is not None:
+        h.gauge("stream.sessions_active", len(mux))
+    return list(entries)
 
 
 def restore_mux(
@@ -241,6 +290,7 @@ def restore_mux(
 
     ``mux`` must be empty and configured like the one snapshotted (the
     configuration, like the acceptor, is code and is not serialized).
+    Snapshots without eviction state restore it as empty.
     """
     if len(mux):
         raise ValueError("restore_mux needs an empty mux")
@@ -251,26 +301,11 @@ def restore_mux(
     mux.sessions_opened = counters["sessions_opened"]
     mux.sessions_closed = counters["sessions_closed"]
     mux.sessions_evicted = counters["sessions_evicted"]
-    # One analysis per language, shared by every restored session —
-    # without this, each restore() re-derives it from scratch (the
-    # one-build-per-language invariant is pinned by
-    # tests/test_stream_compiled.py).
-    analysis = analysis_for(tba) if tba is not None else None
-    for name, entry in snapshot["sessions"].items():
-        monitor = restore(
-            entry["snapshot"],
-            tba=tba,
-            acceptor=acceptor,
-            analysis=analysis,
-            compiled=compiled,
-        )
-        session = _Session(name, monitor)
-        session.last_event_time = entry["last_event_time"]
-        session.drops = entry["drops"]
-        mux._sessions[name] = session
-    h = _obs.HOOKS
-    if h is not None:
-        h.gauge("stream.sessions_active", len(mux._sessions))
+    mux.eviction_reports_dropped = counters.get("eviction_reports_dropped", 0)
+    mux.eviction_reports = [
+        _restore_report(r) for r in snapshot.get("eviction_reports", [])
+    ]
+    _restore_entries(mux, snapshot["sessions"], tba, acceptor, compiled)
     return mux
 
 
@@ -287,17 +322,13 @@ def extract_sessions(mux: SessionMux, names) -> Dict[str, Dict[str, Any]]:
     """
     entries: Dict[str, Dict[str, Any]] = {}
     for name in names:
-        session = mux._sessions.pop(name, None)
-        if session is None:
-            continue
-        entries[name] = {
-            "snapshot": checkpoint(session.monitor),
-            "last_event_time": session.last_event_time,
-            "drops": session.drops,
-        }
+        if name in mux:
+            entries[name] = _session_entry(mux, name, mux.monitor(name))
+            mux._drops.pop(name, None)
+            mux._forget(name)
     h = _obs.HOOKS
     if entries and h is not None:
-        h.gauge("stream.sessions_active", len(mux._sessions))
+        h.gauge("stream.sessions_active", len(mux))
     return entries
 
 
@@ -315,27 +346,7 @@ def restore_sessions(
     :func:`restore_mux`); a name collision raises rather than silently
     clobbering a live monitor.  Returns the restored names.
     """
-    analysis = analysis_for(tba) if tba is not None else None
-    restored: List[str] = []
-    for name, entry in entries.items():
-        if name in mux._sessions:
-            raise ValueError(f"session {name!r} already live on this mux")
-        monitor = restore(
-            entry["snapshot"],
-            tba=tba,
-            acceptor=acceptor,
-            analysis=analysis,
-            compiled=compiled,
-        )
-        session = _Session(name, monitor)
-        session.last_event_time = entry["last_event_time"]
-        session.drops = entry["drops"]
-        mux._sessions[name] = session
-        restored.append(name)
-    h = _obs.HOOKS
-    if restored and h is not None:
-        h.gauge("stream.sessions_active", len(mux._sessions))
-    return restored
+    return _restore_entries(mux, entries, tba, acceptor, compiled)
 
 
 def save_json(path: str, snapshot: Dict[str, Any]) -> None:

@@ -45,13 +45,13 @@ Two monitors share the ingestion machinery:
     *compiled* path (:mod:`repro.stream.compiled`, the default when
     numpy is available) steps a dense transition table / successor
     bitset compiled once per analysis, so an event costs a couple of
-    array lookups; ``ingest_many`` additionally batches whole event
-    slices through one tight scan when no reorder buffering is in
-    play.  ``compiled=False`` (or ``REPRO_STREAM_COMPILED=0``, or a
-    missing numpy, or an automaton past the table bounds) falls back
-    to the interpreter; ``tests/test_stream_compiled.py`` pins the two
-    paths verdict-stream-identical.  Cost model and measured speedups:
-    ``docs/performance.md``.
+    array lookups.  On a deterministic table the monitor is a view onto
+    one slot of a :class:`SlotTable` (private, or a mux's shared one),
+    whose scan and vectorized wave kernel own the judge rule.
+    ``compiled=False`` (or ``REPRO_STREAM_COMPILED=0``, or a missing
+    numpy, or an automaton past the table bounds) falls back to the
+    interpreter; ``tests/test_stream_compiled.py`` pins the paths
+    verdict-stream-identical.  Cost model: ``docs/performance.md``.
 
 Out-of-order tolerance: events are buffered in a small reorder heap
 and applied only once the *watermark* (``max_seen − lateness``) passes
@@ -79,7 +79,7 @@ from ..kernel.simulator import Simulator
 from ..machine.rtalgorithm import ACCEPT_SYMBOL, Context, WorkingStorage
 from ..machine.tape import InputTape, OutputTape
 from ..obs import hooks as _obs
-from .compiled import compiled_for
+from .compiled import NUMPY, compiled_for
 
 __all__ = [
     "StreamVerdict",
@@ -116,8 +116,10 @@ class LateEventError(ValueError):
 class _BaseMonitor:
     """Watermark/reorder machinery shared by both monitor flavours.
 
-    Subclasses implement :meth:`_advance` (apply one released event) and
-    may override :attr:`absorbed` (the verdict can no longer change).
+    Subclasses hold the verdict state (``verdict``, ``max_seen``,
+    ``events_ingested``, ``verdict_flips``), implement :meth:`_advance`
+    (apply one released event) and may override :attr:`absorbed` (the
+    verdict can no longer change).
     """
 
     def __init__(self, *, lateness: int = 0, late_policy: str = "raise"):
@@ -127,14 +129,18 @@ class _BaseMonitor:
             raise ValueError(f"late_policy must be 'raise' or 'drop', got {late_policy!r}")
         self.lateness = lateness
         self.late_policy = late_policy
-        self.verdict = StreamVerdict.INCONCLUSIVE
-        self.max_seen: Optional[int] = None
-        self.events_ingested = 0
-        self.events_released = 0
         self.late_events = 0
-        self.verdict_flips = 0
         self._heap: List[Tuple[int, int, Any]] = []
-        self._seq = 0
+
+    @property
+    def events_released(self) -> int:
+        """Ingested events already applied (the rest sit in the heap)."""
+        return self.events_ingested - len(self._heap)
+
+    @property
+    def _seq(self) -> int:
+        """Arrival number of the next event (reorder-heap tie-break)."""
+        return self.events_ingested
 
     # -- watermark ---------------------------------------------------------
     @property
@@ -163,35 +169,41 @@ class _BaseMonitor:
         if t < 0:
             raise ValueError(f"negative timestamp {t}")
         h = _obs.HOOKS
-        wm = self.watermark
-        if wm is not None and t < wm:
+        # Each state field is read once: on a TBAMonitor it lives in a
+        # slot-table column behind a property.
+        ms = self.max_seen
+        if ms is not None and t < ms - self.lateness:
             self.late_events += 1
             if h is not None:
                 h.count("stream.events_ingested", outcome="late")
             if self.late_policy == "raise":
                 raise LateEventError(
-                    f"event at t={t} is older than the watermark {wm} "
-                    f"(lateness={self.lateness})"
+                    f"event at t={t} is older than the watermark "
+                    f"{ms - self.lateness} (lateness={self.lateness})"
                 )
             return self.verdict
-        self.events_ingested += 1
-        heapq.heappush(self._heap, (t, self._seq, symbol))
-        self._seq += 1
-        if self.max_seen is None or t > self.max_seen:
-            self.max_seen = t
+        n = self.events_ingested
+        self.events_ingested = n + 1
+        if ms is None or t > ms:
+            self.max_seen = ms = t
         if h is not None:
             h.count("stream.events_ingested", outcome="ok")
-            h.observe("stream.watermark_lag", self.max_seen - t)
-        self._release(self.watermark)
+            h.observe("stream.watermark_lag", ms - t)
+        if self._heap or t > ms - self.lateness:
+            heapq.heappush(self._heap, (t, n, symbol))
+            self._release(ms - self.lateness)
+        else:
+            # Nothing buffered and already under the watermark: the
+            # heap would hand the event straight back.
+            if h is not None:
+                h.count("stream.events_released")
+            self._advance(symbol, t)
         return self.verdict
 
-    def _release(self, up_to: Optional[int]) -> None:
-        if up_to is None:
-            return
+    def _release(self, up_to: int) -> None:
         h = _obs.HOOKS
         while self._heap and self._heap[0][0] <= up_to:
             t, _seq, symbol = heapq.heappop(self._heap)
-            self.events_released += 1
             if h is not None:
                 h.count("stream.events_released")
             self._advance(symbol, t)
@@ -205,7 +217,6 @@ class _BaseMonitor:
         if not self._heap:
             return
         t, _seq, symbol = heapq.heappop(self._heap)
-        self.events_released += 1
         h = _obs.HOOKS
         if h is not None:
             h.count("stream.events_released")
@@ -276,6 +287,10 @@ class Monitor(_BaseMonitor):
         keep_history: bool = False,
     ):
         super().__init__(lateness=lateness, late_policy=late_policy)
+        self.verdict = StreamVerdict.INCONCLUSIVE
+        self.max_seen: Optional[int] = None
+        self.events_ingested = 0
+        self.verdict_flips = 0
         self.acceptor = acceptor
         self.f_window = f_window
         self.keep_history = keep_history
@@ -368,6 +383,274 @@ class Monitor(_BaseMonitor):
                 "verdict_flips": self.verdict_flips,
             },
         )
+
+
+#: Verdict codes of the slot table's ``vcode`` column.
+INC, ACC, REJ = 0, 1, 2
+_VERDICTS = (
+    StreamVerdict.INCONCLUSIVE,
+    StreamVerdict.ACCEPTING,
+    StreamVerdict.REJECTED,
+)
+_CODES = {v: code for code, v in enumerate(_VERDICTS)}
+
+
+class SlotTable:
+    """The state of many :class:`TBAMonitor`\\ s, one slot per monitor.
+
+    :attr:`cols` holds the :attr:`COLUMNS` (``None`` times stored as
+    ``-1``; ``lat`` is the last accepting visit, ``glock`` the green
+    lock, ``vcode`` the verdict code).  A table over a compiled
+    *deterministic* artifact owns the judge rule in two layouts:
+    :meth:`scan` (one slot, an event slice) and :meth:`step_wave` (many
+    slots, one event each).  Only a ``columnar`` table — a mux's shared
+    one — runs the kernel: its columns are numpy arrays, read per slot
+    through memoryviews.  Other tables keep plain lists.  ``ledger``
+    tables also carry :class:`~repro.query.plan.PlanMonitor`'s per-slot
+    occupancy ledger (visit counts and last visit times per
+    configuration), Python lists the scan writes directly.
+    """
+
+    COLUMNS = (
+        ("ci", "int32"), ("prev_t", "int64"), ("max_seen", "int64"),
+        ("lat", "int64"), ("glock", "bool"), ("vcode", "int8"),
+        ("events", "int64"), ("visits", "int64"), ("flips", "int64"),
+    )
+    #: Column positions in :attr:`cols`, by name.
+    INDEX = {name: i for i, (name, _dtype) in enumerate(COLUMNS)}
+
+    def __init__(self, comp: Any, f_window: Optional[int], ledger=False, columnar=False):
+        self.comp = comp
+        self.f_window = f_window
+        self.arrays: Optional[Dict[str, Any]] = {} if columnar else None
+        self.svc: Optional[List[Any]] = [] if ledger else None
+        self.slt: Optional[List[Any]] = [] if ledger else None
+        self.capacity = 0
+        self._used = 0
+        self._free: List[int] = []
+        ci = v = 0
+        glock = False
+        if comp is not None:
+            ci = comp.initial_index
+            glock = comp.live_list[ci] and comp.green_list[ci]
+            v = REJ if not comp.live_list[ci] else ACC if glock else INC
+            #: What :meth:`scan` reads of the compiled artifact.
+            self._rule = (
+                comp.table_list, comp.sym_index.get, comp.n_symbols, comp.gap_cap,
+                comp.accepting_list, comp.live_list, comp.green_list,
+            )
+        #: What a new monitor starts from: the judged initial state.
+        self._fresh = (ci, 0, -1, -1, glock, v, 0, 0, int(v != INC))
+        self.cols: List[Any] = [] if columnar else [[] for _ in self.COLUMNS]
+
+    def _grow(self) -> None:
+        np = NUMPY
+        self.capacity = cap = max(1, 2 * self.capacity)
+        self.cols = []
+        for name, dtype in self.COLUMNS:
+            col = np.zeros(cap, dtype=dtype)
+            old = self.arrays.get(name)
+            if old is not None:
+                col[: len(old)] = old
+            self.arrays[name] = col
+            self.cols.append(memoryview(col))
+
+    def _put(self, values: Any) -> int:
+        """A free or new slot holding ``values``, one per column."""
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = self._used
+            self._used += 1
+            if self.svc is not None:
+                self.svc.append(None)
+                self.slt.append(None)
+            if self.arrays is None:
+                for col, value in zip(self.cols, values):
+                    col.append(value)
+                return slot
+            if slot >= self.capacity:
+                self._grow()
+        for col, value in zip(self.cols, values):
+            col[slot] = value
+        return slot
+
+    def alloc(self) -> int:
+        """A new slot holding a fresh monitor's initial state."""
+        slot = self._put(self._fresh)
+        if self.svc is not None:
+            if self.comp is not None:
+                n = self.comp.n_configs + 1
+                self.svc[slot], self.slt[slot] = [0] * n, [None] * n
+            else:
+                self.svc[slot], self.slt[slot] = {}, {}
+        v = self._fresh[5]
+        h = _obs.HOOKS
+        if v != INC and h is not None:
+            h.count("stream.verdict_flips", to=_VERDICTS[v].value)
+        return slot
+
+    def take(self, src: "SlotTable", slot: int) -> int:
+        """Move ``src``'s slot into this table; returns the new slot."""
+        new = self._put([col[slot] for col in src.cols])
+        if self.svc is not None:
+            self.svc[new], self.slt[new] = src.svc[slot], src.slt[slot]
+        src.free(slot)
+        return new
+
+    def free(self, slot: int) -> None:
+        if self.svc is not None:
+            self.svc[slot] = self.slt[slot] = None
+        self._free.append(slot)
+
+    def scan(self, slot: int, events: Any, counted: bool = True) -> int:
+        """Apply ``(symbol, t)`` events to one slot, in order.
+
+        Stops before the first event older than the slot's ``max_seen``
+        (or negative) and returns how many it applied; the caller hands
+        the rest to the scalar policy path.  ``counted=False`` applies
+        events the reorder heap already counted and released.
+        Rejection is absorbing: a rejected slot keeps counting events
+        while its run state and ``prev_t`` stay frozen.
+        """
+        table, get, unknown, cap, acc, live, green = self._rule
+        fw = self.f_window
+        CI, PT, MS, LAT, GL, VC, EV, VI, FL = self.cols
+        ci = CI[slot]
+        pt = PT[slot]
+        lat = LAT[slot]
+        glock = GL[slot]
+        v = VC[slot]
+        visits = VI[slot]
+        flips = FL[slot]
+        svc = slt = None
+        if self.svc is not None:
+            svc = self.svc[slot]
+            slt = self.slt[slot]
+        wm = MS[slot] if counted else -1
+        h = _obs.HOOKS
+        R, A, I = REJ, ACC, INC
+        applied = 0
+        for symbol, t in events:
+            if t < wm or t < 0:
+                break
+            applied += 1
+            wm = t
+            if v == R:
+                continue
+            gap = t - pt
+            pt = t
+            row = table[ci][get(symbol, unknown)]
+            ci = row[gap] if gap <= cap else row[cap]
+            if svc is not None:
+                svc[ci] += 1
+                slt[ci] = t
+            if acc[ci]:
+                visits += 1
+                lat = t
+            if not live[ci]:
+                nv = R
+            elif glock or green[ci]:
+                glock = True
+                nv = A
+            elif lat >= 0 and (fw is None or t - lat <= fw):
+                nv = A
+            else:
+                nv = I
+            if nv != v:
+                v = nv
+                flips += 1
+                if h is not None:
+                    h.count("stream.verdict_flips", to=_VERDICTS[nv].value)
+        CI[slot] = ci
+        PT[slot] = pt
+        LAT[slot] = lat
+        GL[slot] = glock
+        VC[slot] = v
+        VI[slot] = visits
+        FL[slot] = flips
+        if counted and applied:
+            MS[slot] = wm
+            EV[slot] += applied
+            if h is not None:
+                h.count("stream.events_ingested", applied, outcome="ok")
+                h.count("stream.events_released", applied)
+                h.count("stream.compiled_steps", applied, path="bulk")
+        return applied
+
+    def step_wave(self, idx: Any, sym: Any, t: Any) -> int:
+        """The vectorized judge kernel: one event for each of many slots.
+
+        ``idx`` holds distinct slots, ``sym`` the events' symbol
+        columns (``comp.sym_index``, unknown symbols at
+        ``comp.n_symbols``) and ``t`` their on-time timestamps.  One
+        :meth:`~repro.stream.compiled.CompiledTBA.step_many` gather
+        advances every live slot; flags, verdicts and counters follow
+        as array updates — the same rule :meth:`scan` applies per event.
+        Returns the number of events applied.
+        """
+        np = NUMPY
+        a = self.arrays
+        comp = self.comp
+        total = len(idx)
+        a["events"][idx] += 1
+        a["max_seen"][idx] = t
+        v = a["vcode"][idx]
+        run = v != REJ
+        if not run.all():
+            idx, sym, t, v = idx[run], sym[run], t[run], v[run]
+        if len(idx):
+            ci = comp.step_many(a["ci"][idx], sym, t - a["prev_t"][idx])
+            a["ci"][idx] = ci
+            a["prev_t"][idx] = t
+            hit = comp.accepting_flags[ci]
+            a["visits"][idx] += hit
+            lat = np.where(hit, t, a["lat"][idx])
+            a["lat"][idx] = lat
+            alive = comp.live_flags[ci]
+            glock = a["glock"][idx] | (alive & comp.green_flags[ci])
+            a["glock"][idx] = glock
+            recent = lat >= 0
+            if self.f_window is not None:
+                recent &= t - lat <= self.f_window
+            nv = np.where(alive, glock | recent, REJ)
+            changed = nv != v
+            a["vcode"][idx] = nv
+            a["flips"][idx] += changed
+            if self.svc is not None:
+                svc, slt = self.svc, self.slt
+                for s, c, tt in zip(idx.tolist(), ci.tolist(), t.tolist()):
+                    svc[s][c] += 1
+                    slt[s][c] = tt
+        h = _obs.HOOKS
+        if h is not None:
+            h.count("stream.events_ingested", total, outcome="ok")
+            h.count("stream.events_released", total)
+            if len(idx):
+                h.count("stream.compiled_steps", len(idx), path="wave")
+                # bincount, not unique: np.unique imports numpy.ma on
+                # first use, megabytes in every instrumented shard worker.
+                for code, n in enumerate(np.bincount(nv[changed], minlength=3).tolist()):
+                    if n:
+                        h.count("stream.verdict_flips", n, to=_VERDICTS[code].value)
+        return total
+
+
+_VCODE = SlotTable.INDEX["vcode"]
+
+
+def _slot_column(name: str, none: bool = False) -> property:
+    """A monitor attribute stored in its slot (``None`` as ``-1``)."""
+    i = SlotTable.INDEX[name]
+
+    def get(self: Any) -> Any:
+        value = self._tab.cols[i][self._slot]
+        return None if none and value < 0 else value
+
+    def put(self: Any, value: Any) -> None:
+        self._tab.cols[i][self._slot] = -1 if value is None else value
+
+    return property(get, put)
 
 
 class TBAAnalysis:
@@ -573,11 +856,17 @@ class TBAMonitor(_BaseMonitor):
       set, the fallback when numpy is absent, the automaton exceeds the
       table bounds, ``REPRO_STREAM_COMPILED=0``, or ``compiled=False``.
 
-    Either way the whole mutable state is (configuration set, previous
-    timestamp, reorder buffer, counters) — which is what makes
-    :mod:`repro.stream.checkpoint` a constant-size snapshot;
-    ``configs`` stays the canonical view (a property on the compiled
-    path, decoded on demand).
+    The monitor is a thin view onto its slot of a :class:`SlotTable`
+    (a private list-backed one, or the shared table of the
+    :class:`~repro.stream.session.SessionMux` holding it), where
+    ``verdict``, ``prev_t``, ``max_seen`` and the counters live.  The
+    compiled deterministic path judges in :meth:`SlotTable.scan`; the
+    interpreted and bitset paths in :meth:`_judge`.  Either way the
+    whole mutable state is (configuration set, previous timestamp,
+    reorder buffer, counters) — which is what makes
+    :mod:`repro.stream.checkpoint` a constant-size snapshot; ``configs``
+    stays the canonical view (a property on the compiled path, decoded
+    on demand).
 
     Verdict semantics: REJECTED exactly when no reachable configuration
     is ``live`` (no accepting continuation — exact even for
@@ -587,11 +876,17 @@ class TBAMonitor(_BaseMonitor):
     (obligations met); INCONCLUSIVE otherwise.
     """
 
-    #: Subclasses with extra per-step bookkeeping (the query plan's
-    #: :class:`~repro.query.plan.PlanMonitor`) set this True so the
-    #: mux's cross-session wave stepping routes each advanced index
-    #: through :meth:`_apply_wave` instead of the inline fast path.
-    _wave_custom = False
+    #: Whether slots carry the per-configuration occupancy ledger.
+    _ledger = False
+
+    prev_t = _slot_column("prev_t")
+    max_seen = _slot_column("max_seen", none=True)
+    events_ingested = _slot_column("events")
+    accept_visits = _slot_column("visits")
+    verdict_flips = _slot_column("flips")
+    _ci = _slot_column("ci")
+    _last_accept_time = _slot_column("lat", none=True)
+    _green_locked = _slot_column("glock")
 
     def __init__(
         self,
@@ -608,30 +903,35 @@ class TBAMonitor(_BaseMonitor):
         self.analysis = analysis if analysis is not None else analysis_for(tba)
         self.f_window = f_window
         if compiled is False:
-            self._compiled = None
+            comp = None
         else:
-            self._compiled = compiled_for(self.analysis)
-            if compiled is True and self._compiled is None:
+            comp = compiled_for(self.analysis)
+            if compiled is True and comp is None:
                 raise ValueError(
                     "compiled stepping unavailable (numpy absent, "
                     "REPRO_STREAM_COMPILED=0, or automaton exceeds the "
                     "table bounds)"
                 )
-        comp = self._compiled
+        self._compiled = comp
         self._configs: Optional[FrozenSet[Config]] = None
-        self._ci: Optional[int] = None  # compiled deterministic state index
         self._cmask: Optional[int] = None  # compiled nondeterministic bitset
+        det = comp is not None and comp.deterministic
+        self._tab = SlotTable(comp if det else None, f_window, self._ledger)
+        self._slot = self._tab.alloc()
         if comp is None:
             self._configs = frozenset({tba._initial_config()})
-        elif comp.deterministic:
-            self._ci = comp.initial_index
-        else:
+        elif not det:
             self._cmask = 1 << comp.initial_index
-        self.prev_t = 0
-        self.accept_visits = 0
-        self._last_accept_time: Optional[int] = None
-        self._green_locked = False
-        self._judge(0)
+        if not det:
+            self._judge(0)
+
+    @property
+    def verdict(self) -> StreamVerdict:
+        return _VERDICTS[self._tab.cols[_VCODE][self._slot]]
+
+    @verdict.setter
+    def verdict(self, value: StreamVerdict) -> None:
+        self._tab.cols[_VCODE][self._slot] = _CODES[value]
 
     @property
     def compiled(self) -> bool:
@@ -659,43 +959,51 @@ class TBAMonitor(_BaseMonitor):
             try:
                 mask = comp.encode_set(value)
             except KeyError:
-                # Configurations outside this automaton's reachable
-                # universe (foreign snapshot): drop to the interpreter.
-                comp = self._compiled = None
-            else:
-                if not comp.deterministic:
-                    self._cmask = mask
-                    return
-                if mask == 0:
-                    self._ci = comp.trap
-                    return
-                if mask & (mask - 1) == 0:
-                    self._ci = mask.bit_length() - 1
-                    return
-                # >1 configurations under deterministic stepping can
-                # only come from a foreign snapshot; fall back too.
-                comp = self._compiled = None
+                mask = None
+            if mask is not None and not comp.deterministic:
+                self._cmask = mask
+                return
+            if mask is not None and mask & (mask - 1) == 0:
+                self._ci = mask.bit_length() - 1 if mask else comp.trap
+                return
+            # Configurations outside this automaton's reachable universe,
+            # or >1 under deterministic stepping, only come from a foreign
+            # snapshot: drop to the interpreter, off the compiled table.
+            self._compiled = None
+            if self._tab.comp is not None:
+                own = SlotTable(None, self.f_window, self._ledger)
+                self._slot, self._tab = own.take(self._tab, self._slot), own
         self._configs = value
 
     @property
     def absorbed(self) -> bool:
         return self.verdict is StreamVerdict.REJECTED or self._green_locked
 
+    def ingest(self, symbol: Any, t: int) -> StreamVerdict:
+        # An on-time event of an unbuffered, uninstrumented compiled
+        # deterministic monitor goes straight to the scan; the generic
+        # path keeps the late policy, the heap and the observations.
+        tab = self._tab
+        if tab.comp is None or self.lateness or self._heap or _obs.HOOKS is not None:
+            return super().ingest(symbol, t)
+        if tab.scan(self._slot, ((symbol, t),)):
+            return self.verdict
+        return super().ingest(symbol, t)
+
     def _advance(self, symbol: Any, t: int) -> None:
+        if self._tab.comp is not None:
+            self._tab.scan(self._slot, ((symbol, t),), counted=False)
+            return
+        comp = self._compiled
         if self.verdict is StreamVerdict.REJECTED:
             return
         gap = t - self.prev_t
         self.prev_t = t
-        comp = self._compiled
         if comp is None:
             self._configs = frozenset(
                 self.tba._step_configs(set(self._configs), symbol, gap)
             )
             accepting = any(c[0] in self.tba.accepting for c in self._configs)
-        elif comp.deterministic:
-            ci = comp.step_index(self._ci, symbol, gap)
-            self._ci = ci
-            accepting = comp.accepting_list[ci]
         else:
             mask = comp.step_mask(self._cmask, symbol, gap)
             self._cmask = mask
@@ -706,116 +1014,32 @@ class TBAMonitor(_BaseMonitor):
         self._judge(t)
 
     def ingest_many(self, events) -> StreamVerdict:
-        """Batched ingest: one tight scan over the compiled table.
+        """Batched ingest: one :meth:`SlotTable.scan` over the slice.
 
-        Verdict- and counter-identical to looping :meth:`ingest` (the
-        differential suite pins it), with two scope limits — the fast
-        scan only engages on the compiled deterministic path with
-        ``lateness == 0`` and an empty reorder buffer (otherwise it
-        delegates to the generic loop), and per-event
-        ``stream.watermark_lag`` observations are skipped (the lag is
-        identically zero here); ingested/released counts are recorded
-        in bulk.  Late or negative-timestamp events hand the remainder
-        of the slice back to :meth:`ingest` for identical policy
-        handling.
+        Verdict- and counter-identical to looping :meth:`ingest`, minus
+        the per-event ``stream.watermark_lag`` observations (identically
+        zero here).  The scan needs the compiled deterministic path,
+        ``lateness == 0`` and an empty reorder buffer (else the generic
+        loop runs); a late or negative-timestamp event hands itself and
+        the rest of the slice back to :meth:`ingest` for its policy.
         """
-        comp = self._compiled
-        if (
-            comp is None
-            or not comp.deterministic
-            or self.lateness != 0
-            or self._heap
-        ):
+        if self._tab.comp is None or self.lateness or self._heap:
             return super().ingest_many(events)
         if not isinstance(events, (list, tuple)):
             events = list(events)
-        table = comp.table_list
-        sym_index = comp.sym_index
-        unknown = comp.n_symbols
-        cap = comp.gap_cap
-        acc = comp.accepting_list
-        live = comp.live_list
-        green = comp.green_list
-        get = sym_index.get
-        ci = self._ci
-        pt = self.prev_t
-        ms = self.max_seen
-        visits = self.accept_visits
-        lat = self._last_accept_time
-        glock = self._green_locked
-        fw = self.f_window
-        verdict = self.verdict
-        REJ = StreamVerdict.REJECTED
-        ACC = StreamVerdict.ACCEPTING
-        INC = StreamVerdict.INCONCLUSIVE
-        rejected = verdict is REJ
-        applied = 0
-        resume = False
-        wm = -1 if ms is None else ms  # sentinel: every t >= 0 passes
-        for symbol, t in events:
-            if t < wm or t < 0:
-                resume = True  # late/invalid: scalar path owns policy
-                break
-            applied += 1
-            wm = t
-            if rejected:
-                continue
-            gap = t - pt
-            pt = t
-            row = table[ci][get(symbol, unknown)]
-            ci = row[gap] if gap <= cap else row[cap]
-            if acc[ci]:
-                visits += 1
-                lat = t
-            if not live[ci]:
-                rejected = True
-                self._set_verdict(REJ)
-                verdict = REJ
-                continue
-            if glock or green[ci]:
-                glock = True
-                if verdict is not ACC:
-                    self._set_verdict(ACC)
-                    verdict = ACC
-            elif lat is not None and (fw is None or t - lat <= fw):
-                if verdict is not ACC:
-                    self._set_verdict(ACC)
-                    verdict = ACC
-            elif verdict is not INC:
-                self._set_verdict(INC)
-                verdict = INC
-        self._ci = ci
-        self.prev_t = pt
-        if wm >= 0:
-            self.max_seen = wm
-        self.accept_visits = visits
-        self._last_accept_time = lat
-        self._green_locked = glock
-        self.events_ingested += applied
-        self.events_released += applied
-        self._seq += applied
-        h = _obs.HOOKS
-        if h is not None and applied:
-            h.count("stream.events_ingested", applied, outcome="ok")
-            h.count("stream.events_released", applied)
-            h.count("stream.compiled_steps", applied, path="bulk")
-        if resume:
-            # `applied` events were consumed before the break, so the
-            # offending event and everything after it re-enter scalar.
-            for symbol, t in events[applied:]:
-                self.ingest(symbol, t)
+        applied = self._tab.scan(self._slot, events)
+        for symbol, t in events[applied:]:
+            self.ingest(symbol, t)
         return self.verdict
 
     def _judge(self, t: int) -> None:
+        """The interpreted and bitset paths' judge (the compiled
+        deterministic path judges in the slot table)."""
         comp = self._compiled
         if comp is None:
             an = self.analysis
             alive = bool(self._configs & an.live)
             green = bool(an.green) and self._configs <= an.green
-        elif comp.deterministic:
-            ci = self._ci
-            alive = comp.live_list[ci]
-            green = comp.green_list[ci]
         else:
             mask = self._cmask
             alive = bool(mask & comp.live_mask)

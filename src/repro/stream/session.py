@@ -20,13 +20,12 @@ so by ``tests/test_stream_compiled.py``:
   path every policy decision (late events, backpressure, drops) runs
   through.
 * :meth:`SessionMux.ingest_batch` — many ``(name, symbol, t)`` events
-  at once.  Sessions on the compiled deterministic path with no
-  reorder buffering are advanced *together*: their state indices are
-  gathered into struct-of-arrays and one
-  :meth:`~repro.stream.compiled.CompiledTBA.step_many` table gather
-  advances every session in the wave (or, when a batch is dominated by
-  a few sessions, each session's slice runs through the monitor's
-  batched ``ingest_many`` scan).  Everything else — machine-backed
+  at once.  On a compiled deterministic table (plain TBA or fused
+  plan) each session's monitor is a view onto one slot of a columnar
+  :class:`~repro.stream.monitor.SlotTable`; each wave of the batch is
+  advanced by one vectorized judge kernel (a ``step_many`` gather plus
+  numpy flag, verdict and counter updates), and few deep sessions run
+  the table's scalar scan instead.  Everything else — machine-backed
   monitors, buffering sessions, late or out-of-order events — falls
   back to the scalar path, event order preserved per session.
 
@@ -62,17 +61,22 @@ per-event metrics come from the monitors themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional
 
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.verdict import DecisionReport, Verdict
 from ..obs import hooks as _obs
 from .compiled import NUMPY, compiled_for
-from .monitor import Monitor, StreamVerdict, TBAMonitor, analysis_for
+from .monitor import Monitor, SlotTable, StreamVerdict, TBAMonitor, analysis_for
 
 __all__ = ["BackpressureError", "SessionReport", "SessionMux"]
 
 DROP_POLICIES = ("drop-new", "drop-old", "reject")
+
+#: Fields of a ``(name, symbol, t)`` batch event.
+_NAME, _SYMBOL, _TIME = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class BackpressureError(RuntimeError):
@@ -94,16 +98,6 @@ class SessionReport:
     #: Per-query verdicts when the session ran a fused
     #: :class:`~repro.query.plan.PlanMonitor` (None otherwise).
     query_verdicts: Optional[Dict[str, StreamVerdict]] = None
-
-
-class _Session:
-    __slots__ = ("name", "monitor", "last_event_time", "drops")
-
-    def __init__(self, name: str, monitor: Any):
-        self.name = name
-        self.monitor = monitor
-        self.last_event_time: Optional[int] = None
-        self.drops = 0
 
 
 class SessionMux:
@@ -183,7 +177,9 @@ class SessionMux:
         #: never vanish silently); drain with :meth:`drain_evictions`.
         #: Bounded by ``max_eviction_reports`` (drop-oldest).
         self.eviction_reports: List[SessionReport] = []
-        self._sessions: Dict[str, _Session] = {}
+        self._sessions: Dict[str, Any] = {}
+        #: Per-session drop counts (absent until a session drops).
+        self._drops: Dict[str, int] = {}
         #: Monitor knobs shared with per-session query overrides
         #: (``open(name, query=...)``).
         self._monitor_kw = dict(
@@ -196,6 +192,10 @@ class SessionMux:
         #: the language is not a TBA, compilation is off, or the
         #: automaton fell back to the interpreter).
         self._tba_compiled = None
+        #: The columnar session table over ``_tba_compiled`` (on-time
+        #: deterministic muxes only) and the slot of every session on it.
+        self._table: Optional[SlotTable] = None
+        self._slots: Dict[str, int] = {}
         if monitor_factory is not None:
             self._factory = monitor_factory
         elif plan is not None:
@@ -204,12 +204,7 @@ class SessionMux:
             # PlanMonitor wraps those same objects.
             if compiled is not False:
                 self._tba_compiled = plan.compiled
-            self._factory = lambda: plan.monitor(
-                lateness=lateness,
-                late_policy=late_policy,
-                f_window=f_window,
-                compiled=compiled,
-            )
+            self._factory = lambda: plan.monitor(**self._monitor_kw)
         elif isinstance(acceptor, TimedBuchiAutomaton):
             # Both per-language artifacts are built exactly once here
             # and shared by every session (and by checkpoint restores).
@@ -217,12 +212,7 @@ class SessionMux:
             if compiled is not False:
                 self._tba_compiled = compiled_for(analysis)
             self._factory = lambda: TBAMonitor(
-                acceptor,
-                analysis=analysis,
-                lateness=lateness,
-                late_policy=late_policy,
-                f_window=f_window,
-                compiled=compiled,
+                acceptor, analysis=analysis, **self._monitor_kw
             )
         else:
             self._factory = lambda: Monitor(
@@ -230,6 +220,11 @@ class SessionMux:
                 lateness=lateness,
                 late_policy=late_policy,
                 f_window=f_window,
+            )
+        comp = self._tba_compiled
+        if comp is not None and comp.deterministic and lateness == 0:
+            self._table = SlotTable(
+                comp, f_window, ledger=plan is not None, columnar=True
             )
 
     # -- session table -----------------------------------------------------
@@ -244,8 +239,9 @@ class SessionMux:
         return list(self._sessions)
 
     def monitor(self, name: str) -> Any:
-        """The named session's monitor (KeyError if unknown)."""
-        return self._sessions[name].monitor
+        """The named session's monitor (KeyError if unknown); a live
+        view, so a handle taken earlier shows every later event."""
+        return self._sessions[name]
 
     def open(self, name: str, query: Any = None) -> Any:
         """Create a session explicitly; returns its monitor.
@@ -262,29 +258,52 @@ class SessionMux:
             raise BackpressureError(
                 f"session table full ({self.max_sessions}); close or evict first"
             )
-        if query is None:
-            monitor = self._factory()
-        else:
+        if query is not None:
             from ..query import query_monitor
 
             monitor = query_monitor(query, **self._monitor_kw)
-        session = _Session(name, monitor)
-        self._sessions[name] = session
+        else:
+            monitor = self._factory()
+        self._add(name, monitor)
         self.sessions_opened += 1
         h = _obs.HOOKS
         if h is not None:
             h.count("stream.sessions", op="opened")
             h.gauge("stream.sessions_active", len(self._sessions))
-        return session.monitor
+        return monitor
+
+    def _add(self, name: str, monitor: Any) -> None:
+        """Register a session; an on-time monitor over the shared
+        compiled artifact moves its slot into the mux's table."""
+        self._sessions[name] = monitor
+        tab = self._table
+        if (
+            tab is not None
+            and getattr(monitor, "_compiled", None) is tab.comp
+            and monitor.lateness == 0
+            and not monitor._heap
+            and monitor.f_window == tab.f_window
+            and monitor._ledger == (tab.svc is not None)
+        ):
+            monitor._slot = self._slots[name] = tab.take(monitor._tab, monitor._slot)
+            monitor._tab = tab
+
+    def _forget(self, name: str) -> Any:
+        """Unregister a session; its monitor keeps its final state in a
+        private one-slot table (handles outlive the session)."""
+        monitor = self._sessions.pop(name)
+        slot = self._slots.pop(name, None)
+        if slot is not None:
+            own = SlotTable(self._table.comp, self._table.f_window, monitor._ledger)
+            monitor._slot, monitor._tab = own.take(self._table, slot), own
+        return monitor
 
     # -- ingestion ---------------------------------------------------------
     def ingest(self, name: str, symbol: Any, t: int) -> StreamVerdict:
         """Feed one event into the named session (opened on demand)."""
-        session = self._sessions.get(name)
-        if session is None:
-            self.open(name)
-            session = self._sessions[name]
-        monitor = session.monitor
+        monitor = self._sessions.get(name)
+        if monitor is None:
+            monitor = self.open(name)
         if monitor.pending >= self.buffer_limit:
             if self.drop_policy == "reject":
                 raise BackpressureError(
@@ -294,220 +313,156 @@ class SessionMux:
             if h is not None:
                 h.count("stream.drops", policy=self.drop_policy)
             self.drops += 1
-            session.drops += 1
+            self._drops[name] = self._drops.get(name, 0) + 1
             if self.drop_policy == "drop-new":
                 return monitor.verdict
             monitor.release_oldest()
-        if session.last_event_time is None or t > session.last_event_time:
-            session.last_event_time = t
         return monitor.ingest(symbol, t)
 
     def ingest_batch(self, events) -> int:
         """Feed many ``(name, symbol, t)`` events, vectorizing across
-        sessions that share the compiled deterministic path.
+        the sessions on the mux's :class:`~repro.stream.monitor.SlotTable`.
 
-        Events are grouped per session (each session's relative order
-        preserved — sessions are independent, so cross-session order
-        carries no meaning).  Sessions whose monitor sits on the shared
-        :class:`~repro.stream.compiled.CompiledTBA` with no reorder
-        buffering, and whose slice of the batch is on-time and
-        nondecreasing, are advanced through the table: long
-        per-session runs go through the monitor's own bulk scan, short
-        ones are stepped *together* wave-by-wave with one
-        :meth:`~repro.stream.compiled.CompiledTBA.step_many` gather per
-        wave.  Everything else — machine-backed monitors, buffering or
-        late traffic, interpreter fallbacks — replays through
-        :meth:`ingest` so every policy decision stays on the scalar
-        path.  Verdicts and counters are identical either way (pinned
-        by ``tests/test_stream_compiled.py``).
+        Each session's relative order is preserved.  Few deep sessions
+        run their slices through the table's ``scan`` up to the first
+        late event; otherwise wave ``k`` (the ``k``-th event of every
+        on-time, in-order session) is advanced by one ``step_wave``
+        kernel call.  Everything else — machine-backed monitors,
+        buffering or late traffic, interpreter fallbacks — replays
+        through :meth:`ingest` in batch order.  Verdicts and counters
+        equal a loop of :meth:`ingest`, refusals included: a session
+        that cannot open raises :class:`BackpressureError` after exactly
+        the events before its first one were applied.
 
         Returns the number of events advanced through a vectorized
         path (the rest went through :meth:`ingest`).
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
+        tab = self._table
+        if tab is None or not events:
+            for name, symbol, t in events:
+                self.ingest(name, symbol, t)
+            return 0
+        # Column views by map, not ``zip(*events)``: that builds one
+        # iterator per event, the batch's largest transient allocation.
+        names = list(map(_NAME, events))
+        seen = set(names)
+        distinct = len(seen)
+        deep = len(names) >= 8 * distinct
+        sessions = self._sessions
+        slots = None if deep else list(map(self._slots.get, names))
+        unknown = not all(map(sessions.__contains__, seen)) if deep else None in slots
+        refused = None
+        if unknown:
+            for name in dict.fromkeys(n for n in names if n not in sessions):
+                try:
+                    self.open(name)
+                except BackpressureError as exc:
+                    refused = exc
+                    cut = names.index(name)
+                    events, names = events[:cut], names[:cut]
+                    distinct = len(set(names))
+                    break
+            if not deep:
+                slots = list(map(self._slots.get, names))
+        # Few deep sessions: each session's own scan beats assembling
+        # cross-session waves, which need at least one session on the table.
+        if deep or slots.count(None) == len(slots):
+            vectorized = self._ingest_slices(events)
+        else:
+            vectorized = self._ingest_waves(events, slots, distinct)
+        if refused is not None:
+            raise refused
+        return vectorized
+
+    def _ingest_slices(self, events) -> int:
         groups: Dict[str, List[Any]] = {}
-        order: List[str] = []
         for name, symbol, t in events:
             g = groups.get(name)
             if g is None:
                 g = groups[name] = []
-                order.append(name)
             g.append((symbol, t))
-        comp = self._tba_compiled
-        scalar: List[str] = []
-        waves: List[Any] = []
-        if comp is None or NUMPY is None or not comp.deterministic:
-            scalar = order
-        else:
-            for name in order:
-                session = self._sessions.get(name)
-                if session is None:
-                    self.open(name)
-                    session = self._sessions[name]
-                m = session.monitor
-                if (
-                    not isinstance(m, TBAMonitor)
-                    or m._compiled is not comp
-                    or m.lateness != 0
-                    or m._heap
-                ):
-                    scalar.append(name)
-                    continue
-                # The bulk scans assume on-time, in-order slices; a
-                # single late or negative timestamp sends the whole
-                # slice back to the scalar path (which owns policy).
-                floor = m.max_seen if m.max_seen is not None else 0
-                for _symbol, t in groups[name]:
-                    if t < floor or t < 0:
-                        scalar.append(name)
-                        break
-                    floor = t
-                else:
-                    waves.append((session, m, groups[name]))
+        scan = self._table.scan
         vectorized = 0
-        if waves:
-            total = sum(len(slice_) for _s, _m, slice_ in waves)
-            if total >= 8 * len(waves):
-                # Few deep sessions: each monitor's own bulk scan
-                # beats assembling cross-session waves.
-                for session, m, slice_ in waves:
-                    m.ingest_many(slice_)
-                    t_last = slice_[-1][1]
-                    if (
-                        session.last_event_time is None
-                        or t_last > session.last_event_time
-                    ):
-                        session.last_event_time = t_last
-                    vectorized += len(slice_)
-            else:
-                vectorized = self._step_waves(comp, waves)
-        for name in scalar:
-            for symbol, t in groups[name]:
+        for name, slice_ in groups.items():
+            slot = self._slots.get(name)
+            if slot is not None:
+                # The scan stops at the first late event; the scalar
+                # path takes it and the rest of the slice.
+                done = scan(slot, slice_)
+                vectorized += done
+                if done == len(slice_):
+                    continue
+                slice_ = slice_[done:]
+            for symbol, t in slice_:
                 self.ingest(name, symbol, t)
         return vectorized
 
-    def _step_waves(self, comp, waves) -> int:
-        """Advance many sessions together, one table gather per wave.
-
-        Wave ``k`` holds the ``k``-th event of every session that has
-        one: state indices, symbol columns, and clock gaps are gathered
-        into arrays, :meth:`CompiledTBA.step_many` advances the whole
-        wave in one fancy-indexed lookup, and the verdict bookkeeping
-        (mirroring ``TBAMonitor.ingest_many`` exactly) is applied per
-        member.  Rejection is absorbing: a rejected member keeps
-        counting events but its state and ``prev_t`` stay frozen, same
-        as the scalar path.  Per-event ``stream.watermark_lag``
-        observations are skipped (the lag is identically zero here).
-        """
+    def _ingest_waves(self, events, slots, distinct) -> int:
         np = NUMPY
-        REJ = StreamVerdict.REJECTED
-        ACC = StreamVerdict.ACCEPTING
-        INC = StreamVerdict.INCONCLUSIVE
-        acc_f = comp.accepting_list
-        live_f = comp.live_list
-        green_f = comp.green_list
-        sym_get = comp.sym_index.get
-        unknown = comp.n_symbols
-        total = 0
-        stepped = 0
-        depth = max(len(slice_) for _s, _m, slice_ in waves)
-        for k in range(depth):
-            wave_s: List[Any] = []
-            wave_m: List[Any] = []
-            wave_sym: List[int] = []
-            wave_t: List[int] = []
-            for session, m, slice_ in waves:
-                if k >= len(slice_):
-                    continue
-                symbol, t = slice_[k]
-                total += 1
-                if m.verdict is REJ:
-                    # Absorbed: counters and watermark advance, the
-                    # run state and prev_t stay frozen (scalar
-                    # `_advance` early-returns the same way).
-                    m.events_ingested += 1
-                    m.events_released += 1
-                    m._seq += 1
-                    m.max_seen = t
-                    if (
-                        session.last_event_time is None
-                        or t > session.last_event_time
-                    ):
-                        session.last_event_time = t
-                    continue
-                wave_s.append(session)
-                wave_m.append(m)
-                wave_sym.append(sym_get(symbol, unknown))
-                wave_t.append(t)
-            if not wave_m:
-                continue
-            n = len(wave_m)
-            states = np.fromiter(
-                (m._ci for m in wave_m), dtype=np.int32, count=n
-            )
-            ts = np.array(wave_t, dtype=np.int64)
-            gaps = ts - np.fromiter(
-                (m.prev_t for m in wave_m), dtype=np.int64, count=n
-            )
-            new = comp.step_many(
-                states, np.array(wave_sym, dtype=np.int32), gaps
-            ).tolist()
-            stepped += n
-            for i in range(n):
-                m = wave_m[i]
-                t = wave_t[i]
-                ci = new[i]
-                session = wave_s[i]
-                if (
-                    session.last_event_time is None
-                    or t > session.last_event_time
-                ):
-                    session.last_event_time = t
-                if m._wave_custom:
-                    # PlanMonitors keep per-channel books (occupancy
-                    # ledger) the generic bookkeeping below doesn't
-                    # know about; the monitor applies the stepped
-                    # config itself.
-                    m._apply_wave(ci, t)
-                    continue
-                m._ci = ci
-                m.prev_t = t
-                m.max_seen = t
-                m.events_ingested += 1
-                m.events_released += 1
-                m._seq += 1
-                if acc_f[ci]:
-                    m.accept_visits += 1
-                    m._last_accept_time = t
-                if not live_f[ci]:
-                    m._set_verdict(REJ)
-                    continue
-                if green_f[ci]:
-                    m._green_locked = True
-                if m._green_locked or (
-                    m._last_accept_time is not None
-                    and (
-                        m.f_window is None
-                        or t - m._last_accept_time <= m.f_window
-                    )
-                ):
-                    m._set_verdict(ACC)
-                else:
-                    m._set_verdict(INC)
-        h = _obs.HOOKS
-        if h is not None and total:
-            h.count("stream.events_ingested", total, outcome="ok")
-            h.count("stream.events_released", total)
-            if stepped:
-                h.count("stream.compiled_steps", stepped, path="wave")
-        return total
+        tab = self._table
+        comp = tab.comp
+        n = len(slots)
+        sl = np.array(
+            [-1 if s is None else s for s in slots] if None in slots else slots,
+            dtype=np.intp,
+        )
+        tt = np.fromiter(map(_TIME, events), dtype=np.int64, count=n)
+        # A slice rides the waves only if it is on time and in order:
+        # each event at or after its predecessor in the session (or the
+        # slot's max_seen), never negative.
+        floor = np.maximum(tab.arrays["max_seen"].take(sl, mode="clip"), 0)
+        rank = None
+        if distinct < n:
+            order = np.argsort(sl, kind="stable")
+            s = sl[order]
+            starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+            rank = np.empty(n, dtype=np.intp)
+            rank[order] = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+            prev = np.empty(n, dtype=np.int64)
+            prev[order[1:]] = tt[order[:-1]]
+            floor = np.where(rank == 0, floor, prev)
+        scalar = (tt < floor) | (sl < 0)
+        if scalar.any():
+            scalar = np.isin(sl, sl[scalar])
+        sy = np.fromiter(
+            map(comp.sym_index.get, map(_SYMBOL, events), repeat(comp.n_symbols, n)),
+            dtype=np.intp,
+            count=n,
+        )
+        vectorized = 0
+        for k in range(1 if rank is None else int(rank.max()) + 1):
+            w = ~scalar if rank is None else (rank == k) & ~scalar
+            if not w.all():
+                w = np.flatnonzero(w)
+            vectorized += tab.step_wave(sl[w], sy[w], tt[w])
+        for i in np.flatnonzero(scalar).tolist():
+            self.ingest(*events[i])
+        return vectorized
 
     def verdicts(self) -> Dict[str, StreamVerdict]:
         """Current verdict-so-far of every open session."""
-        return {name: s.monitor.verdict for name, s in self._sessions.items()}
+        return {name: m.verdict for name, m in self._sessions.items()}
 
     # -- lifecycle ---------------------------------------------------------
+    def _report(self, name: str, monitor: Any, decision: Any) -> SessionReport:
+        return SessionReport(
+            name=name,
+            verdict=monitor.verdict,
+            events_ingested=monitor.events_ingested,
+            events_released=monitor.events_released,
+            late_events=monitor.late_events,
+            drops=self._drops.pop(name, 0),
+            verdict_flips=monitor.verdict_flips,
+            decision=decision,
+            query_verdicts=(
+                monitor.query_verdicts()
+                if hasattr(monitor, "query_verdicts")
+                else None
+            ),
+        )
+
     def close(self, name: str, horizon: Optional[int] = None) -> SessionReport:
         """Flush and retire a session, returning its summary.
 
@@ -516,8 +471,7 @@ class SessionMux:
         batch-equivalent :class:`~repro.engine.verdict.DecisionReport`
         rides along in ``decision``.
         """
-        session = self._sessions.pop(name)
-        monitor = session.monitor
+        monitor = self._forget(name)
         decision: Optional[DecisionReport] = None
         if horizon is not None and hasattr(monitor, "finish"):
             decision = monitor.finish(horizon)
@@ -528,21 +482,7 @@ class SessionMux:
         if h is not None:
             h.count("stream.sessions", op="closed")
             h.gauge("stream.sessions_active", len(self._sessions))
-        return SessionReport(
-            name=name,
-            verdict=monitor.verdict,
-            events_ingested=monitor.events_ingested,
-            events_released=monitor.events_released,
-            late_events=monitor.late_events,
-            drops=session.drops,
-            verdict_flips=monitor.verdict_flips,
-            decision=decision,
-            query_verdicts=(
-                monitor.query_verdicts()
-                if hasattr(monitor, "query_verdicts")
-                else None
-            ),
-        )
+        return self._report(name, monitor, decision)
 
     def evict_idle(
         self, now: Optional[int] = None, idle_ttl: Optional[int] = None
@@ -550,7 +490,9 @@ class SessionMux:
         """Retire sessions idle for more than ``idle_ttl`` event-time
         chronons; returns the evicted names.
 
-        Eviction is not a verdict: a session cut off mid-stream has
+        A session's last event time is its monitor's newest applied or
+        buffered timestamp (``max_seen``).  Eviction is not a verdict: a
+        session cut off mid-stream has
         seen only a prefix of its word, so unless its monitor had
         already absorbed (REJECTED, or green-locked ACCEPTING — states
         no further event can change), the summary filed in
@@ -564,24 +506,18 @@ class SessionMux:
         ttl = idle_ttl if idle_ttl is not None else self.idle_ttl
         if ttl is None:
             raise ValueError("no idle_ttl configured or passed")
+        last = {name: m.max_seen for name, m in self._sessions.items()}
         if now is None:
-            stamps = [
-                s.last_event_time
-                for s in self._sessions.values()
-                if s.last_event_time is not None
-            ]
+            stamps = [t for t in last.values() if t is not None]
             if not stamps:
                 return []
             now = max(stamps)
         victims = [
-            name
-            for name, s in self._sessions.items()
-            if s.last_event_time is None or now - s.last_event_time > ttl
+            name for name, t in last.items() if t is None or now - t > ttl
         ]
         h = _obs.HOOKS
         for name in victims:
-            session = self._sessions.pop(name)
-            monitor = session.monitor
+            monitor = self._forget(name)
             so_far = monitor.verdict
             final = (
                 so_far.as_verdict()
@@ -591,33 +527,17 @@ class SessionMux:
             decision = DecisionReport(
                 verdict=final,
                 f_count=getattr(monitor, "accept_visits", 0),
-                decided_at=session.last_event_time,
+                decided_at=last[name],
                 evidence={
                     "evicted": "idle",
                     "stream_verdict": so_far.value,
                     "pending": monitor.pending,
-                    "last_event_time": session.last_event_time,
+                    "last_event_time": last[name],
                     "now": now,
                 },
                 strategy="evicted",
             )
-            self.eviction_reports.append(
-                SessionReport(
-                    name=name,
-                    verdict=so_far,
-                    events_ingested=monitor.events_ingested,
-                    events_released=monitor.events_released,
-                    late_events=monitor.late_events,
-                    drops=session.drops,
-                    verdict_flips=monitor.verdict_flips,
-                    decision=decision,
-                    query_verdicts=(
-                        monitor.query_verdicts()
-                        if hasattr(monitor, "query_verdicts")
-                        else None
-                    ),
-                )
-            )
+            self.eviction_reports.append(self._report(name, monitor, decision))
             cap = self.max_eviction_reports
             if cap is not None and len(self.eviction_reports) > cap:
                 # Drop-oldest: the backlog is a courtesy to callers who
@@ -651,7 +571,5 @@ class SessionMux:
             "evicted": self.sessions_evicted,
             "eviction_reports_dropped": self.eviction_reports_dropped,
             "drops": self.drops,
-            "pending_total": sum(
-                s.monitor.pending for s in self._sessions.values()
-            ),
+            "pending_total": sum(m.pending for m in self._sessions.values()),
         }

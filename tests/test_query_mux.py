@@ -149,3 +149,13 @@ def test_session_private_query_takes_scalar_batch_path():
         "plain": StreamVerdict.ACCEPTING,
         "special": StreamVerdict.ACCEPTING,
     }
+
+
+def test_batch_of_only_private_sessions_takes_scalar_path():
+    # No session of this batch is on the shared table, which has not
+    # allocated a slot yet: the whole batch runs on the scalar path.
+    mux = SessionMux(query="repeat(hb within 5)")
+    mux.open("x", query="repeat(tick within 9)")
+    assert mux.ingest_batch([("x", "tick", 0), ("x", "tick", 8)]) == 0
+    assert mux.verdicts() == {"x": StreamVerdict.ACCEPTING}
+    assert mux.monitor("x").events_ingested == 2

@@ -161,12 +161,38 @@ def test_all_channels_dead_rejects_headline():
 
 
 def test_monitor_is_a_tba_monitor_with_custom_waves():
+    # A PlanMonitor is a TBAMonitor whose waves carry extra bookkeeping:
+    # a plan mux steps its sessions through the shared slot table's
+    # wave kernel, which also writes each slot's occupancy ledger.
+    # Handles taken before the batch are live views whose channels
+    # match standalone PlanMonitors fed event by event.
+    from repro.stream import SessionMux
+
     plan = QueryPlan(QUERIES, ALPHA)
-    m = plan.monitor()
-    assert isinstance(m, TBAMonitor)
-    assert isinstance(m, PlanMonitor)
-    assert m._wave_custom
-    assert not TBAMonitor._wave_custom
+    mux = SessionMux(plan=plan)
+    handles = {f"s{i}": mux.open(f"s{i}") for i in range(24)}
+    assert all(
+        isinstance(m, PlanMonitor) and isinstance(m, TBAMonitor)
+        for m in handles.values()
+    )
+    rng = random.Random(3)
+    streams = {name: random_events(rng, 12) for name in handles}
+    events = [
+        (name, s, t) for k in range(12) for name, evs in streams.items()
+        for s, t in [evs[k]]
+    ]
+    for lo in range(0, len(events), 48):  # two events a session: two waves
+        mux.ingest_batch(events[lo : lo + 48])
+    for name, evs in streams.items():
+        alone = plan.monitor()
+        for s, t in evs:
+            alone.ingest(s, t)
+        m = handles[name]
+        assert m.query_verdicts() == alone.query_verdicts(), name
+        assert m.channel_accept_visits() == alone.channel_accept_visits()
+        assert (m.verdict, m.events_ingested, m.verdict_flips) == (
+            alone.verdict, alone.events_ingested, alone.verdict_flips
+        )
 
 
 def test_checkpoint_refuses_plan_monitors():

@@ -54,6 +54,16 @@ def test_seeded_corpus_query_gen_agrees():
     assert set(PAIRS) <= set(stats.checks)
 
 
+def test_mux_pair_agrees_under_every_generator():
+    # ingest_batch vs scalar ingest (and, for queries, a fused plan mux
+    # vs per-query muxes) across waves, deep slices and late fallback.
+    for gen, cases in (("spec", 30), ("tba", 20), ("query", 6)):
+        stats = run(seed=5, cases=cases, pairs=("mux",), gen=gen)
+        assert stats.disagreements == [], gen
+        assert stats.checks["mux"] == 3 * cases
+    assert stats.checks["query-mux"] == 6
+
+
 def test_unknown_pair_rejected():
     with pytest.raises(ValueError):
         run(cases=1, pairs=("nope",))

@@ -191,6 +191,108 @@ class TestMuxSnapshots:
         restored = restore_mux(load_json(path), SessionMux(tba), tba=tba)
         assert restored.verdicts() == {"s": StreamVerdict.ACCEPTING}
 
+    def test_eviction_state_survives_json_round_trip(self):
+        tba = bounded_gap_tba()
+        mux = SessionMux(tba, idle_ttl=1, max_eviction_reports=1)
+        for i in range(3):
+            mux.ingest(f"s{i}", "a", 1)
+        mux.ingest("live", "a", 100)
+        mux.evict_idle()
+        assert mux.eviction_reports_dropped == 2
+        snap = json.loads(json.dumps(checkpoint_mux(mux)))
+        fresh = SessionMux(tba, idle_ttl=1, max_eviction_reports=1)
+        restored = restore_mux(snap, fresh, tba=tba)
+        assert restored.eviction_reports_dropped == 2
+        assert restored.stats() == mux.stats()
+        (report,) = restored.drain_evictions()
+        assert report == mux.eviction_reports[0]
+        assert report.name == "s2"
+        assert report.decision.evidence["evicted"] == "idle"
+
+    def test_snapshot_without_eviction_state_restores_it_empty(self):
+        # The mux snapshot format before eviction state was carried:
+        # two sessions (alpha live, beta rejected) after three evictions.
+        snap = {
+            "version": 1,
+            "kind": "mux",
+            "counters": {
+                "drops": 0,
+                "sessions_opened": 5,
+                "sessions_closed": 0,
+                "sessions_evicted": 3,
+            },
+            "sessions": {
+                name: {
+                    "snapshot": {
+                        "version": 1,
+                        "kind": "tba",
+                        "state": dict(
+                            state,
+                            lateness=0,
+                            late_policy="drop",
+                            late_events=0,
+                            events_released=state["events_ingested"],
+                            seq=state["events_ingested"],
+                            buffer=[],
+                            f_window=None,
+                            green_locked=False,
+                        ),
+                    },
+                    "last_event_time": state["max_seen"],
+                    "drops": 0,
+                }
+                for name, state in {
+                    "alpha": dict(
+                        verdict="accepting", max_seen=4, events_ingested=3,
+                        verdict_flips=1, configs=[["'s'", [0]]], prev_t=4,
+                        accept_visits=3, last_accept_time=4,
+                    ),
+                    "beta": dict(
+                        verdict="rejected", max_seen=10, events_ingested=2,
+                        verdict_flips=2, configs=[], prev_t=10,
+                        accept_visits=1, last_accept_time=1,
+                    ),
+                }.items()
+            },
+        }
+        tba = bounded_gap_tba(3)
+        mux = restore_mux(snap, SessionMux(tba, late_policy="drop"), tba=tba)
+        assert mux.eviction_reports_dropped == 0
+        assert mux.drain_evictions() == []
+        assert mux.stats()["evicted"] == 3
+        assert mux.verdicts() == {
+            "alpha": StreamVerdict.ACCEPTING,
+            "beta": StreamVerdict.REJECTED,
+        }
+        mux.ingest_batch(
+            [("alpha", "a", 6), ("beta", "a", 11), ("alpha", "a", 9), ("gamma", "a", 3)]
+        )
+        # What the same snapshot's mux reached when it wrote the snapshot
+        # and ingested this batch itself.
+        assert mux.verdicts() == {
+            "alpha": StreamVerdict.ACCEPTING,
+            "beta": StreamVerdict.REJECTED,
+            "gamma": StreamVerdict.ACCEPTING,
+        }
+        assert {
+            name: (m.events_ingested, m.prev_t, m.accept_visits, m.verdict_flips)
+            for name, m in ((n, mux.monitor(n)) for n in mux.active)
+        } == {"alpha": (5, 9, 5, 1), "beta": (3, 10, 1, 2), "gamma": (1, 3, 1, 1)}
+
+    def test_interpreted_restore_onto_compiled_mux_takes_batches(self):
+        # Sessions restored with compiled=False stay off the mux's table;
+        # a batch touching only them runs on the scalar path.
+        tba = bounded_gap_tba()
+        source = SessionMux(tba)
+        source.ingest("s", "a", 1)
+        snap = checkpoint_mux(source)
+        mux = restore_mux(snap, SessionMux(tba), tba=tba, compiled=False)
+        assert not mux.monitor("s").compiled
+        assert mux.ingest_batch([("s", "a", 2), ("s", "a", 3)]) == 0
+        source.ingest_batch([("s", "a", 2), ("s", "a", 3)])
+        assert mux.verdicts() == source.verdicts() == {"s": StreamVerdict.ACCEPTING}
+        assert mux.monitor("s").events_ingested == 3
+
     def test_wrong_kind_rejected(self):
         snap = checkpoint(TBAMonitor(bounded_gap_tba()))
         with pytest.raises(ValueError, match="not a mux snapshot"):

@@ -178,6 +178,11 @@ class TestDifferentialStepping:
         m.configs = alien
         assert not m.compiled
         assert m.configs == alien
+        # It keeps stepping on the interpreter, like a monitor built there.
+        twin = TBAMonitor(tba, compiled=False)
+        twin.configs = alien
+        assert m.ingest("a", 1) is twin.ingest("a", 1)
+        assert m.configs == twin.configs
 
 
 # -- bulk scan vs scalar loop ----------------------------------------------
@@ -276,6 +281,64 @@ class TestMuxBatch:
         assert mux._tba_compiled is None
         assert mux.ingest_batch([("s0", "a", 1), ("s1", "a", 1)]) == 0
         assert len(mux) == 2
+
+    @pytest.mark.parametrize("ti", range(len(CORPUS)))
+    def test_handles_taken_before_a_batch_are_live_views(self, ti):
+        """A monitor handle is a view onto its session's slot: taken
+        before a batch, it shows the batch's effect afterwards (waves
+        and deep slices alike), and it keeps its final state once the
+        session closes."""
+        tba = CORPUS[ti]
+        rng = random.Random(2600 + ti)
+        batched = SessionMux(tba, late_policy="drop")
+        scalar = SessionMux(tba, late_policy="drop", compiled=False)
+        handles = {f"s{i}": batched.open(f"s{i}") for i in range(12)}
+        for name in handles:
+            scalar.open(name)
+        clocks = dict.fromkeys(handles, 0)
+        for size in (40, 40, 300):  # waves, waves, then deep slices
+            events = []
+            for _ in range(size):
+                name = f"s{rng.randrange(12 if size < 300 else 2)}"
+                clocks[name] += rng.randint(0, 3)
+                events.append((name, rng.choice(sorted(tba.alphabet)), clocks[name]))
+            batched.ingest_batch(events)
+            for event in events:
+                scalar.ingest(*event)
+            for name, m in handles.items():
+                assert m is batched.monitor(name)
+                assert monitor_state(m) == monitor_state(scalar.monitor(name))
+        final = monitor_state(handles["s0"])
+        batched.close("s0")
+        # s12 may reuse s0's freed slot; the closed handle must not see it.
+        batched.ingest_batch([(f"s{i}", "a", 10_000) for i in range(1, 13)])
+        assert monitor_state(handles["s0"]) == final
+
+    @needs_compiled
+    def test_restore_writes_land_in_the_slot(self):
+        """``restore`` assigns configs, prev_t and counters through the
+        monitor view; a restored session on a mux carries them into the
+        mux's slot table, where batches continue from them."""
+        tba = bounded_gap_tba(3)
+        events = [("a", t) for t in (1, 2, 4, 6, 9, 10, 14, 15)]
+        whole = TBAMonitor(tba, late_policy="drop")
+        for symbol, t in events:
+            whole.ingest(symbol, t)
+        first = SessionMux(tba, late_policy="drop")
+        first.ingest_batch([("s", symbol, t) for symbol, t in events[:5]])
+        snap = checkpoint_mux(first)
+        mux = restore_mux(snap, SessionMux(tba, late_policy="drop"), tba=tba)
+        m = mux.monitor("s")
+        tab, slot = mux._table, mux._slots["s"]
+        assert m._tab is tab
+        state = snap["sessions"]["s"]["snapshot"]["state"]
+        assert m.configs == restore(snap["sessions"]["s"]["snapshot"], tba=tba).configs
+        assert tab.arrays["prev_t"][slot] == state["prev_t"] == 9
+        assert tab.arrays["events"][slot] == state["events_ingested"] == 5
+        assert tab.arrays["visits"][slot] == state["accept_visits"]
+        assert tab.arrays["flips"][slot] == state["verdict_flips"]
+        mux.ingest_batch([("s", symbol, t) for symbol, t in events[5:]])
+        assert monitor_state(m) == monitor_state(whole)
 
 
 # -- lasso acceptance ------------------------------------------------------

@@ -67,6 +67,35 @@ class TestSessionTable:
         mux.open("c")  # room again after close
         assert sorted(mux.active) == ["b", "c"]
 
+    @pytest.mark.parametrize("compiled", [None, False])
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_refused_batch_applies_what_a_loop_of_ingest_would(self, compiled, deep):
+        # A batch that reaches a session the table has no room for
+        # applies exactly the events before that session's first one,
+        # then raises — the same end state as a loop of ingest.
+        if deep:  # enough events per session for the deep-slice arm
+            events = [("a", "a", t) for t in range(1, 20)] + [("b", "a", 1)]
+        else:
+            events = [("a", "a", 1), ("b", "a", 1), ("a", "a", 2)]
+        events += [("c", "a", 1), ("b", "a", 2), ("a", "a", 30)]
+        batched = SessionMux(bounded_gap_tba(), max_sessions=2, compiled=compiled)
+        looped = SessionMux(bounded_gap_tba(), max_sessions=2, compiled=compiled)
+        with pytest.raises(BackpressureError, match="session table full"):
+            batched.ingest_batch(events)
+        with pytest.raises(BackpressureError, match="session table full"):
+            for event in events:
+                looped.ingest(*event)
+        assert sorted(batched.active) == ["a", "b"]
+        assert batched.stats() == looped.stats()
+        assert batched.verdicts() == looped.verdicts()
+        for name in ("a", "b"):
+            b, s = batched.monitor(name), looped.monitor(name)
+            assert (b.events_ingested, b.prev_t, b.accept_visits) == (
+                s.events_ingested, s.prev_t, s.accept_visits
+            )
+        assert batched.monitor("a").events_ingested == (19 if deep else 2)
+        assert batched.monitor("b").events_ingested == 1
+
     def test_sessions_share_one_analysis(self):
         mux = SessionMux(bounded_gap_tba())
         mux.open("a")
