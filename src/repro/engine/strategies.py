@@ -65,15 +65,17 @@ def resolve_zeno(report: DecisionReport, acceptor: Any, word: Any) -> DecisionRe
     A lasso word with ``shift == 0`` repeats its loop forever at one
     frozen timestamp, so the operational judge can never see the time
     horizon pass: its replay is cut off after a bounded number of loop
-    unrollings (:func:`repro.machine.tape.zeno_event_cap`) and — unless
-    an absorbing verdict fired inside that window — comes back
-    UNDECIDED.  When the acceptor carries its source automaton
-    (``source_tba``, attached by the §3.1.1 compilation), the language
-    question is still exactly decidable by region mathematics, which is
-    what the ``lasso-exact`` contract promises.  This rewrites such an
-    UNDECIDED report in place: verdict from ``accepts_lasso``,
-    ``decided_at`` pinned to the stall instant, and
-    ``evidence["zeno"] = "region-exact"``.
+    unrollings (:func:`repro.machine.tape.zeno_event_cap` — for a
+    machine compiled from a deterministic TBA, the count after which
+    its run has died or repeated, so a run that reaches the cut alive
+    never dies) and — unless an absorbing verdict fired inside that
+    window — comes back UNDECIDED.  When the acceptor carries its
+    source automaton (``source_tba``, attached by the §3.1.1
+    compilation), the language question is still exactly decidable by
+    region mathematics, which is what the ``lasso-exact`` contract
+    promises.  This rewrites such an UNDECIDED report in place: verdict
+    from ``accepts_lasso``, ``decided_at`` pinned to the stall instant,
+    and ``evidence["zeno"] = "region-exact"``.
 
     Reports that already carry an absorbing verdict, and acceptors with
     no source automaton, pass through untouched (the latter gain

@@ -18,6 +18,12 @@ often — and :func:`tba_to_algorithm` verifies determinism by default.
 infinitely many f's certify that accepting *configurations* recur, not
 that one run threads them; pass ``allow_nondeterministic=True`` to use
 it as a semi-decision anyway.)
+
+A deterministic TBA also bounds how much of a frozen-time lasso the
+machine must read: :func:`zeno_unroll` derives the loop unrollings
+after which its run has died or shown every configuration it ever
+will, and the compiled machine carries that count for the tape's
+:func:`~repro.machine.tape.zeno_event_cap`.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ from typing import Any, Generator, Set, Tuple
 from ..automata.timed import TimedBuchiAutomaton
 from ..kernel.events import Event
 from .rtalgorithm import Context, RealTimeAlgorithm
+from .tape import ZENO_UNROLL
 
-__all__ = ["tba_to_algorithm", "NondeterministicTBAError"]
+__all__ = ["tba_to_algorithm", "zeno_unroll", "NondeterministicTBAError"]
 
 
 class NondeterministicTBAError(ValueError):
@@ -48,6 +55,31 @@ def _is_deterministic(tba: TimedBuchiAutomaton) -> bool:
             return False
         seen.add(key)
     return True
+
+
+def zeno_unroll(tba: TimedBuchiAutomaton) -> int:
+    """Loop unrollings of a frozen-time lasso the machine must read.
+
+    On a lasso with ``shift == 0`` every loop event sits at one instant
+    T (:meth:`~repro.words.timedword.TimedWord.lasso` refuses time that
+    goes backwards, so the loop's times can neither rise nor fall).
+    After the first loop event every gap is therefore zero, and each
+    clock either keeps the value it had after that event or is reset
+    to 0.  A deterministic TBA's machine tracks at most one
+    configuration, and from then on it lies in a set of N = |Q|·2^|X|
+    configurations.  The configuration at each loop boundary is a
+    function of the one before, so if the run is still alive after
+    N + 1 unrollings two boundaries have repeated: the run never dies,
+    and every later unrolling replays one already read.  The verdict,
+    f-count, decision instant and space peak of the first N + 1
+    unrollings are therefore those of any longer replay.
+    Nondeterministic TBAs (a configuration *set*) keep
+    :data:`~repro.machine.tape.ZENO_UNROLL`, which also caps the
+    derived count.
+    """
+    if not _is_deterministic(tba):
+        return ZENO_UNROLL
+    return min(ZENO_UNROLL, len(tba.states) * 2 ** len(tba.clocks) + 1)
 
 
 def tba_to_algorithm(
@@ -90,6 +122,8 @@ def tba_to_algorithm(
     algo = RealTimeAlgorithm(program, name="TBA-sim")
     # Keep the source automaton on the machine: judges use it to fall
     # back on exact region mathematics where the operational discipline
-    # cannot decide (frozen-time lassos never reach the time horizon).
+    # cannot decide (frozen-time lassos never reach the time horizon),
+    # and bound how much of such a lasso the tape feeds.
     algo.source_tba = tba
+    algo.zeno_unroll = zeno_unroll(tba)
     return algo

@@ -24,7 +24,13 @@ from ..kernel.events import Event, SimulationError
 from ..kernel.simulator import Simulator
 from ..obs import hooks as _obs
 from ..words.timedword import TimedWord
-from .tape import DEFAULT_FEEDER_CAP, InputTape, OutputTape, zeno_event_cap
+from .tape import (
+    DEFAULT_FEEDER_CAP,
+    ZENO_UNROLL,
+    InputTape,
+    OutputTape,
+    zeno_event_cap,
+)
 
 __all__ = [
     "ACCEPT_SYMBOL",
@@ -170,6 +176,11 @@ class RealTimeAlgorithm:
     #: discipline cannot decide (frozen-time lassos).
     source_tba: Optional[Any] = None
 
+    #: Loop unrollings the tape feeds from a frozen-time lasso
+    #: (:func:`~repro.machine.tape.zeno_event_cap`); ``tba_to_algorithm``
+    #: lowers it for deterministic automata.
+    zeno_unroll: int = ZENO_UNROLL
+
     def __init__(self, program: Program, name: str = "A", space_limit: Optional[int] = None):
         self.program = program
         self.name = name
@@ -180,7 +191,7 @@ class RealTimeAlgorithm:
         # Frozen-time lassos never outrun the time horizon; cap their
         # feed so the judge stays O(decision point) instead of grinding
         # to the feeder's default cap (see tape.zeno_event_cap).
-        cap = zeno_event_cap(word)
+        cap = zeno_event_cap(word, self)
         tape = InputTape(
             sim, word, horizon=DEFAULT_FEEDER_CAP if cap is None else cap
         )

@@ -32,30 +32,35 @@ __all__ = [
 DEFAULT_FEEDER_CAP = 1_000_000
 
 #: Loop unrollings a judge delivers from a frozen-time lasso before
-#: cutting the feed off (see :func:`zeno_event_cap`).
+#: cutting the feed off: the ceiling of every acceptor's own bound, and
+#: the cap of acceptors that carry none (see :func:`zeno_event_cap`).
 ZENO_UNROLL = 64
 
 
-def zeno_event_cap(word: Any) -> Optional[int]:
+def zeno_event_cap(word: Any, acceptor: Any = None) -> Optional[int]:
     """Event cap for words whose time stalls forever (shift-0 lassos).
 
     A lasso word with ``shift == 0`` repeats its loop at one frozen
     timestamp, so a time-bounded judge never outruns it: without a cap
     the feeder grinds to :data:`DEFAULT_FEEDER_CAP` events (seconds of
-    work) before giving up.  Delivering the prefix plus
-    :data:`ZENO_UNROLL` loop unrollings gives any absorbing verdict the
-    same chance to fire — the tracked configuration set cycles at the
-    frozen instant long before that — at a bounded cost.  Returns
-    ``None`` for every other shape: finite words and functional words
-    also carry the dataclass default ``shift == 0``, but only a lasso
-    (non-empty ``loop``, no ``fn``) can freeze time forever.
+    work) before giving up.  The cap is the prefix plus the acceptor's
+    ``zeno_unroll`` loop unrollings.  A machine compiled from a
+    deterministic TBA derives that count from its automaton
+    (:func:`repro.machine.from_tba.zeno_unroll`): by then its run has
+    died or visited every configuration it ever will, so the cut loses
+    nothing.  Every other acceptor (and ``acceptor=None``) gets
+    :data:`ZENO_UNROLL`.  Returns ``None`` for every other shape:
+    finite words and functional words also carry the dataclass default
+    ``shift == 0``, but only a lasso (non-empty ``loop``, no ``fn``)
+    can freeze time forever.
     """
     if (
         getattr(word, "shift", None) == 0
         and getattr(word, "fn", None) is None
         and getattr(word, "loop", ())
     ):
-        return len(getattr(word, "prefix", ())) + ZENO_UNROLL * len(word.loop)
+        unroll = getattr(acceptor, "zeno_unroll", ZENO_UNROLL)
+        return len(getattr(word, "prefix", ())) + unroll * len(word.loop)
     return None
 
 

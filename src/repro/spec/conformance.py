@@ -18,7 +18,9 @@ output needed:
 ``strategy``
     ``engine.decide(strategy="online-incremental")`` (stream replay)
     vs ``strategy="lasso-exact"`` (batch) on the shared §3.1.1 machine
-    compilation — report-identical, not just verdict-identical.
+    compilation — report-identical, not just verdict-identical.  On a
+    frozen-time lasso the machine's report, cut at its derived unroll
+    bound, must also equal its report on ``ZENO_UNROLL`` unrollings.
 ``shards``
     ``decide_many(backend="shards")`` (persistent worker pool, warm
     compiled caches) vs ``backend="serial"`` on raw deterministic TBAs.
@@ -99,6 +101,7 @@ from ..engine.strategies import decide
 from ..engine.verdict import Verdict
 from ..kernel.clock import And, Ge, Le, Not, TrueConstraint
 from ..machine.from_tba import _is_deterministic
+from ..machine.tape import ZENO_UNROLL
 from ..words.timedword import TimedWord
 from .combinators import (
     Spec,
@@ -565,6 +568,24 @@ def _check_strategy(
             return (
                 f"zeno lasso: lasso-exact reports {batch.verdict} but "
                 f"accepts_lasso says {truth}"
+            )
+        # resolve_zeno repairs the verdict of a replay cut too early,
+        # so check the cut itself: the machine's own report on the
+        # lasso must equal its report on ZENO_UNROLL unrollings fed as
+        # a finite word, which no cap touches.
+        cut = machine.decide(word, horizon=horizon)
+        full = machine.decide(
+            TimedWord.finite(
+                word.take(len(word.prefix) + ZENO_UNROLL * len(word.loop))
+            ),
+            horizon=horizon,
+        )
+        a = (cut.verdict, cut.f_count, cut.decided_at, cut.space_peak)
+        b = (full.verdict, full.f_count, full.decided_at, full.space_peak)
+        if a != b:
+            return (
+                f"zeno lasso: the machine reports {a} cut at "
+                f"{machine.zeno_unroll} unrollings but {b} after {ZENO_UNROLL}"
             )
     elif batch.verdict is Verdict.REJECT and truth:
         # Machine rejection means every tracked run died — sound for

@@ -8,6 +8,11 @@ final report comes from :meth:`Monitor.finish`.  Because the monitor
 pumps the same simulator loop the batch judge runs, this strategy is
 *verdict-identical* to ``"lasso-exact"`` on every machine acceptor —
 the stream-vs-batch agreement invariant the property tests enforce.
+A frozen-time lasso is cut where the batch tape cuts it,
+:func:`~repro.machine.tape.zeno_event_cap` of the word and the
+acceptor: a machine compiled from a deterministic TBA stops after the
+unrollings its automaton bounds, every other acceptor after
+:data:`~repro.machine.tape.ZENO_UNROLL`.
 
 Registered lazily: :func:`repro.engine.get_strategy` imports
 :mod:`repro.stream` on first request for the name, avoiding a static
@@ -29,8 +34,9 @@ __all__ = ["OnlineIncremental", "MAX_EVENTS"]
 
 #: Event cap per judgement, matching the batch input tape's feeder
 #: horizon.  Frozen-time lassos are cut off much earlier — at the same
-#: :func:`~repro.machine.tape.zeno_event_cap` the batch tape uses — and
-#: resolved exactly by :func:`~repro.engine.strategies.resolve_zeno`.
+#: per-acceptor :func:`~repro.machine.tape.zeno_event_cap` the batch
+#: tape uses — and resolved exactly by
+#: :func:`~repro.engine.strategies.resolve_zeno`.
 MAX_EVENTS = 1_000_000
 
 
@@ -45,7 +51,7 @@ class OnlineIncremental(DecisionStrategy):
             # so the stream and batch engines judge one shared program.
             acceptor = compiled_tba(acceptor, allow_nondeterministic=True)
         monitor = Monitor(acceptor)
-        cap = zeno_event_cap(word)
+        cap = zeno_event_cap(word, acceptor)
         limit = MAX_EVENTS if cap is None else min(cap, MAX_EVENTS)
         i = 0
         while i < limit:

@@ -56,14 +56,33 @@ class TimedWord:
 
     @staticmethod
     def lasso(prefix: Sequence[Pair], loop: Sequence[Pair], shift: int) -> "TimedWord":
-        """Eventually periodic word; loop iteration k adds k·shift to times."""
+        """Eventually periodic word; loop iteration k adds k·shift to times.
+
+        Time may not go backwards anywhere in the word: within the
+        prefix, from the prefix into the loop, within the loop, or from
+        one iteration into the next (the last loop time may not exceed
+        the first plus ``shift``, which also refuses ``shift < 0``).
+        Such a word is not a timed word at all, and the judges would
+        disagree on it, so it raises :class:`ValueError`.
+        """
         if not loop:
             raise ValueError("lasso loop must be non-empty")
-        return TimedWord(
-            prefix=tuple((s, int(t)) for s, t in prefix),
-            loop=tuple((s, int(t)) for s, t in loop),
-            shift=int(shift),
-        )
+        prefix = tuple((s, int(t)) for s, t in prefix)
+        loop = tuple((s, int(t)) for s, t in loop)
+        shift = int(shift)
+        prev = None
+        for i, (_s, t) in enumerate(prefix + loop):
+            if prev is not None and t < prev:
+                raise ValueError(
+                    f"lasso time goes backwards at index {i}: {prev} then {t}"
+                )
+            prev = t
+        if prev > loop[0][1] + shift:
+            raise ValueError(
+                f"lasso time goes backwards across loop iterations: last "
+                f"loop time {prev} > first loop time {loop[0][1]} + shift {shift}"
+            )
+        return TimedWord(prefix=prefix, loop=loop, shift=shift)
 
     @staticmethod
     def functional(fn: Callable[[int], Pair]) -> "TimedWord":

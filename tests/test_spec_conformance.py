@@ -218,6 +218,65 @@ def test_functional_words_outrun_the_zeno_cap():
     assert report.f_count > ZENO_UNROLL
 
 
+def test_machine_only_acceptor_reports_the_cutoff():
+    # A hand-written program has no source automaton to bound its
+    # unrollings or settle its verdict: the tape stops at ZENO_UNROLL
+    # unrollings and both judges say the replay was cut.
+    from repro.engine import Verdict, decide
+    from repro.machine import RealTimeAlgorithm
+    from repro.machine.tape import ZENO_UNROLL
+
+    reads = []
+
+    def program(ctx):
+        while True:
+            reads.append((yield ctx.input.read()))
+
+    machine = RealTimeAlgorithm(program, name="reader")
+    word = TimedWord.lasso([("a", 0), ("b", 1)], [("a", 3), ("b", 3)], shift=0)
+    batch = decide(machine, word, strategy="lasso-exact", horizon=100)
+    assert len(reads) == 2 + ZENO_UNROLL * 2 == 130
+    assert batch.verdict is Verdict.UNDECIDED
+    assert batch.evidence["zeno"] == "cutoff"
+    online = decide(machine, word, strategy="online-incremental", horizon=100)
+    assert online.verdict is Verdict.UNDECIDED
+    assert online.evidence["zeno"] == "cutoff"
+    assert online.evidence["events_ingested"] == 130
+
+
+def test_strategy_pair_checks_the_derived_cut():
+    # A deterministic 2-state/1-clock automaton (zeno bound 5) whose
+    # run dies in the fourth frozen unrolling: the strategy pair holds
+    # the machine's cut report against the ZENO_UNROLL replay, so it
+    # catches a cut too short to see the death, which resolve_zeno's
+    # exact verdict would hide.
+    from repro.automata import TimedBuchiAutomaton, TimedTransition
+    from repro.engine.batch import compiled_tba
+    from repro.kernel import gt
+
+    tba = TimedBuchiAutomaton(
+        alphabet=("a", "b"),
+        states=("p", "q"),
+        initial="p",
+        transitions=[
+            TimedTransition.make("p", "q", "b"),
+            TimedTransition.make("q", "p", "b", resets=["x"], guard=gt("x", 0)),
+        ],
+        clocks=("x",),
+        accepting=("p",),
+    )
+    word = TimedWord.lasso([], [("b", 1)], shift=0)
+    assert check_pair("strategy", tba, ("a", "b"), word) is None
+    machine = compiled_tba(tba, allow_nondeterministic=True)
+    assert machine.zeno_unroll == 5
+    machine.zeno_unroll = 3
+    try:
+        detail = check_pair("strategy", tba, ("a", "b"), word)
+    finally:
+        machine.zeno_unroll = 5
+    assert detail is not None and "cut at 3 unrollings" in detail
+
+
 # ------------------------------------------------- raw-random-TBA mode
 
 

@@ -28,6 +28,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TimedWord.lasso([("a", 0)], [], 1)
 
+    @pytest.mark.parametrize(
+        "prefix, loop, shift",
+        [
+            ([("a", 2), ("a", 1)], [("a", 3)], 1),  # within the prefix
+            ([("a", 5)], [("a", 1)], 3),  # prefix into the loop
+            ([], [("a", 4), ("a", 3)], 5),  # within the loop
+            ([], [("a", 0), ("a", 9)], 1),  # across iterations
+            ([], [("a", 2), ("a", 2)], -1),  # negative shift
+        ],
+        ids=["prefix", "prefix-to-loop", "loop", "iterations", "negative-shift"],
+    )
+    def test_lasso_time_going_backwards_rejected(self, prefix, loop, shift):
+        with pytest.raises(ValueError, match="backwards"):
+            TimedWord.lasso(prefix, loop, shift)
+
+    def test_lasso_monotone_edges_accepted(self):
+        # Equal times everywhere, and a loop spanning exactly its shift.
+        TimedWord.lasso([("a", 1), ("a", 1)], [("a", 1), ("a", 1)], shift=0)
+        w = TimedWord.lasso([("a", 0)], [("a", 2), ("b", 5)], shift=3)
+        assert w.take(5) == [("a", 0), ("a", 2), ("b", 5), ("a", 5), ("b", 8)]
+
     def test_lasso_indexing_shifts_times(self):
         w = simple_lasso(shift=2)
         assert w.take(5) == [("a", 0), ("b", 1), ("c", 1), ("b", 3), ("c", 3)]
