@@ -11,11 +11,9 @@ Four regimes, all through :mod:`repro.engine`:
   acceptor (the TBA→machine compilation) and runs a private loop;
 * **batched-serial** — compile once through the engine's acceptor
   cache, judge the sweep with ``decide_many(workers=1)``;
-* **batched-pool** — same, ``workers=4`` over forked processes,
-  checked bit-identical to serial (the engine's fan-out guarantee),
-  plus the persistent shard pool (``backend="shards"``,
-  :mod:`repro.shard`) under the identical batch — the warm-worker
-  answer to the fork pool's per-call spawn cost (deep dive:
+* **batched-pool** — same, ``workers=4`` over the persistent shard
+  pool (``backend="shards"``, :mod:`repro.shard`), checked
+  bit-identical to serial (the engine's fan-out guarantee; deep dive:
   ``benchmarks/bench_shards.py`` / ``BENCH_shards.json``).
 
 Words/sec per regime land in the ``--bench-json`` capture
@@ -158,26 +156,23 @@ def test_batched_pool_bit_identical(once, report, bench_record):
 
     shutdown_pool()
     shared_pool(4)  # shard workers spawn outside the timed region
-    decide_many(acceptor, words[:4], workers=4, backend="shards", **judge_kwargs())
+    # The compiled machine closes over a local program and does not
+    # pickle, so the workers get the raw TBA and compile it themselves.
+    decide_many(tba, words[:4], workers=4, backend="shards", **judge_kwargs())
 
     def pooled():
         t0 = time.perf_counter()
         serial = decide_many(acceptor, words, workers=1, seed=11, **judge_kwargs())
         t1 = time.perf_counter()
-        pool = decide_many(
-            acceptor, words, workers=4, seed=11, backend="fork", **judge_kwargs()
+        shards = decide_many(
+            tba, words, workers=4, seed=11, backend="shards", **judge_kwargs()
         )
         t2 = time.perf_counter()
-        shards = decide_many(
-            acceptor, words, workers=4, seed=11, backend="shards", **judge_kwargs()
-        )
-        t3 = time.perf_counter()
-        assert serial == pool  # bit-identical under fan-out
-        assert serial == shards  # ... and under the persistent pool
-        return t1 - t0, t2 - t1, t3 - t2
+        assert serial == shards  # bit-identical under fan-out
+        return t1 - t0, t2 - t1
 
     try:
-        serial_s, pool_s, shards_s = once(pooled)
+        serial_s, shards_s = once(pooled)
     finally:
         shutdown_pool()
     bench_record(
@@ -185,12 +180,10 @@ def test_batched_pool_bit_identical(once, report, bench_record):
         words=N_WORDS,
         workers=4,
         serial_words_per_sec=round(N_WORDS / max(serial_s, 1e-9), 1),
-        pool_words_per_sec=round(N_WORDS / max(pool_s, 1e-9), 1),
         shards_words_per_sec=round(N_WORDS / max(shards_s, 1e-9), 1),
     )
     report.add(
         serial_s=round(serial_s, 4),
-        pool_s=round(pool_s, 4),
         shards_s=round(shards_s, 4),
         identical=True,
     )

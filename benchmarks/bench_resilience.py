@@ -6,10 +6,10 @@ Three fault regimes, timed:
   sessions is crashed mid-stream and rebuilt from its latest
   checkpoint plus journal replay; the row records the wall-clock
   recovery latency and pins agreement with an uninterrupted run;
-* **kill recovery** — a pooled `decide_many_resilient` sweep loses a
-  SIGKILLed worker mid-chunk and still returns reports bit-identical
-  to the serial path; the row separates clean-pool from
-  faulted-pool throughput (the price of one retry);
+* **kill recovery** — a `decide_many_resilient` sweep on the shard
+  pool loses a SIGKILLed worker mid-chunk and still returns reports
+  bit-identical to the serial path; the row separates clean-pool from
+  faulted-pool throughput (the price of one respawn and retry);
 * **degraded throughput** — transient worker exceptions force retries;
   words/sec with faults injected vs the clean pool;
 * **shard kill recovery** — one worker of a loaded
@@ -80,19 +80,21 @@ def make_parity_word(n, member):
     return TimedWord.lasso(pairs, [("w", n + 2)], shift=1)
 
 
-def make_parity_acceptor():
-    def prog(ctx):
-        n, _t = yield ctx.input.read()
-        total = 0
-        for _ in range(n):
-            v, _t = yield ctx.input.read()
-            total += v
-        if total % 2 == 0:
-            ctx.accept()
-        else:
-            ctx.reject()
+def parity(ctx):
+    """Module-level, so the machine pickles into shard workers."""
+    n, _t = yield ctx.input.read()
+    total = 0
+    for _ in range(n):
+        v, _t = yield ctx.input.read()
+        total += v
+    if total % 2 == 0:
+        ctx.accept()
+    else:
+        ctx.reject()
 
-    return RealTimeAlgorithm(prog)
+
+def make_parity_acceptor():
+    return RealTimeAlgorithm(parity)
 
 
 def parity_sweep(n_words):

@@ -9,11 +9,10 @@ runtime of :mod:`repro.shard`:
   identical to a single in-process ``SessionMux``);
 * **session capacity** — a wide session table (100k sessions at full
   size) spread over 4 shards, the bounded-per-process-memory story;
-* **decide: shards vs serial vs fork** — one large ``decide_many``
-  batch through all three backends; the persistent pool's warm
-  compiled acceptors must *beat* serial words/sec where the
-  fork-per-batch pool historically lost to it, and both pools must
-  stay bit-identical to serial.
+* **decide: shards vs serial** — one large ``decide_many`` batch
+  through both backends; the persistent pool's warm compiled acceptors
+  must *beat* serial words/sec given real parallelism, and stay
+  bit-identical to serial.
 
 Rows land in the ``--bench-json`` capture (``BENCH_shards.json``; the
 `shard-smoke` CI job asserts the shards rows exist).  Set
@@ -149,7 +148,7 @@ def test_wide_session_table(once, report, bench_record):
 
 
 def test_decide_shards_beats_serial(once, report, bench_record):
-    """The warm pool must win where the fork-per-batch pool lost."""
+    """The warm pool must beat the serial loop given real parallelism."""
     shutdown_pool()
     tba = bounded_gap_tba()
     words = make_words(N_WORDS)
@@ -161,20 +160,16 @@ def test_decide_shards_beats_serial(once, report, bench_record):
         t0 = time.perf_counter()
         serial = decide_many(tba, words, backend="serial", **kwargs)
         t1 = time.perf_counter()
-        fork = decide_many(tba, words, workers=4, backend="fork", **kwargs)
-        t2 = time.perf_counter()
         shards = decide_many(tba, words, workers=4, backend="shards", **kwargs)
-        t3 = time.perf_counter()
-        assert fork == serial
+        t2 = time.perf_counter()
         assert shards == serial  # bit-identical under fan-out
-        return t1 - t0, t2 - t1, t3 - t2
+        return t1 - t0, t2 - t1
 
     try:
-        serial_s, fork_s, shards_s = once(run)
+        serial_s, shards_s = once(run)
     finally:
         shutdown_pool()
     serial_wps = round(N_WORDS / max(serial_s, 1e-9), 1)
-    fork_wps = round(N_WORDS / max(fork_s, 1e-9), 1)
     shards_wps = round(N_WORDS / max(shards_s, 1e-9), 1)
     cores = os.cpu_count() or 1
     bench_record(
@@ -183,23 +178,17 @@ def test_decide_shards_beats_serial(once, report, bench_record):
         workers=4,
         cores=cores,
         serial_words_per_sec=serial_wps,
-        fork_words_per_sec=fork_wps,
         shards_words_per_sec=shards_wps,
         shards_speedup=round(shards_wps / max(serial_wps, 1e-9), 2),
-        shards_vs_fork=round(shards_wps / max(fork_wps, 1e-9), 2),
     )
     report.add(
         cores=cores,
         serial_wps=serial_wps,
-        fork_wps=fork_wps,
         shards_wps=shards_wps,
         identical=True,
     )
     if not BENCH_QUICK:
-        # The warm pool must always beat the fork-per-batch pool (the
-        # per-call fork+compile cost it exists to amortize) ...
-        assert shards_wps > fork_wps
-        # ... and must beat the serial loop wherever there is real
+        # The warm pool must beat the serial loop wherever there is real
         # parallelism to win (a single-core box can only show the pool's
         # overhead, not its speedup — the row records `cores` for that).
         if cores >= 2:

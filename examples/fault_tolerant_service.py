@@ -5,9 +5,10 @@ A real-time acceptor that only works on a healthy host is not a
 real-time system.  This walk-through drives the resilience layer
 through three injected failures and shows what the guarantees mean:
 
-1. a pooled ``decide_many_resilient`` batch loses a worker to SIGKILL
-   mid-chunk and still returns reports **bit-identical** to the serial
-   path (retry re-runs the same pure per-word function);
+1. a ``decide_many_resilient`` batch on the shard pool loses a worker
+   to SIGKILL mid-chunk and still returns reports **bit-identical** to
+   the serial path (the pool respawns the worker, and the retry re-runs
+   the same pure per-word function);
 2. a per-batch deadline budget expires and the engine returns partial
    results promptly — the unfinished remainder is explicitly marked
    ``UNDECIDED`` with ``evidence["degraded"] = "deadline"`` instead of
@@ -49,36 +50,34 @@ def make_word(n, member):
     return TimedWord.lasso(pairs, [("w", n + 2)], shift=1)
 
 
-def make_acceptor():
-    def prog(ctx):
-        n, _t = yield ctx.input.read()
-        total = 0
-        for _ in range(n):
-            v, _t = yield ctx.input.read()
-            total += v
-        if total % 2 == 0:
-            ctx.accept()
-        else:
-            ctx.reject()
-
-    return RealTimeAlgorithm(prog)
+def parity(ctx):
+    # Module-level, so the machine pickles into the shard workers.
+    n, _t = yield ctx.input.read()
+    total = 0
+    for _ in range(n):
+        v, _t = yield ctx.input.read()
+        total += v
+    if total % 2 == 0:
+        ctx.accept()
+    else:
+        ctx.reject()
 
 
-acceptor = make_acceptor()
+acceptor = RealTimeAlgorithm(parity)
 words = [make_word(n, m) for n in (4, 8, 16) for m in (True, False)]
 HORIZON = 2_000
 serial = decide_many(acceptor, words, horizon=HORIZON, seed=7)
 
-# -- 1. a SIGKILLed pool worker, survived -------------------------------------
+# -- 1. a SIGKILLed shard worker, survived ------------------------------------
 
 with tempfile.NamedTemporaryFile() as fusefile:
     fuse = FileFuse(shots=1, path=fusefile.name)
-    crashy = CrashingAcceptor(acceptor, fuse)  # kills one child, once
+    crashy = CrashingAcceptor(acceptor, fuse)  # kills one worker, once
     out = decide_many_resilient(
         crashy, words, horizon=HORIZON, workers=4, seed=7,
         retry=RetryPolicy(max_retries=2, backoff_base=0.01),
     )
-print("1. pooled batch with one worker SIGKILLed mid-chunk:")
+print("1. shard-pool batch with one worker SIGKILLed mid-chunk:")
 print(f"   worker deaths: {out.worker_deaths}, retries: {out.retries}, "
       f"mode: {out.mode}")
 print(f"   bit-identical to serial: {out.reports == serial}")

@@ -17,7 +17,7 @@ systems argue for) and gives every domain one substrate:
     f-counting) plus ``f-rate`` — and the single-word :func:`decide`.
 ``engine.batch``
     :func:`decide_many` (chunked, seeded, deterministically-ordered
-    process-pool fan-out) and the compiled-acceptor LRU
+    fan-out over the warm shard pool) and the compiled-acceptor LRU
     (:func:`cached_acceptor`, :func:`compiled_tba`).
 ``engine.resilience``
     The fault-tolerant fan-out: :func:`decide_many_resilient` survives
@@ -28,7 +28,7 @@ systems argue for) and gives every domain one substrate:
     "Failure model & recovery".
 ``engine.faults``
     Reproducible fault injection (process-killing, exception-raising,
-    and delaying acceptor wrappers over a fork-safe
+    and delaying acceptor wrappers over a process-shared
     :class:`FileFuse`) for the resilience tests and benchmarks.
 
 The machine, deadlines, dataacc, rtdb, and adhoc decide helpers all

@@ -1,8 +1,8 @@
-"""Batched, parallel decision fan-out and the compiled-acceptor cache.
+"""Batched decision fan-out and the compiled-acceptor cache.
 
 ``decide_many`` is the production entry point the ROADMAP's batching
 direction calls for: judge a whole sweep of words against one acceptor,
-optionally across a process pool, with three guarantees:
+optionally across worker processes, with three guarantees:
 
 * **Deterministic order** — reports come back in word order regardless
   of worker count or chunking;
@@ -14,20 +14,16 @@ optionally across a process pool, with three guarantees:
   seed + index``, so sampled strategies stay reproducible under any
   fan-out.
 
-The pool uses the ``fork`` start method (Linux; the CI smoke job pins
-it): the parent publishes the job in a token-keyed registry before
-forking, so acceptors and words — which close over arbitrary generator
-programs and are therefore unpicklable — are inherited by memory copy
-and never serialized.  Only ``(token, lo, hi)`` chunk descriptors
-travel to the children and only plain
-:class:`~repro.engine.verdict.DecisionReport` lists travel back.  The
-token makes the hand-off reentrant: concurrent ``decide_many`` calls
-(from threads, or nested inside an acceptor) each fork against their
-own registry entry.  The fault-tolerant variant of this fan-out —
-worker-death retries, deadline budgets, graceful degradation — lives in
-:mod:`repro.engine.resilience` on the same chunk protocol.
-Where ``fork`` is unavailable (or ``workers <= 1``) the call degrades
-to the serial loop, results unchanged.
+There is one process backend: the warm shard pool of
+:mod:`repro.shard` (``backend="shards"``).  Its workers outlive the
+call, so the acceptor and the words cross a pipe and must pickle; an
+acceptor that closes over a local function cannot, and is judged by
+the serial loop instead, with the reason counted.  ``backend="auto"``
+is the serial loop, because on the repository benchmark's decide
+workload no process fan-out beats it (``docs/performance.md``).  The
+fault-tolerant variant — worker-death retries, deadline budgets,
+graceful degradation — lives in :mod:`repro.engine.resilience`; both
+entry points pick their path through :func:`_route`.
 
 The second half of the module is the compiled-acceptor LRU: building an
 acceptor is often far more expensive than one decision (notably the
@@ -40,12 +36,9 @@ specialization.
 
 from __future__ import annotations
 
-import itertools
-import math
 import multiprocessing
-import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import hooks as _obs
 from .strategies import DEFAULT_HORIZON, DecisionStrategy, get_strategy
@@ -58,31 +51,6 @@ __all__ = [
     "compiled_tba",
     "clear_caches",
 ]
-
-#: In-flight pooled jobs, keyed by a per-call token:
-#: token -> (acceptor, words, horizon, strategy, seed).  The parent
-#: registers its job under a fresh token immediately before forking and
-#: the children look it up by the token travelling with each chunk, so
-#: two concurrent ``decide_many`` calls (threads, or a decision nested
-#: inside an acceptor) can never clobber each other's hand-off.
-_JOBS: Dict[int, Tuple[Any, Sequence[Any], int, DecisionStrategy, int]] = {}
-_JOBS_LOCK = threading.Lock()
-_JOB_TOKENS = itertools.count()
-
-
-def _register_job(
-    job: Tuple[Any, Sequence[Any], int, DecisionStrategy, int]
-) -> int:
-    """Claim a token and publish ``job`` for children forked after now."""
-    with _JOBS_LOCK:
-        token = next(_JOB_TOKENS)
-        _JOBS[token] = job
-    return token
-
-
-def _release_job(token: int) -> None:
-    with _JOBS_LOCK:
-        _JOBS.pop(token, None)
 
 
 def _decide_one(
@@ -103,75 +71,30 @@ def _decide_one(
     return report
 
 
-def _run_chunk(task: Tuple[int, int, int]) -> List[DecisionReport]:
-    """Pool worker: judge one contiguous index range of the tokened job."""
-    token, lo, hi = task
-    acceptor, words, horizon, strategy, seed = _JOBS[token]
-    return [
-        _decide_one(acceptor, words[i], horizon, strategy, seed, i)
-        for i in range(lo, hi)
-    ]
+BACKENDS = ("auto", "serial", "shards")
 
 
-def _run_chunk_metered(
-    task: Tuple[int, int, int]
-) -> Tuple[List[DecisionReport], Optional[List[Dict[str, Any]]]]:
-    """:func:`_run_chunk` under fresh child instrumentation.
-
-    A forked pool worker inherits the parent's hooks by memory *copy*:
-    anything it counts is invisible to the parent and dies with the
-    process.  When hooks were installed at fork time, the chunk runs
-    under a fresh registry instead and its full dump rides back with
-    the reports for the parent to merge — so ``engine.*`` / ``kernel.*``
-    counts match the serial path exactly (pinned by
-    ``tests/test_shard_metrics.py``).
-    """
-    from ..obs import hooks as _hooks
-
-    if _hooks.HOOKS is None:
-        return _run_chunk(task), None
-    with _hooks.instrumented() as inst:
-        reports = _run_chunk(task)
-    return reports, inst.registry.dump()
-
-
-#: Auto-backend heuristic floor: below ``max(this, 8 * workers)`` words
-#: a forked pool's startup cost dominates the work, so ``backend="auto"``
-#: routes ``workers > 1`` calls to the serial path (recorded in
-#: ``engine.backend_fallbacks{reason="small-batch"}``).
-MIN_POOL_WORDS = 64
-
-BACKENDS = ("auto", "serial", "fork", "shards")
-
-
-def decide_many(
+def _route(
     acceptor: Any,
     words: Sequence[Any],
+    strategy: Union[str, DecisionStrategy],
     *,
-    horizon: int = DEFAULT_HORIZON,
-    strategy: Union[str, DecisionStrategy] = "lasso-exact",
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    seed: int = 0,
-    backend: str = "auto",
-) -> List[DecisionReport]:
-    """Judge every word in ``words``, optionally across a process pool.
+    workers: int,
+    chunk_size: Optional[int],
+    backend: str,
+) -> Tuple[Any, List[Any], DecisionStrategy, str, Any]:
+    """Validate one batch call and pick where it runs.
 
-    Returns one report per word, in word order, bit-identical across
-    backends.  ``backend`` selects the fan-out:
-
-    * ``"serial"`` — the in-process loop;
-    * ``"fork"`` — the fork-per-batch pool (job inherited by memory
-      copy, so unpicklable acceptors work);
-    * ``"shards"`` — the persistent shard pool of :mod:`repro.shard`
-      (warm compiled acceptors across calls; requires a picklable
-      acceptor, and falls back with a recorded reason otherwise);
-    * ``"auto"`` (default) — serial for small batches where a pool
-      would lose, otherwise shards when the shared pool is already
-      warm, else fork.
-
-    Every routing-away-from-a-pool decision is counted in
-    ``engine.backend_fallbacks{reason=...}``.
+    Shared by :func:`decide_many` and
+    :func:`~repro.engine.resilience.decide_many_resilient`, which each
+    resolve ``"auto"`` before calling.  Returns ``(acceptor, words,
+    strategy, mode, specs)``: the acceptor the parent judges with (a raw
+    TBA compiled through the cache), ``mode`` ``"serial"`` or
+    ``"shards"``, and for shards the ``(language, strategy)`` specs the
+    workers receive.  ``"shards"`` runs serially when there is nothing
+    to fan out, and falls back to serial — counted in
+    ``engine.backend_fallbacks{reason}`` — when the platform cannot fork
+    or the acceptor or strategy cannot pickle.
     """
     if workers < 1:
         raise ValueError(
@@ -187,57 +110,69 @@ def decide_many(
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     words = list(words)
     strat = get_strategy(strategy)
-    n = len(words)
-    # A raw TBA is accepted on every backend: shard workers receive it
-    # as-is (and compile it into their own warm cache); local judging
-    # goes through the same cached compilation here.
+    h = _obs.HOOKS
+    mode, specs = "serial", None
+    if backend == "shards" and workers > 1 and len(words) > 1:
+        from ..shard import pool as shard_pool
+
+        reason = None
+        if "fork" not in multiprocessing.get_all_start_methods():
+            reason = "fork-unavailable"
+        else:
+            # A raw TBA ships as itself: the workers compile it into
+            # their own warm caches.
+            try:
+                specs = (
+                    shard_pool.language_spec(acceptor),
+                    shard_pool.strategy_spec(strat),
+                )
+            except shard_pool.LanguageUnshippable as exc:
+                reason = exc.reason
+        if reason is None:
+            mode = "shards"
+        elif h is not None:
+            h.count("engine.backend_fallbacks", reason=reason)
     from ..automata.timed import TimedBuchiAutomaton
 
-    shippable = acceptor
     if isinstance(acceptor, TimedBuchiAutomaton):
         acceptor = compiled_tba(acceptor)
-    fork_ok = (
-        workers > 1
-        and n > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    h = _obs.HOOKS
-
-    def fallback(reason: str, to: str) -> str:
-        if h is not None:
-            h.count("engine.backend_fallbacks", reason=reason)
-        return to
-
-    if backend == "serial" or workers <= 1 or n <= 1:
-        mode = "serial"
-    elif backend == "fork":
-        mode = "fork" if fork_ok else fallback("fork-unavailable", "serial")
-    elif backend == "shards":
-        mode = "shards" if fork_ok else fallback("fork-unavailable", "serial")
-    elif not fork_ok:
-        mode = "serial"
-    elif n < max(MIN_POOL_WORDS, 8 * workers):
-        mode = fallback("small-batch", "serial")
-    else:
-        from ..shard.pool import pool_is_warm
-
-        mode = "shards" if pool_is_warm() else "fork"
-    if mode == "shards":
-        # Preflight the pipe: a closure-laden acceptor or customized
-        # strategy cannot reach a persistent worker.
-        from ..shard import pool as _shard_pool
-
-        try:
-            lang_spec = _shard_pool.language_spec(shippable)
-            strat_spec = _shard_pool.strategy_spec(strat)
-        except _shard_pool.LanguageUnshippable as exc:
-            mode = fallback(exc.reason, "fork" if fork_ok else "serial")
-
     if h is not None:
-        h.count(
-            "engine.batches", mode="pool" if mode == "fork" else mode
-        )
-        h.count("engine.batch_words", n)
+        h.count("engine.batches", mode=mode)
+        h.count("engine.batch_words", len(words))
+    return acceptor, words, strat, mode, specs
+
+
+def decide_many(
+    acceptor: Any,
+    words: Sequence[Any],
+    *,
+    horizon: int = DEFAULT_HORIZON,
+    strategy: Union[str, DecisionStrategy] = "lasso-exact",
+    workers: int = 1,
+    chunk_size: Optional[int] = None,
+    seed: int = 0,
+    backend: str = "auto",
+) -> List[DecisionReport]:
+    """Judge every word in ``words``, serially or over the shard pool.
+
+    Returns one report per word, in word order, bit-identical across
+    backends.  ``backend`` selects where the words are judged:
+
+    * ``"serial"`` and ``"auto"`` (default) — the in-process loop;
+    * ``"shards"`` — ``workers`` processes of the persistent shard pool
+      of :mod:`repro.shard` (warm compiled acceptors across calls;
+      requires a picklable acceptor, and falls back to the serial loop
+      with a recorded reason otherwise).
+
+    Every routing-away-from-the-pool decision is counted in
+    ``engine.backend_fallbacks{reason=...}``.
+    """
+    acceptor, words, strat, mode, specs = _route(
+        acceptor, words, strategy, workers=workers, chunk_size=chunk_size,
+        backend="serial" if backend == "auto" else backend,
+    )
+    n = len(words)
+    h = _obs.HOOKS
 
     def run_serial() -> List[DecisionReport]:
         return [
@@ -245,35 +180,11 @@ def decide_many(
             for i in range(n)
         ]
 
-    def run_fork() -> List[DecisionReport]:
-        size = chunk_size if chunk_size is not None else max(
-            1, math.ceil(n / (workers * 4))
-        )
-        ctx = multiprocessing.get_context("fork")
-        token = _register_job((acceptor, words, horizon, strat, seed))
-        chunks = [(token, lo, min(lo + size, n)) for lo in range(0, n, size)]
-        try:
-            with ctx.Pool(processes=min(workers, len(chunks))) as pool:
-                parts = pool.map(_run_chunk_metered, chunks)
-        finally:
-            _release_job(token)
-        if h is not None:
-            for _reports, delta in parts:
-                if delta:
-                    h.registry.merge(delta)
-        return [report for part, _delta in parts for report in part]
-
     def run_shards() -> List[DecisionReport]:
         from ..shard import pool as shard_pool
 
-        router = shard_pool.shared_pool(workers)
-        k = max(1, min(workers, router.n_shards))
-        size = chunk_size if chunk_size is not None else max(
-            1, math.ceil(n / (k * 4))
-        )
-        chunks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
         slots, failures = shard_pool.run_chunks(
-            router, lang_spec, strat_spec, words, chunks,
+            *specs, words, shard_pool.plan_chunks(n, workers, chunk_size),
             horizon=horizon, seed=seed, workers=workers,
         )
         # Any chunk the pool could not finish is judged in-process —
@@ -285,7 +196,7 @@ def decide_many(
                 slots[i] = _decide_one(acceptor, words[i], horizon, strat, seed, i)
         return [slots[i] for i in range(n)]
 
-    run = {"serial": run_serial, "fork": run_fork, "shards": run_shards}[mode]
+    run = run_shards if mode == "shards" else run_serial
     if h is None:
         return run()
     with h.span(

@@ -12,21 +12,22 @@ bit-identical-to-serial guarantee end to end:
   (a dead pool worker, the hard failure mode: no exception, no
   traceback, just a closed pipe);
 * :class:`FailingAcceptor` — raises an exception mid-decision (a soft
-  failure the worker can report before exiting);
+  failure the worker reports and survives);
 * :class:`DelayingAcceptor` — sleeps real wall-clock time per decision
   (a slow worker, for exercising deadline budgets).
 
-Cross-process arming is the subtle part: pool workers are *forked*, so
-an in-memory "fail once" flag armed in the parent would re-fire in
-every retry child.  :class:`FileFuse` solves it with an append-only
-file shared through the filesystem — each firing claims one byte under
-``O_APPEND`` (atomic on POSIX), so "fail exactly N times, process-wide"
-holds across any number of forks.
+Cross-process arming is the subtle part: every pool worker judges its
+own pickled copy of the wrapper, and a respawned worker gets a fresh
+one, so an in-memory "fail once" flag armed in the parent would re-fire
+in every worker and every retry.  :class:`FileFuse` solves it with an
+append-only file shared through the filesystem — each firing claims one
+byte under ``O_APPEND`` (atomic on POSIX), so "fail exactly N times,
+process-wide" holds across any number of processes.
 
-By default the crash/fail wrappers only fire in *forked children*
-(``in_children_only=True``): the parent pid is recorded at
-construction, so a serial run — or the resilience layer's parent-side
-serial fallback — judges through them unharmed.
+With ``in_children_only=True`` (the crash wrapper's default) a wrapper
+only fires outside the process that built it: the parent pid is
+recorded at construction, so a serial run — or the resilience layer's
+parent-side serial fallback — judges through it unharmed.
 
 A second family serves simulated *distributed* workloads rather than
 the judge protocol: :class:`FaultSchedule` is a stateless seeded
@@ -124,6 +125,9 @@ class _Wrapper:
         return self.inner.count_f(word, horizon)
 
     def __getattr__(self, name: str) -> Any:
+        # Unpickling probes attributes before ``inner`` is restored.
+        if name == "inner":
+            raise AttributeError(name)
         return getattr(self.inner, name)
 
 
@@ -133,7 +137,7 @@ class CrashingAcceptor(_Wrapper):
     The worker dies without unwinding — exactly what a OOM-killed or
     segfaulted pool process looks like from the parent: the result pipe
     closes with nothing on it.  With ``in_children_only`` (default) the
-    pid recorded at construction is immune, so only forked workers die.
+    pid recorded at construction is immune, so only pool workers die.
     """
 
     def __init__(
@@ -222,7 +226,7 @@ class FaultSchedule:
     Every draw is ``blake2b(repr((seed,) + key))`` mapped to [0, 1):
     stateless, so the same ``(seed, key)`` always answers the same way
     regardless of draw order, process, or fork topology.  That is the
-    property the fork-pool fuses buy with a shared file — here it comes
+    property the wrapper fuses buy with a shared file — here it comes
     for free, which is what makes the schedule usable in the parent
     process and in children alike.
 

@@ -1,21 +1,21 @@
 """Fault-tolerant decision fan-out: the crash-recovering pool path.
 
-:func:`repro.engine.batch.decide_many` assumes a well-behaved pool: a
-SIGKILLed worker hangs the whole sweep, an exception aborts it, and a
-slow word holds every verdict hostage.  Production fan-out needs the
-failure model real-time parallel computation treats as first-class:
-processors die, and recovery itself has a timing budget.  This module
-is that layer, built on the same tokened chunk protocol as the plain
-pool (same :func:`~repro.engine.batch._run_chunk`, same fork
-inheritance of unpicklable acceptors) but with one forked process per
-chunk and an explicit result pipe, so the parent *sees* every failure:
+:func:`repro.engine.batch.decide_many` has no recovery ladder: an
+acceptor exception aborts the sweep, and a slow word holds every
+verdict hostage.  Production fan-out needs the failure model real-time
+parallel computation treats as first-class: processors die, and
+recovery itself has a timing budget.  This module is that layer.  It
+runs the batch's chunks over the warm shard pool of :mod:`repro.shard`
+(or the serial loop), and every failure comes back to the parent as an
+explicit record:
 
-* **worker death** — the child's pipe closes with nothing on it
-  (SIGKILL, OOM, segfault).  The chunk is retried with capped
-  exponential backoff, optionally split in half first so a single
-  poison word is isolated in O(log chunk) retries;
-* **worker exception** — the child reports the error before exiting;
-  same retry path, with the reason preserved;
+* **worker death** — the worker's pipe closes with nothing on it
+  (SIGKILL, OOM, segfault).  The pool respawns the worker, and the
+  chunk is retried with capped exponential backoff, optionally split in
+  half first so a single poison word is isolated in O(log chunk)
+  retries;
+* **worker exception** — the worker reports the error and keeps
+  serving; same retry path, with the reason preserved;
 * **deadline budget** — ``deadline_s`` bounds the whole batch in
   wall-clock seconds.  On expiry every still-missing word gets an
   explicit :data:`~repro.engine.verdict.Verdict.UNDECIDED` report
@@ -28,6 +28,11 @@ chunk and an explicit result pipe, so the parent *sees* every failure:
   optionally to a cheaper strategy (``fallback_strategy``, typically
   ``"long-prefix-empirical"``), whose reports are explicitly marked
   ``evidence["degraded"] = "strategy-fallback:<name>"``.
+
+An acceptor that cannot pickle never reaches a worker.  It is judged
+by the serial loop — retries and the deadline still apply, process
+isolation does not — and
+``engine.backend_fallbacks{reason="unshippable-acceptor"}`` counts it.
 
 The invariant the fault suite pins: **every unmarked report is
 bit-identical to what the serial path would have produced** — retries
@@ -43,14 +48,12 @@ span.  Fault wrappers for tests/benchmarks live in
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from ..obs import hooks as _obs
-from .batch import BACKENDS, _decide_one, _register_job, _release_job, _run_chunk
+from .batch import _decide_one, _route
 from .strategies import DEFAULT_HORIZON, DecisionStrategy, get_strategy
 from .verdict import DecisionReport, Verdict
 
@@ -134,30 +137,6 @@ class _Chunk:
         return range(self.lo, self.hi)
 
 
-def _chunk_child(conn: Any, token: int, lo: int, hi: int) -> None:
-    """Forked child: judge one chunk, ship the reports (or the error).
-
-    When the parent had hooks installed at fork time, the chunk runs
-    under fresh child instrumentation and the registry dump rides back
-    with the reports — metrics recorded in the child would otherwise
-    die with it (see :func:`repro.engine.batch._run_chunk_metered`).
-    """
-    try:
-        if _obs.HOOKS is None:
-            conn.send(("ok", _run_chunk((token, lo, hi)), None))
-        else:
-            with _obs.instrumented() as inst:
-                reports = _run_chunk((token, lo, hi))
-            conn.send(("ok", reports, inst.registry.dump()))
-    except BaseException as exc:  # noqa: BLE001 — report anything, then die
-        try:
-            conn.send(("err", repr(exc)))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
 def _inconclusive(
     index: int, seed: int, strat_name: str, reason: str, detail: Optional[str] = None
 ) -> DecisionReport:
@@ -192,87 +171,33 @@ def decide_many_resilient(
     docstring.  Returns a :class:`BatchOutcome` carrying the reports
     and the recovery ledger.
 
-    ``backend`` picks the fan-out like ``decide_many``'s: ``"fork"``
-    (one forked process per chunk; also what ``"auto"`` chooses for
-    ``workers > 1``) or ``"shards"`` (the persistent pool of
-    :mod:`repro.shard` — worker deaths are healed by respawn and the
-    same retry/degrade ladder applies; needs a picklable acceptor and
-    falls back to fork with the reason recorded otherwise).
+    ``backend`` picks the fan-out like ``decide_many``'s, except that
+    ``"auto"`` sends ``workers > 1`` to ``"shards"``: the persistent
+    pool of :mod:`repro.shard`, where worker deaths are healed by
+    respawn and the retry/degrade ladder applies.  An acceptor that
+    cannot pickle is judged serially instead, with the reason recorded.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(
-            f"chunk_size must be >= 1 or None for automatic sizing, got {chunk_size}"
-        )
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    acceptor, words, strat, mode, specs = _route(
+        acceptor, words, strategy, workers=workers, chunk_size=chunk_size,
+        backend="shards" if backend == "auto" else backend,
+    )
     retry = retry if retry is not None else RetryPolicy()
     degrade = degrade if degrade is not None else DegradePolicy()
-    words = list(words)
-    strat = get_strategy(strategy)
     n = len(words)
-    # Raw TBAs are accepted like decide_many's: shipped as-is to shard
-    # workers, judged locally through the cached compilation.
-    from ..automata.timed import TimedBuchiAutomaton
-    from .batch import compiled_tba
-
-    shippable = acceptor
-    if isinstance(acceptor, TimedBuchiAutomaton):
-        acceptor = compiled_tba(acceptor)
-    fork_ok = (
-        workers > 1
-        and n > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
     h = _obs.HOOKS
-
-    def fallback(reason: str, to: str) -> str:
-        if h is not None:
-            h.count("engine.backend_fallbacks", reason=reason)
-        return to
-
-    if backend == "serial" or workers <= 1 or n <= 1:
-        mode = "serial"
-    elif not fork_ok:
-        mode = fallback("fork-unavailable", "serial")
-    elif backend == "shards":
-        mode = "shards"
-    else:  # "auto" and "fork" both take the fork path (the ladder's
-        # per-chunk process isolation is the battle-tested default)
-        mode = "fork"
-    lang_spec = strat_spec_ = None
-    if mode == "shards":
-        from ..shard import pool as _shard_pool
-
-        try:
-            lang_spec = _shard_pool.language_spec(shippable)
-            strat_spec_ = _shard_pool.strategy_spec(strat)
-        except _shard_pool.LanguageUnshippable as exc:
-            mode = fallback(exc.reason, "fork")
-    mode_label = {"serial": "serial", "fork": "pool", "shards": "shards"}[mode]
-    if h is not None:
-        h.count("engine.batches", mode=mode_label)
-        h.count("engine.batch_words", n)
 
     start = time.perf_counter()
     deadline_at = None if deadline_s is None else start + deadline_s
-    outcome = BatchOutcome(reports=[], mode=mode_label)
+    outcome = BatchOutcome(reports=[], mode=mode)
 
     def run() -> None:
         slots: List[Optional[DecisionReport]] = [None] * n
         if mode == "shards":
             _run_pooled_shards(
                 slots, acceptor, words, horizon, strat, seed, workers,
-                chunk_size, retry, degrade, deadline_at, outcome,
-                lang_spec, strat_spec_,
-            )
-        elif mode == "fork":
-            _run_pooled(
-                slots, acceptor, words, horizon, strat, seed, workers,
-                chunk_size, retry, degrade, deadline_at, outcome,
+                chunk_size, retry, degrade, deadline_at, outcome, specs,
             )
         else:
             _run_serial(
@@ -405,129 +330,6 @@ def _run_serial(
 
 
 # ----------------------------------------------------------------------
-# pooled path: one forked process per chunk, explicit result pipes
-# ----------------------------------------------------------------------
-
-def _run_pooled(
-    slots: List[Optional[DecisionReport]],
-    acceptor: Any,
-    words: Sequence[Any],
-    horizon: int,
-    strat: DecisionStrategy,
-    seed: int,
-    workers: int,
-    chunk_size: Optional[int],
-    retry: RetryPolicy,
-    degrade: DegradePolicy,
-    deadline_at: Optional[float],
-    outcome: BatchOutcome,
-) -> None:
-    import math
-
-    h = _obs.HOOKS
-    n = len(words)
-    size = chunk_size if chunk_size is not None else max(
-        1, math.ceil(n / (workers * 4))
-    )
-    ctx = multiprocessing.get_context("fork")
-    token = _register_job((acceptor, list(words), horizon, strat, seed))
-    pending: List[_Chunk] = [
-        _Chunk(lo, min(lo + size, n)) for lo in range(0, n, size)
-    ]
-    live: dict = {}  # parent_conn -> (process, chunk)
-
-    def launch(chunk: _Chunk) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_chunk_child,
-            args=(child_conn, token, chunk.lo, chunk.hi),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        live[parent_conn] = (proc, chunk)
-
-    def fail(chunk: _Chunk, reason: str, detail: Optional[str]) -> None:
-        attempt = chunk.attempt + 1
-        if reason == "worker-death":
-            outcome.worker_deaths += 1
-        if attempt > retry.max_retries:
-            for i in chunk.indices():
-                if slots[i] is None:
-                    _degrade_index(
-                        slots, i, acceptor, words, horizon, strat, seed,
-                        degrade, outcome, try_serial=degrade.serial_fallback,
-                        detail=detail, deadline_at=deadline_at,
-                    )
-            return
-        outcome.retries += 1
-        if h is not None:
-            h.count("engine.retries", reason=reason)
-        not_before = time.perf_counter() + retry.delay(attempt)
-        if retry.split_chunks and chunk.hi - chunk.lo > 1:
-            mid = (chunk.lo + chunk.hi) // 2
-            pending.append(_Chunk(chunk.lo, mid, attempt, not_before))
-            pending.append(_Chunk(mid, chunk.hi, attempt, not_before))
-        else:
-            pending.append(_Chunk(chunk.lo, chunk.hi, attempt, not_before))
-
-    def reap(conn: Any) -> None:
-        proc, chunk = live.pop(conn)
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            msg = None
-        conn.close()
-        proc.join()
-        if msg is not None and msg[0] == "ok":
-            for report in msg[1]:
-                slots[report.evidence["index"]] = report
-            if len(msg) > 2 and msg[2] and h is not None:
-                h.registry.merge(msg[2])
-        elif msg is not None:
-            fail(chunk, "exception", msg[1])
-        else:
-            fail(chunk, "worker-death", f"exitcode={proc.exitcode}")
-
-    try:
-        while pending or live:
-            now = time.perf_counter()
-            if deadline_at is not None and now >= deadline_at:
-                outcome.deadline_missed = True
-                for proc, _chunk in live.values():
-                    proc.kill()
-                    proc.join()
-                for conn in list(live):
-                    conn.close()
-                live.clear()
-                pending.clear()
-                return
-            eligible = [c for c in pending if c.not_before <= now]
-            for chunk in eligible[: max(0, workers - len(live))]:
-                pending.remove(chunk)
-                launch(chunk)
-            if live:
-                timeout: Optional[float] = None
-                waits = [c.not_before - now for c in pending if c.not_before > now]
-                if waits:
-                    timeout = max(0.0, min(waits))
-                if deadline_at is not None:
-                    remaining = max(0.0, deadline_at - now)
-                    timeout = remaining if timeout is None else min(timeout, remaining)
-                for conn in multiprocessing.connection.wait(
-                    list(live), timeout=timeout
-                ):
-                    reap(conn)
-            elif pending:
-                target = min(c.not_before for c in pending)
-                if deadline_at is not None:
-                    target = min(target, deadline_at)
-                time.sleep(max(0.0, target - time.perf_counter()))
-    finally:
-        _release_job(token)
-
-
-# ----------------------------------------------------------------------
 # shard-pool path: the same ladder over persistent workers
 # ----------------------------------------------------------------------
 
@@ -544,33 +346,23 @@ def _run_pooled_shards(
     degrade: DegradePolicy,
     deadline_at: Optional[float],
     outcome: BatchOutcome,
-    lang_spec: Any,
-    strat_spec: Any,
+    specs: Any,
 ) -> None:
     """Resilient fan-out over the persistent shard pool.
 
     Round-based: every backoff-eligible chunk goes to the pool at once,
     completed chunks fill their slots, and failures come back as
-    explicit records that re-enter the same retry ladder as the fork
-    path (capped backoff, optional chunk splitting, then the degrade
-    ladder).  Worker deaths are healed *inside* the pool by respawn —
-    the shard that died is back at strength before the retry fires —
-    which is the per-shard analogue of the fork path's
-    process-per-chunk isolation.
+    explicit records that re-enter the retry ladder (capped backoff,
+    optional chunk splitting, then the degrade ladder).  Worker deaths
+    are healed *inside* the pool by respawn — the shard that died is
+    back at strength before the retry fires.
     """
-    import math
-
     from ..shard import pool as shard_pool
 
     h = _obs.HOOKS
-    n = len(words)
-    router = shard_pool.shared_pool(workers)
-    k = max(1, min(workers, router.n_shards))
-    size = chunk_size if chunk_size is not None else max(
-        1, math.ceil(n / (k * 4))
-    )
     pending: List[_Chunk] = [
-        _Chunk(lo, min(lo + size, n)) for lo in range(0, n, size)
+        _Chunk(lo, hi)
+        for lo, hi in shard_pool.plan_chunks(len(words), workers, chunk_size)
     ]
 
     def fail(chunk: _Chunk, reason: str, detail: Optional[str]) -> None:
@@ -613,7 +405,7 @@ def _run_pooled_shards(
             pending.remove(chunk)
         by_range = {(c.lo, c.hi): c for c in eligible}
         results, failures = shard_pool.run_chunks(
-            router, lang_spec, strat_spec, words, list(by_range),
+            *specs, words, list(by_range),
             horizon=horizon, seed=seed, workers=workers,
             deadline_at=deadline_at, max_retries=0,
         )

@@ -20,9 +20,9 @@ production surfaces:
   survivors (:meth:`ShardRouter.fail_over`), verdict-for-verdict.
 * **Batch decide scale-out** — ``decide_many(backend="shards")`` and
   ``decide_many_resilient(backend="shards")`` submit decision chunks to
-  the same kind of pool (:mod:`repro.shard.pool`), kept warm across
-  calls so the per-batch fork/compile cost the plain pool pays
-  disappears; reports stay bit-identical to the serial path.
+  the same kind of pool (:mod:`repro.shard.pool`), the engine's one
+  process backend, kept warm across calls so no batch pays a fork or
+  a recompile; reports stay bit-identical to the serial path.
 
 Metrics recorded inside workers are merged back into the parent
 registry (``MetricRegistry.merge`` over pipe-shipped deltas), and the

@@ -12,7 +12,7 @@ is the router's per-shard recovery path).  Everything expensive lives
 * the engine's :class:`~repro.engine.batch.AcceptorCache` — a language
   installed via ``OP_INSTALL_LANG`` is compiled once and then serves
   every subsequent ``OP_DECIDE`` chunk without recompilation or
-  re-pickling (the fork-per-batch pool paid that on *every call*);
+  re-pickling;
 * the worker's own :class:`~repro.obs.Instrumentation` — metrics
   recorded here (``stream.*``, ``kernel.*``, ``engine.*``) are shipped
   to the parent as :class:`~repro.obs.DeltaDumper` deltas riding on

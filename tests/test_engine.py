@@ -1,5 +1,6 @@
 """Tests for repro.engine — the unified decision layer."""
 
+import sys
 import threading
 
 import pytest
@@ -20,6 +21,7 @@ from repro.engine import (
 from repro.kernel import Le
 from repro.machine import RealTimeAlgorithm
 from repro.obs import instrumented
+from repro.shard import shared_pool, shutdown_pool
 from repro.words import TimedWord
 
 
@@ -33,19 +35,21 @@ def make_word(n, member):
     return TimedWord.lasso(pairs, [("w", n + 2)], shift=1)
 
 
-def make_acceptor():
-    def prog(ctx):
-        n, _t = yield ctx.input.read()
-        total = 0
-        for _ in range(n):
-            v, _t = yield ctx.input.read()
-            total += v
-        if total % 2 == 0:
-            ctx.accept()
-        else:
-            ctx.reject()
+def parity(ctx):
+    """Module-level, so the machine pickles into shard workers."""
+    n, _t = yield ctx.input.read()
+    total = 0
+    for _ in range(n):
+        v, _t = yield ctx.input.read()
+        total += v
+    if total % 2 == 0:
+        ctx.accept()
+    else:
+        ctx.reject()
 
-    return RealTimeAlgorithm(prog)
+
+def make_acceptor():
+    return RealTimeAlgorithm(parity)
 
 
 def sweep_words():
@@ -112,6 +116,12 @@ class TestFunctionAcceptor:
 
 
 class TestDecideMany:
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self):
+        shutdown_pool()
+        yield
+        shutdown_pool()
+
     def test_serial_reports_in_word_order(self):
         words = sweep_words()
         reports = decide_many(make_acceptor(), words, horizon=5_000)
@@ -124,7 +134,9 @@ class TestDecideMany:
         words = sweep_words()
         acceptor = make_acceptor()
         serial = decide_many(acceptor, words, horizon=5_000, workers=1, seed=3)
-        pooled = decide_many(acceptor, words, horizon=5_000, workers=4, seed=3)
+        pooled = decide_many(
+            acceptor, words, horizon=5_000, workers=4, seed=3, backend="shards"
+        )
         assert serial == pooled
 
     def test_pool_bit_identical_under_empirical_strategy(self):
@@ -134,7 +146,8 @@ class TestDecideMany:
             acceptor, words, horizon=2_000, strategy="long-prefix-empirical"
         )
         pooled = decide_many(
-            acceptor, words, horizon=2_000, strategy="long-prefix-empirical", workers=4
+            acceptor, words, horizon=2_000, strategy="long-prefix-empirical",
+            workers=4, backend="shards",
         )
         assert serial == pooled
 
@@ -164,15 +177,16 @@ class TestDecideMany:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             decide_many(make_acceptor(), sweep_words()[:2], workers=0)
 
-    def test_concurrent_calls_do_not_clobber_jobs(self):
-        # regression: the in-flight pooled job used to live in a single
-        # module global, so two threads forking at once could inherit
-        # each other's (acceptor, words) and return interleaved garbage
-        words_a = sweep_words()
-        words_b = list(reversed(sweep_words()))
+    def test_concurrent_shard_batches_share_the_warm_pool(self):
+        # regression: two threads on one warm pool used to interleave
+        # frames on the same worker pipes, and both blocked in recv
+        # waiting for a reply the other had read
+        words_a = sweep_words() * 8
+        words_b = list(reversed(sweep_words())) * 9
         acceptor = make_acceptor()
         expected_a = decide_many(acceptor, words_a, horizon=2_000, seed=1)
         expected_b = decide_many(acceptor, words_b, horizon=2_000, seed=2)
+        shared_pool(2)
         results = {}
         errors = []
         barrier = threading.Barrier(2)
@@ -181,23 +195,31 @@ class TestDecideMany:
             try:
                 barrier.wait(timeout=30)
                 results[tag] = decide_many(
-                    acceptor, words, horizon=2_000, workers=3, seed=seed
+                    acceptor, words, horizon=2_000, workers=2, seed=seed,
+                    backend="shards",
                 )
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        for _ in range(3):  # a few rounds to give the race room to bite
-            threads = [
-                threading.Thread(target=run, args=("a", words_a, 1)),
-                threading.Thread(target=run, args=("b", words_b, 2)),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            assert not errors, errors
-            assert results["a"] == expected_a
-            assert results["b"] == expected_b
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):  # a few rounds to give the race room to bite
+                results.clear()
+                threads = [
+                    threading.Thread(target=run, args=("a", words_a, 1), daemon=True),
+                    threading.Thread(target=run, args=("b", words_b, 2), daemon=True),
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads), "shard batches hung"
+                assert not errors, errors
+                assert results["a"] == expected_a
+                assert results["b"] == expected_b
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestAcceptorCache:

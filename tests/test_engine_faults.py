@@ -1,19 +1,27 @@
-"""Tests for repro.engine.faults — schedules, message faults, and the
-``in_children_only`` parent-protection contract."""
+"""Tests for repro.engine.faults — schedules, message faults, the
+``in_children_only`` parent-protection contract, and wrappers that
+cross a pipe to shard workers."""
 
 import os
+import pickle
 
 import pytest
 
 from repro.engine import (
     CrashingAcceptor,
+    DelayingAcceptor,
     FailingAcceptor,
     FaultSchedule,
     FileFuse,
     InjectedFault,
     MessageFaults,
+    RetryPolicy,
     decide,
+    decide_many,
+    decide_many_resilient,
 )
+from repro.machine import RealTimeAlgorithm
+from repro.shard import shutdown_pool
 from repro.spec import eventually, rt_bound, spec_acceptor
 from repro.words import TimedWord
 
@@ -168,3 +176,52 @@ class TestParentProtectionContract:
         finally:
             os.close(r)
             os.waitpid(pid, 0)
+
+
+def first_is_a(ctx):
+    """Module-level, so the machine pickles into shard workers."""
+    sym, _t = yield ctx.input.read()
+    if sym == "a":
+        ctx.accept()
+    else:
+        ctx.reject()
+
+
+def pipe_case():
+    words = [
+        TimedWord.lasso([(sym, 1)], [("tick", 5)], shift=1)
+        for sym in ("a", "b") * 3
+    ]
+    return RealTimeAlgorithm(first_is_a), words
+
+
+WRAPPERS = {
+    "crashing": lambda acc: CrashingAcceptor(acc, FileFuse(shots=0)),
+    "failing": lambda acc: FailingAcceptor(acc, FileFuse(shots=0)),
+    "delaying": lambda acc: DelayingAcceptor(acc, 0.0),
+}
+
+
+class TestWrappersCrossAPipe:
+    """Shard workers judge an unpickled copy of the wrapper."""
+
+    @pytest.mark.parametrize("kind", sorted(WRAPPERS))
+    def test_pickle_round_trip(self, kind):
+        acc, words = pipe_case()
+        copy = pickle.loads(pickle.dumps(WRAPPERS[kind](acc)))
+        assert [copy.decide(w) for w in words] == [acc.decide(w) for w in words]
+
+    def test_one_crash_over_shards_kills_one_worker(self, tmp_path):
+        acc, words = pipe_case()
+        crashy = CrashingAcceptor(acc, FileFuse(shots=1, path=str(tmp_path / "f")))
+        shutdown_pool()
+        try:
+            out = decide_many_resilient(
+                crashy, words, workers=2, backend="shards",
+                retry=RetryPolicy(backoff_base=0.005),
+            )
+        finally:
+            shutdown_pool()
+        assert out.mode == "shards"
+        assert out.worker_deaths == 1
+        assert out.reports == decide_many(acc, words)

@@ -2,8 +2,8 @@
 
 The three pinned guarantees:
 
-* a SIGKILLed pool worker is survived and the batch stays bit-identical
-  to the serial path;
+* a SIGKILLed shard-pool worker is survived and the batch stays
+  bit-identical to the serial path;
 * a deadline-budget expiry returns partial results with an explicit
   UNDECIDED (inconclusive) remainder instead of hanging;
 * degradation is always *marked* — unmarked reports are serial-identical.
@@ -28,6 +28,7 @@ from repro.engine import (
 )
 from repro.machine import RealTimeAlgorithm
 from repro.obs import instrumented
+from repro.shard import shutdown_pool
 from repro.words import TimedWord
 
 HORIZON = 2_000
@@ -44,19 +45,29 @@ def make_word(n, member):
     return TimedWord.lasso(pairs, [("w", n + 2)], shift=1)
 
 
-def make_acceptor():
-    def prog(ctx):
-        n, _t = yield ctx.input.read()
-        total = 0
-        for _ in range(n):
-            v, _t = yield ctx.input.read()
-            total += v
-        if total % 2 == 0:
-            ctx.accept()
-        else:
-            ctx.reject()
+def parity(ctx):
+    """Module-level, so the machine pickles into shard workers."""
+    n, _t = yield ctx.input.read()
+    total = 0
+    for _ in range(n):
+        v, _t = yield ctx.input.read()
+        total += v
+    if total % 2 == 0:
+        ctx.accept()
+    else:
+        ctx.reject()
 
-    return RealTimeAlgorithm(prog)
+
+def make_acceptor():
+    return RealTimeAlgorithm(parity)
+
+
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Every test starts with a cold shard pool and leaves none behind."""
+    shutdown_pool()
+    yield
+    shutdown_pool()
 
 
 @pytest.fixture
@@ -79,7 +90,7 @@ class TestCleanPath:
         )
         assert isinstance(out, BatchOutcome)
         assert out.reports == serial
-        assert out.clean and out.mode == "pool"
+        assert out.clean and out.mode == "shards"
         assert out.retries == 0 and out.worker_deaths == 0
 
     def test_serial_mode_matches_decide_many(self, sweep):
@@ -177,7 +188,7 @@ class _DecideOnlyPoison(FailingAcceptor):
         pass
 
     def decide(self, word, horizon=10_000):
-        if word is self._poison:
+        if word == self._poison:
             raise InjectedFault("poisoned decide")
         return self.inner.decide(word, horizon=horizon)
 
@@ -255,6 +266,24 @@ class TestDeadlineBudget:
         )
         assert out.deadline_missed and out.mode == "serial"
         assert out.degraded_indices  # the cut tail
+        for i in out.degraded_indices:
+            assert out.reports[i].evidence["degraded"] == "deadline"
+        for i, r in enumerate(out.reports):
+            if i not in out.degraded_indices:
+                assert r == serial[i]
+
+    def test_unshippable_acceptor_judged_serially_within_deadline(self, sweep):
+        # a lambda does not pickle, so the batch never reaches a worker
+        acceptor, words, serial = sweep
+        slow = DelayingAcceptor(acceptor, 0.1, match=lambda word: True)
+        with instrumented() as inst:
+            out = decide_many_resilient(
+                slow, words, horizon=HORIZON, workers=2, seed=3, deadline_s=0.25
+            )
+        assert out.mode == "serial"
+        fallbacks = inst.registry.counter("engine.backend_fallbacks")
+        assert fallbacks.labels(reason="unshippable-acceptor").value == 1
+        assert out.deadline_missed and out.degraded_indices
         for i in out.degraded_indices:
             assert out.reports[i].evidence["degraded"] == "deadline"
         for i, r in enumerate(out.reports):

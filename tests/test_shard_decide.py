@@ -8,6 +8,7 @@ language cannot cross a pipe, and survives a SIGKILLed pool worker.
 
 import os
 import signal
+import threading
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.automata import TimedBuchiAutomaton, TimedTransition
 from repro.engine import decide_many, decide_many_resilient
 from repro.kernel import Le
 from repro.obs import instrumented
+from repro.shard import pool as shard_pool
 from repro.shard import shared_pool, shutdown_pool
 from repro.shard.pool import pool_is_warm
 from repro.words import TimedWord
@@ -103,31 +105,29 @@ def test_unshippable_acceptor_falls_back_with_recorded_reason():
     assert not pool_is_warm()  # nothing was spun up for the fallback
 
 
-def test_auto_routes_small_batches_to_serial():
-    tba, words = bounded_gap_tba(), make_words(8)
-    with instrumented() as inst:
-        decide_many(tba, words, horizon=200, workers=4, backend="auto")
-    fallbacks = inst.registry.counter("engine.backend_fallbacks")
-    assert fallbacks.labels(reason="small-batch").value == 1
-    assert inst.registry.counter("engine.batches").labels(mode="serial").value == 1
-    assert not pool_is_warm()
-
-
-def test_auto_prefers_a_warm_pool_for_large_batches():
+def test_auto_is_serial_even_for_large_batches():
+    # auto is the serial loop: it never fans out onto a warm pool, and
+    # it never starts a cold one.
     tba, words = bounded_gap_tba(), make_words(300)
-    shared_pool(2)  # pre-warm
-    with instrumented() as inst:
-        auto = decide_many(tba, words, horizon=200, workers=2, backend="auto")
-    assert inst.registry.counter("engine.batches").labels(mode="shards").value == 1
     serial = decide_many(tba, words, horizon=200, backend="serial")
-    assert fingerprint(auto) == fingerprint(serial)
+    for warm in (False, True):
+        if warm:
+            shared_pool(2)
+        with instrumented() as inst:
+            auto = decide_many(tba, words, horizon=200, workers=2, backend="auto")
+        batches = inst.registry.counter("engine.batches")
+        assert batches.labels(mode="serial").value == 1
+        assert batches.labels(mode="shards").value == 0
+        assert fingerprint(auto) == fingerprint(serial)
+        assert pool_is_warm() is warm
 
 
 def test_invalid_backend_is_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        decide_many(bounded_gap_tba(), make_words(4), backend="threads")
-    with pytest.raises(ValueError, match="backend"):
-        decide_many_resilient(bounded_gap_tba(), make_words(4), backend="threads")
+    for backend in ("threads", "fork"):
+        with pytest.raises(ValueError, match="backend"):
+            decide_many(bounded_gap_tba(), make_words(4), backend=backend)
+        with pytest.raises(ValueError, match="backend"):
+            decide_many_resilient(bounded_gap_tba(), make_words(4), backend=backend)
 
 
 def test_pool_survives_a_sigkilled_worker():
@@ -166,3 +166,32 @@ def test_resilient_shards_heals_sigkill_mid_ladder():
     )
     assert out.mode == "shards"
     assert fingerprint(out.reports) == fingerprint(serial.reports)
+
+
+def test_resilient_waiter_stops_at_its_deadline():
+    # The pool serves one batch at a time; a caller queued behind
+    # another batch gives up at its own deadline instead of waiting on.
+    tba, words = bounded_gap_tba(), make_words(20)
+    shared_pool(2)
+    held, release = threading.Event(), threading.Event()
+
+    def other_batch():
+        with shard_pool._POOL_LOCK:
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=other_batch, daemon=True)
+    holder.start()
+    assert held.wait(30)
+    try:
+        out = decide_many_resilient(
+            tba, words, horizon=250, workers=2, backend="shards", deadline_s=0.2
+        )
+    finally:
+        release.set()
+        holder.join(30)
+    assert not holder.is_alive()
+    assert out.mode == "shards" and out.deadline_missed
+    assert out.elapsed_s < 5.0
+    assert out.degraded_indices == list(range(len(words)))
+    assert all(r.evidence["degraded"] == "deadline" for r in out.reports)
