@@ -110,6 +110,11 @@ class _Wrapper:
     through the fault hook, everything else delegates to the inner
     acceptor (so ``name``/``space_limit``-style attributes survive)."""
 
+    #: Declared here so ``__getattr__`` never forwards the inner
+    #: machine's table: ``lasso-exact`` would judge on it and bypass
+    #: the fault hook.
+    successor_table = None
+
     def __init__(self, inner: Any):
         self.inner = inner
 

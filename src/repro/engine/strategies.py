@@ -10,6 +10,10 @@ request:
   absorbing-verdict discipline: run until s_f/s_r is declared or the
   horizon passes.  Exact on the lasso words every Section 4/5
   construction produces, and O(decision point) regardless of horizon.
+  A machine compiled from a deterministic TBA judges a lasso word on
+  its on-demand successor table
+  (:class:`~repro.machine.from_tba.SuccessorTable`) instead of a
+  kernel replay, with the same report field for field.
 * :class:`LongPrefixEmpirical` (``"long-prefix-empirical"``) — run a
   long prefix, count f's, and decide empirically (f_count > 0 ⟺
   accept).  Linear in the horizon and only horizon-confident, but
@@ -75,7 +79,9 @@ def resolve_zeno(report: DecisionReport, acceptor: Any, word: Any) -> DecisionRe
     region mathematics, which is what the ``lasso-exact`` contract
     promises.  This rewrites such an UNDECIDED report in place: verdict
     from ``accepts_lasso``, ``decided_at`` pinned to the stall instant,
-    and ``evidence["zeno"] = "region-exact"``.
+    and ``evidence["zeno"] = "region-exact"``.  An acceptor with a
+    successor table answers ``accepts_lasso`` with the deterministic
+    walk over its cells; any other reads the interpreted automaton.
 
     Reports that already carry an absorbing verdict, and acceptors with
     no source automaton, pass through untouched (the latter gain
@@ -87,9 +93,9 @@ def resolve_zeno(report: DecisionReport, acceptor: Any, word: Any) -> DecisionRe
     if tba is None:
         report.evidence["zeno"] = "cutoff"
         return report
-    report.verdict = (
-        Verdict.ACCEPT if tba.accepts_lasso(word) else Verdict.REJECT
-    )
+    table = getattr(acceptor, "successor_table", None)
+    judge = tba if table is None else table
+    report.verdict = Verdict.ACCEPT if judge.accepts_lasso(word) else Verdict.REJECT
     report.decided_at = word.time_at(len(word.prefix))
     report.evidence["zeno"] = "region-exact"
     return report
@@ -108,14 +114,29 @@ class DecisionStrategy:
 
 
 class LassoExact(DecisionStrategy):
-    """Absorbing-verdict judging (the paper's acceptors' own discipline)."""
+    """Absorbing-verdict judging (the paper's acceptors' own discipline).
+
+    A lasso word (no ``fn``, a non-empty ``loop``) goes to the
+    acceptor's own ``successor_table`` when it carries one and meters
+    no space limit; everything else is replayed by ``acceptor.decide``.
+    """
 
     name = "lasso-exact"
 
     def run(self, acceptor: Any, word: Any, horizon: int) -> DecisionReport:
         from ..machine.tape import zeno_event_cap
 
-        report = acceptor.decide(word, horizon=horizon)
+        table = getattr(acceptor, "successor_table", None)
+        if (
+            table is not None
+            # The kernel meters working storage against a space limit.
+            and acceptor.space_limit is None
+            and getattr(word, "fn", None) is None
+            and getattr(word, "loop", ())
+        ):
+            report = table.decide(acceptor, word, horizon)
+        else:
+            report = acceptor.decide(word, horizon=horizon)
         if zeno_event_cap(word) is not None:
             report = resolve_zeno(report, acceptor, word)
         report.strategy = self.name

@@ -21,6 +21,11 @@ output needed:
     compilation — report-identical, not just verdict-identical.  On a
     frozen-time lasso the machine's report, cut at its derived unroll
     bound, must also equal its report on ``ZENO_UNROLL`` unrollings.
+    On a deterministic case ``lasso-exact`` judges on the machine's
+    successor table, and its report must equal :func:`kernel_report`'s
+    (``machine.decide``, then ``resolve_zeno`` on the interpreted
+    automaton) on every field, at the pair's horizon, at −1, at 0 and
+    at an instant inside the word.
 ``shards``
     ``decide_many(backend="shards")`` (persistent worker pool, warm
     compiled caches) vs ``backend="serial"`` on raw deterministic TBAs.
@@ -93,15 +98,16 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..automata.timed import TimedBuchiAutomaton, TimedTransition
 from ..engine.batch import compiled_tba, decide_many
-from ..engine.strategies import decide
-from ..engine.verdict import Verdict
+from ..engine.strategies import decide, resolve_zeno
+from ..engine.verdict import DecisionReport, Verdict
 from ..kernel.clock import And, Ge, Le, Not, TrueConstraint
 from ..machine.from_tba import _is_deterministic
-from ..machine.tape import ZENO_UNROLL
+from ..machine.tape import ZENO_UNROLL, zeno_event_cap
 from ..words.timedword import TimedWord
 from .combinators import (
     Spec,
@@ -129,6 +135,7 @@ __all__ = [
     "gen_query",
     "gen_plan_queries",
     "gen_word",
+    "kernel_report",
     "case_source",
     "check_pair",
     "minimize",
@@ -591,6 +598,45 @@ def _check_strategy(
         # Machine rejection means every tracked run died — sound for
         # any TBA, so it can never contradict the language answer.
         return "lasso-exact reports REJECT but accepts_lasso says True"
+    if _case_deterministic(spec):
+        return _check_table(machine, word, horizon)
+    return None
+
+
+def kernel_report(machine: Any, word: TimedWord, horizon: int) -> DecisionReport:
+    """The kernel oracle for a ``lasso-exact`` report: the machine's own
+    Definition 3.3 replay, with a frozen-time lasso settled on the
+    interpreted automaton rather than on the successor table."""
+    report = machine.decide(word, horizon=horizon)
+    if zeno_event_cap(word) is not None:
+        automaton_only = SimpleNamespace(source_tba=machine.source_tba)
+        report = resolve_zeno(report, automaton_only, word)
+    report.strategy = "lasso-exact"
+    report.evidence.setdefault("discipline", "absorbing-verdict")
+    return report
+
+
+def _report_fields(report: DecisionReport) -> Tuple[Any, ...]:
+    return (
+        report.verdict,
+        report.f_count,
+        report.decided_at,
+        report.space_peak,
+        report.horizon,
+        report.evidence,
+    )
+
+
+def _check_table(machine: Any, word: TimedWord, horizon: int) -> Optional[str]:
+    """``lasso-exact`` on the successor table vs the kernel oracle."""
+    if machine.successor_table is None:
+        return "a deterministic case compiled to a machine without a successor table"
+    inside = word.time_at(_replay_len(word) // 2)
+    for h in (horizon, -1, 0, inside):
+        table = _report_fields(decide(machine, word, strategy="lasso-exact", horizon=h))
+        kernel = _report_fields(kernel_report(machine, word, h))
+        if table != kernel:
+            return f"horizon {h}: the successor table reports {table} but the kernel {kernel}"
     return None
 
 

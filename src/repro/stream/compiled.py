@@ -39,7 +39,7 @@ are documented in ``docs/performance.md``.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import hooks as _obs
 
@@ -55,6 +55,7 @@ NUMPY = _numpy
 __all__ = [
     "CompiledTBA",
     "compiled_for",
+    "deterministic_accepts_lasso",
     "compilation_enabled",
     "MAX_CONFIGS",
     "MAX_TABLE_CELLS",
@@ -287,44 +288,22 @@ class CompiledTBA:
         Mirrors :meth:`TimedBuchiAutomaton.accepts_lasso` exactly (the
         differential suite pins the agreement): step the prefix plus
         one loop iteration, then search the (config × loop-position)
-        product graph for an accepting cycle — a closed walk on the
-        deterministic path, a bitset BFS on the nondeterministic one.
+        product graph for an accepting cycle — the shared closed walk
+        :func:`deterministic_accepts_lasso` on the deterministic path,
+        a bitset BFS on the nondeterministic one.
         """
-        if word.fn is not None or word.is_finite:
-            raise ValueError("accepts_lasso needs a lasso TimedWord")
-        k = len(word.loop)
-        p0 = len(word.prefix)
-        gaps = []
-        for j in range(k):
-            idx = p0 + k + j
-            gaps.append(word.time_at(idx) - word.time_at(idx - 1))
-        loop_syms = [pair[0] for pair in word.loop]
-
         if self.deterministic:
-            ci = self.initial_index
-            prev_t = 0
-            for i in range(p0 + k):
-                s, t = word[i]
-                ci = self.step_index(ci, s, t - prev_t)
-                prev_t = t
-                if ci == self.trap:
-                    return False
-            # Deterministic walk: the (config, position) trajectory
-            # eventually cycles; accept iff the cycle visits F.
-            seen: Dict[Tuple[int, int], int] = {}
-            trail: List[Tuple[int, int]] = []
-            pos = 0
-            node = (ci, pos)
-            while node not in seen:
-                if node[0] == self.trap:
-                    return False
-                seen[node] = len(trail)
-                trail.append(node)
-                nxt = self.step_index(node[0], loop_syms[node[1]], gaps[node[1]])
-                node = (nxt, (node[1] + 1) % k)
-            start = seen[node]
-            return any(self.accepting_list[c] for c, _p in trail[start:])
+            trap = self.trap
+            accepting = self.accepting_list
 
+            def step(ci: int, symbol: Any, gap: int) -> Optional[Tuple[int, bool]]:
+                nxt = self.step_index(ci, symbol, gap)
+                return None if nxt == trap else (nxt, accepting[nxt])
+
+            return deterministic_accepts_lasso(word, self.initial_index, step)
+
+        k, gaps, loop_syms = _loop_pattern(word)
+        p0 = len(word.prefix)
         start_mask = 1 << self.initial_index
         prev_t = 0
         for i in range(p0 + k):
@@ -371,6 +350,55 @@ class CompiledTBA:
                 seen[np_] |= new
                 frontier.append((np_, new))
         return False
+
+
+def _loop_pattern(word: Any) -> Tuple[int, List[int], List[Any]]:
+    """``(k, gaps, symbols)`` of a lasso's loop: its length, the gap
+    entering each loop position (read from the second iteration, so the
+    previous pair exists) and the symbol read there."""
+    if word.fn is not None or word.is_finite:
+        raise ValueError("accepts_lasso needs a lasso TimedWord")
+    times = [t for _s, t in word.loop]
+    gaps = [times[0] + word.shift - times[-1]]
+    gaps += [b - a for a, b in zip(times, times[1:])]
+    return len(times), gaps, [s for s, _t in word.loop]
+
+
+def deterministic_accepts_lasso(
+    word: Any, start: Any, step: Callable[[Any, Any, int], Optional[Tuple[Any, bool]]]
+) -> bool:
+    """Büchi acceptance of a lasso word by a deterministic run.
+
+    ``step(node, symbol, gap)`` is the run's successor of ``node`` and
+    whether it is accepting, or ``None`` when the run dies.  Step the
+    prefix plus one loop iteration; from there every step reads the
+    periodic gap pattern, so the (node, loop position) trajectory
+    eventually repeats, and the word is accepted iff that cycle visits
+    an accepting node.  :meth:`CompiledTBA.accepts_lasso` walks its
+    dense table with it, and the on-demand successor table of
+    :mod:`repro.machine.from_tba` its cells.
+    """
+    k, gaps, loop_syms = _loop_pattern(word)
+    node, accepting = start, False
+    prev_t = 0
+    for s, t in word.prefix + word.loop:
+        cell = step(node, s, t - prev_t)
+        if cell is None:
+            return False
+        node, accepting = cell
+        prev_t = t
+    seen: Dict[Tuple[Any, int], int] = {}
+    trail: List[bool] = []
+    pos = 0
+    while (node, pos) not in seen:
+        seen[(node, pos)] = len(trail)
+        trail.append(accepting)
+        cell = step(node, loop_syms[pos], gaps[pos])
+        if cell is None:
+            return False
+        node, accepting = cell
+        pos = (pos + 1) % k
+    return any(trail[seen[(node, pos)]:])
 
 
 def compiled_for(analysis: Any) -> Optional[CompiledTBA]:

@@ -4,10 +4,15 @@ Routes :func:`repro.engine.decide` through a fresh
 :class:`~repro.stream.monitor.Monitor`: the word is replayed into the
 monitor one event at a time (exactly the events the batch tape would
 deliver — timestamps ≤ horizon, at most the tape's feeder cap) and the
-final report comes from :meth:`Monitor.finish`.  Because the monitor
-pumps the same simulator loop the batch judge runs, this strategy is
-*verdict-identical* to ``"lasso-exact"`` on every machine acceptor —
-the stream-vs-batch agreement invariant the property tests enforce.
+final report comes from :meth:`Monitor.finish`.  The monitor pumps
+the kernel's simulator loop, which ``"lasso-exact"`` also runs except
+when a machine compiled from a deterministic TBA judges a lasso word:
+that machine reads the same steps off its successor table
+(:class:`~repro.machine.from_tba.SuccessorTable`), held to the kernel
+report field for field by the conformance ``strategy`` pair.  Either
+way this strategy is *verdict-identical* to ``"lasso-exact"`` on every
+machine acceptor — the stream-vs-batch agreement invariant the
+property tests enforce.
 A frozen-time lasso is cut where the batch tape cuts it,
 :func:`~repro.machine.tape.zeno_event_cap` of the word and the
 acceptor: a machine compiled from a deterministic TBA stops after the

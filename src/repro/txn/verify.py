@@ -10,9 +10,11 @@ that must agree verdict-for-verdict:
   ``accepts_lasso``; handles the nondeterministic ``alt`` specs) on
   advancing-tick lasso words;
 * **offline-batched** — :func:`repro.engine.decide_many` over the raw
-  compiled TBA (machine replay), ``backend="serial"`` or
-  ``backend="shards"``, on *frozen*-tail words: the zeno shape is cut
-  off at :func:`~repro.machine.tape.zeno_event_cap` and settled
+  compiled TBA, ``backend="serial"`` or ``backend="shards"``, on
+  *frozen*-tail words: the compiled machine judges each word on its
+  successor table (:class:`~repro.machine.from_tba.SuccessorTable`,
+  the kernel replay's report without a kernel run), the zeno shape is
+  cut off at :func:`~repro.machine.tape.zeno_event_cap` and settled
   exactly by :func:`~repro.engine.strategies.resolve_zeno`, so the
   machine path is decisive too (deterministic specs only —
   ``commit``/``abort``/``handshake``);
@@ -21,6 +23,9 @@ that must agree verdict-for-verdict:
   property, fed the live events plus a few post-horizon ticks so every
   monitor absorbs (REJECTED when a budget lapses, green-locked
   ACCEPTING when a chain completes).
+
+Each call builds a run's property suite once per (config, protocol)
+pair it meets, not once per run.
 
 Per-transaction judgements then *combine* per-process verdicts:
 atomicity is "no process ACCEPTs ``commit`` while another ACCEPTs
@@ -35,7 +40,7 @@ pins zero across ≥200 seeded runs with injected crashes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..engine.batch import decide_many
 from ..engine.strategies import decide
@@ -65,16 +70,27 @@ CheckKey = Tuple[int, str, str]
 ONLINE_TICKS = 3
 
 
-def _suite(run: TransactionRun) -> Dict[str, Property]:
-    return properties_for(run.cfg, run.protocol)
+def _suites(
+    runs: List[TransactionRun],
+) -> Iterator[Tuple[int, TransactionRun, Dict[str, Property]]]:
+    """Each run with its index and property suite.  A suite is built
+    once per (config, protocol) pair in one call; the memo is not kept
+    across calls, because the returned ``Property`` dicts are mutable."""
+    built: Dict[Tuple[Any, str], Dict[str, Property]] = {}
+    for i, run in enumerate(runs):
+        key = (run.cfg, run.protocol)
+        suite = built.get(key)
+        if suite is None:
+            suite = built[key] = properties_for(run.cfg, run.protocol)
+        yield i, run, suite
 
 
 def offline_exact(runs: List[TransactionRun]) -> Dict[CheckKey, Verdict]:
     """Region-exact verdicts for every (run, property, process)."""
     out: Dict[CheckKey, Verdict] = {}
     acceptors: Dict[Any, Any] = {}
-    for i, run in enumerate(runs):
-        for name, prop in _suite(run).items():
+    for i, run, suite in _suites(runs):
+        for name, prop in suite.items():
             tba = to_tba(prop.spec, prop.alphabet)
             acc = acceptors.get(id(tba))
             if acc is None:
@@ -83,6 +99,26 @@ def offline_exact(runs: List[TransactionRun]) -> Dict[CheckKey, Verdict]:
                 report = decide(acc, word, horizon=run.report_at + 2)
                 out[(i, name, proc)] = report.verdict
     return out
+
+
+def _batched_buckets(
+    runs: List[TransactionRun],
+) -> List[Tuple[Any, int, List[Tuple[CheckKey, Any]]]]:
+    """The ``(tba, horizon, [(key, frozen word)])`` batches that
+    :func:`offline_batched` judges: one per compiled deterministic
+    property automaton, at the horizon of the first run that uses it."""
+    buckets: Dict[int, Tuple[Any, int, List[Tuple[CheckKey, Any]]]] = {}
+    for i, run, suite in _suites(runs):
+        for name, prop in suite.items():
+            if not prop.deterministic:
+                continue
+            tba = to_tba(prop.spec, prop.alphabet)
+            bucket = buckets.get(id(tba))
+            if bucket is None:
+                bucket = buckets[id(tba)] = (tba, run.report_at + 2, [])
+            for proc, word in words_for(run, prop, tail="frozen").items():
+                bucket[2].append(((i, name, proc), word))
+    return list(buckets.values())
 
 
 def offline_batched(
@@ -95,19 +131,8 @@ def offline_batched(
     """Machine-replay verdicts via ``decide_many`` (deterministic
     properties only), batched per compiled automaton so the serial and
     shard backends both judge through one warm compiled acceptor."""
-    buckets: Dict[int, Tuple[Any, int, List[Tuple[CheckKey, Any]]]] = {}
-    for i, run in enumerate(runs):
-        for name, prop in _suite(run).items():
-            if not prop.deterministic:
-                continue
-            tba = to_tba(prop.spec, prop.alphabet)
-            bucket = buckets.get(id(tba))
-            if bucket is None:
-                bucket = buckets[id(tba)] = (tba, run.report_at + 2, [])
-            for proc, word in words_for(run, prop, tail="frozen").items():
-                bucket[2].append(((i, name, proc), word))
     out: Dict[CheckKey, Verdict] = {}
-    for tba, horizon, entries in buckets.values():
+    for tba, horizon, entries in _batched_buckets(runs):
         keys = [k for k, _w in entries]
         words = [w for _k, w in entries]
         kwargs: Dict[str, Any] = dict(horizon=horizon, backend=backend)
@@ -140,9 +165,9 @@ def online_verdicts(
     muxes: Dict[int, Any] = {}
     feeds: Dict[int, List[Tuple[str, Any, int]]] = {}
     owners: Dict[int, List[Tuple[str, CheckKey]]] = {}
-    for i, run in enumerate(runs):
+    for i, run, suite in _suites(runs):
         T = run.report_at
-        for name, prop in _suite(run).items():
+        for name, prop in suite.items():
             tba = to_tba(prop.spec, prop.alphabet)
             mid = id(tba)
             if mid not in muxes:

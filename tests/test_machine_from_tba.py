@@ -1,13 +1,28 @@
 """Tests for the TBA → real-time algorithm compilation (§3.1.1 claim)."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.automata import TimedBuchiAutomaton, TimedTransition
 from repro.engine import Verdict, decide
+from repro.engine.batch import compiled_tba
+from repro.engine.faults import FailingAcceptor, FileFuse, InjectedFault
 from repro.kernel import Le, gt
-from repro.machine import NondeterministicTBAError, tba_to_algorithm
+from repro.machine import (
+    NondeterministicTBAError,
+    RealTimeAlgorithm,
+    TapeProtocolError,
+    tba_to_algorithm,
+)
 from repro.machine.from_tba import zeno_unroll
 from repro.machine.tape import ZENO_UNROLL, zeno_event_cap
+from repro.obs import instrumented
+from repro.spec.combinators import loop, rt_bound, seq
+from repro.spec.compile import to_tba
+from repro.spec.conformance import gen_word, kernel_report
 from repro.words import TimedWord
 
 
@@ -199,3 +214,169 @@ class TestZenoUnroll:
             ["t"],
         )
         assert zeno_unroll(tba) == tba_to_algorithm(tba).zeno_unroll == ZENO_UNROLL
+
+
+def runs_by_mode(inst):
+    runs = inst.registry.counter("machine.runs")
+    return {
+        mode: runs.labels(mode=mode).value for mode in ("table", "decide", "count_f")
+    }
+
+
+def phase_chain_tba():
+    """Deterministic, compiled from a spec: ``a`` within 3, then ``b``
+    1–4 later, forever; ``c`` is in the alphabet but never enabled."""
+    spec = loop(seq(rt_bound("a", 0, 3), rt_bound("b", 1, 4)))
+    return to_tba(spec, ("a", "b", "c"))
+
+
+class TestSuccessorTable:
+    """``lasso-exact`` on the on-demand successor table reports what the
+    kernel replay does, and only judges what it may."""
+
+    def test_only_deterministic_sources_carry_a_table(self):
+        assert tba_to_algorithm(bounded_gap_tba()).successor_table is not None
+        nondeterministic = TimedBuchiAutomaton(
+            "a",
+            ["s", "t"],
+            "s",
+            [TimedTransition.make("s", "s", "a"), TimedTransition.make("s", "t", "a")],
+            [],
+            ["t"],
+        )
+        machine = tba_to_algorithm(nondeterministic, allow_nondeterministic=True)
+        assert machine.successor_table is None
+
+    def test_symbol_outside_the_alphabet_rejects_without_a_cell(self):
+        machine = tba_to_algorithm(bounded_gap_tba(2))
+        word = TimedWord.lasso([("a", 1), ("z", 2)], [("a", 3)], shift=1)
+        report = decide(machine, word, strategy="lasso-exact", horizon=50)
+        assert report.verdict is Verdict.REJECT and report.decided_at == 2
+        assert report == kernel_report(machine, word, 50)
+        cells = machine.successor_table.cells
+        assert cells and all(symbol != "z" for _c, symbol, _g in cells)
+
+    def test_time_before_zero_raises_on_both_paths(self):
+        machine = tba_to_algorithm(bounded_gap_tba(2))
+        word = TimedWord.lasso([("a", -3)], [("a", -1)], 1)
+        with pytest.raises(TapeProtocolError):
+            decide(machine, word, strategy="lasso-exact", horizon=50)
+        with pytest.raises(TapeProtocolError):
+            machine.decide(word, horizon=50)
+
+    def test_negative_horizon_never_starts_the_program(self):
+        machine = tba_to_algorithm(bounded_gap_tba(2))
+        word = TimedWord.lasso([], [("a", 1)], shift=2)
+        report = decide(machine, word, strategy="lasso-exact", horizon=-1)
+        assert report.space_peak == 0 and report.verdict is Verdict.UNDECIDED
+        assert report == kernel_report(machine, word, -1)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "lasso",
+            "finite",
+            "functional",
+            "nondeterministic",
+            "hand-written",
+            "space-limited",
+            "f-rate",
+        ],
+    )
+    def test_machine_runs_show_which_path_judged(self, case):
+        machine = tba_to_algorithm(two_phase_tba())
+        word = TimedWord.lasso([("a", 1), ("b", 3)], [("a", 7)], shift=4)
+        strategy, want = "lasso-exact", "decide"
+        if case == "lasso":
+            want = "table"
+        elif case == "finite":
+            word = TimedWord.finite(word.take(5))
+        elif case == "functional":
+            word = TimedWord.functional(lambda i: ("a", i))
+        elif case == "nondeterministic":
+            tba = two_phase_tba()
+            tba = TimedBuchiAutomaton(
+                tba.alphabet,
+                tba.states,
+                tba.initial,
+                tba.transitions + [TimedTransition.make("fast", "slow", "a")],
+                tba.clocks,
+                tba.accepting,
+            )
+            machine = tba_to_algorithm(tba, allow_nondeterministic=True)
+        elif case == "hand-written":
+
+            def program(ctx):
+                while True:
+                    yield ctx.input.read()
+
+            machine = RealTimeAlgorithm(program, name="reader")
+        elif case == "space-limited":
+            machine.space_limit = 2  # metered by the kernel's working storage
+        else:
+            strategy, want = "f-rate", "count_f"
+        with instrumented() as inst:
+            decide(machine, word, strategy=strategy, horizon=40)
+        expected = {"table": 0, "decide": 0, "count_f": 0}
+        expected[want] = 1
+        assert runs_by_mode(inst) == expected
+        spans = inst.spans.by_name("machine.table_replay")
+        assert len(spans) == expected["table"]
+
+    def test_fault_wrapper_fires_under_lasso_exact(self, tmp_path):
+        tba = two_phase_tba()
+        wrapped = FailingAcceptor(compiled_tba(tba), FileFuse(1, path=str(tmp_path / "fuse")))
+        assert wrapped.successor_table is None
+        word = TimedWord.lasso([("a", 1), ("b", 3)], [("a", 7)], shift=4)
+        with pytest.raises(InjectedFault):
+            decide(wrapped, word, strategy="lasso-exact", horizon=40)
+        # The fuse is spent: the wrapper now judges on the inner kernel.
+        with instrumented() as inst:
+            report = decide(wrapped, word, strategy="lasso-exact", horizon=40)
+        assert runs_by_mode(inst)["decide"] == 1
+        assert report == kernel_report(compiled_tba(tba), word, 40)
+
+    def test_threads_sharing_one_machine_fill_consistent_cells(self):
+        tba = phase_chain_tba()
+        machine = tba_to_algorithm(tba)
+        rng = random.Random(7)
+        words = [gen_word(rng, tba, ("a", "b", "c")) for _ in range(120)]
+        horizons = [rng.choice((-1, 0, 3, 9, 40)) for _ in words]
+        results = [None] * 4
+        errors = []
+
+        def judge(k):
+            try:
+                order = list(range(len(words)))
+                random.Random(k).shuffle(order)
+                results[k] = {
+                    i: decide(machine, words[i], strategy="lasso-exact", horizon=horizons[i])
+                    for i in order
+                }
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=judge, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for i, word in enumerate(words):
+            kernel = kernel_report(machine, word, horizons[i])
+            assert all(r[i] == kernel for r in results), (word, horizons[i])
+        cells = machine.successor_table.cells
+        assert cells
+        for (config, symbol, gap), cell in cells.items():
+            fresh = tba._step_configs({config}, symbol, gap)
+            want = None
+            if fresh:
+                (succ,) = fresh
+                want = (succ, succ[0] in tba.accepting)
+            assert cell == want

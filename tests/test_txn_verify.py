@@ -10,6 +10,9 @@ serial and shards backends, and online through compiled
 import pytest
 
 from repro.engine import Verdict
+from repro.engine.batch import compiled_tba, decide_many
+from repro.obs import instrumented
+from repro.spec.conformance import kernel_report
 from repro.txn import (
     TxnConfig,
     atomicity_ok,
@@ -23,6 +26,7 @@ from repro.txn import (
     run_workload,
     txn_verdicts,
 )
+from repro.txn.verify import _batched_buckets
 
 CRASHY = TxnConfig(
     n_participants=2,
@@ -75,6 +79,28 @@ class TestAcceptanceCorpus:
         shards = offline_batched(acceptance_corpus, backend="shards", workers=2)
         assert set(serial) == set(shards)
         assert all(serial[k] is shards[k] for k in serial)
+
+    def test_batched_reports_equal_the_kernel_oracle(self, acceptance_corpus):
+        # The serial batches judge on the machines' successor tables;
+        # every report must be the kernel replay's, field for field.
+        judged = 0
+        with instrumented() as inst:
+            buckets = _batched_buckets(acceptance_corpus)
+            reports = [
+                decide_many(tba, [w for _k, w in entries], horizon=horizon)
+                for tba, horizon, entries in buckets
+            ]
+        runs = inst.registry.counter("machine.runs")
+        for (tba, horizon, entries), got in zip(buckets, reports):
+            machine = compiled_tba(tba)
+            for i, ((_key, word), report) in enumerate(zip(entries, got)):
+                kernel = kernel_report(machine, word, horizon)
+                kernel.evidence.update(seed=i, index=i)
+                assert report == kernel, (tba, word)
+                judged += 1
+        assert judged > 4 * len(acceptance_corpus)
+        assert runs.labels(mode="table").value == judged
+        assert runs.labels(mode="decide").value == 0
 
     def test_every_verdict_is_decisive(self, exact):
         # Frozen/advancing tails close every word past its deadline, so
