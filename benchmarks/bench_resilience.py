@@ -257,7 +257,7 @@ def test_shard_kill_recovery_latency(once, report, bench_record):
             router.ingest_batch(events[split:])
             router.sync()
             victim = router.shard_ids[1]
-            journal_depth = len(router._shards[victim].journal)
+            journal_depth = router._shards[victim].journal_events
             router.crash(victim)
             recovery_s = router.recover(victim)
             assert router.verdicts() == reference.verdicts()

@@ -11,9 +11,10 @@ production surfaces:
   :class:`~repro.stream.monitor.TBAAnalysis` /
   :class:`~repro.stream.compiled.CompiledTBA`).  Sessions are placed by
   consistent hashing (:class:`HashRing` — deterministic, ~K/N movement
-  on membership change), events travel as batched binary frames with
-  ACK-window backpressure (:mod:`repro.shard.wire`), and the
-  journal+checkpoint recovery discipline of
+  on membership change), events travel as column frames (session ids,
+  symbol ids and times as raw arrays; each name crosses the pipe once
+  per worker) with ACK-window backpressure (:mod:`repro.shard.wire`),
+  and the journal+checkpoint recovery discipline of
   :class:`~repro.stream.supervisor.MuxSupervisor` is enforced *per
   shard*: a SIGKILLed worker is respawned and replayed
   (:meth:`ShardRouter.recover`) or its sessions re-placed on the

@@ -6,22 +6,30 @@ from the outside — ``ingest`` / ``ingest_batch`` / ``verdicts`` /
 over ``n_shards`` long-lived forked workers, each hosting its own warm
 mux (see :mod:`repro.shard.worker`).  The pieces:
 
-* **Placement** — session names map to shards through a
-  :class:`~repro.shard.placement.HashRing`; the router keeps a
-  ``{name: shard}`` table so a session never migrates implicitly.
-* **Batched routing** — events buffer per shard and ship as framed
-  chunks (:mod:`repro.shard.wire`) when ``batch_events`` accumulate or
-  on :meth:`flush`; the worker ACKs each frame and the router caps
-  un-ACKed frames at ``max_inflight`` (backpressure: a slow shard
-  stalls its *own* senders instead of growing an unbounded pipe).
+* **Placement** — a session name maps to a shard through a
+  :class:`~repro.shard.placement.HashRing` when the router first sees
+  it; the router gives the session an id and keeps its shard in an
+  id-indexed array, so a session never migrates implicitly and a batch
+  is placed with one gather.
+* **Columnar routing** — :meth:`ingest_batch` encodes a batch once, in
+  one pass over its tuples, into session-id, symbol-id and time
+  columns (:class:`~repro.shard.wire.EventBatch`), journals each
+  shard's slice, and ships a shard's pending events as raw column
+  frames once ``batch_events`` accumulate or on :meth:`flush`.  A name
+  or a symbol crosses the pipe once per worker lifetime.  The worker
+  ACKs each frame and the router caps un-ACKed frames at
+  ``max_inflight`` (backpressure: a slow shard stalls its *own*
+  senders instead of growing an unbounded pipe).
 * **Durability** — the supervisor pattern of
   :class:`~repro.stream.supervisor.MuxSupervisor`, lifted to per-shard
-  granularity: every event is journaled *at send*, a per-shard
-  :meth:`checkpoint` snapshots the worker's mux and truncates that
-  journal, and a SIGKILLed shard (:meth:`crash`, or any detected death)
-  comes back via :meth:`recover` — respawn, restore the snapshot,
-  replay the journal — or via :meth:`fail_over`, which re-places the
-  dead shard's sessions on the survivors instead.
+  granularity: every event is journaled as columns when it is routed,
+  and every close and eviction as a lifecycle record, in order; a
+  per-shard :meth:`checkpoint` snapshots the worker's mux and truncates
+  that journal, and a SIGKILLed shard (:meth:`crash`, or any detected
+  death) comes back via :meth:`recover` — respawn, restore the
+  snapshot, replay the journal — or via :meth:`fail_over`, which
+  re-places the dead shard's sessions on the survivors and re-routes
+  its journal through the same columnar route.
 * **Elasticity** — :meth:`rebalance` grows or shrinks the pool,
   migrating exactly the sessions whose ring placement changed
   (consistent hashing moves ~K/N of them) through the live-session
@@ -33,13 +41,18 @@ mux (see :mod:`repro.shard.worker`).  The pieces:
   batch sizes, recovery latency) is documented in
   ``docs/observability.md``.
 
+Ids stay bounded by live sessions: the id of a closed or evicted
+session is reused once its shard's journal no longer names it, after
+that shard's next checkpoint.
+
 Error surfacing: ingest errors raised *inside* a worker (e.g. the
-``reject`` drop policy) come back on the ACK and are raised as
-:class:`ShardError` at the next synchronization point (:meth:`sync`,
-:meth:`verdicts`, :meth:`checkpoint`, ...), not at the ``ingest`` call
-that buffered the event.  Deterministic recovery is guaranteed for
-non-raising policies (the default ``drop-new``/``drop-old``), exactly
-like the single-process supervisor.
+``reject`` drop policy, or a refused open under ``max_sessions``) come
+back on the ACK and are raised as :class:`ShardError` at the next
+synchronization point (:meth:`sync`, :meth:`verdicts`,
+:meth:`checkpoint`, ...), not at the ``ingest`` call that routed the
+event.  Deterministic recovery is guaranteed for non-raising policies
+(the default ``drop-new``/``drop-old``), exactly like the
+single-process supervisor.
 """
 
 from __future__ import annotations
@@ -47,9 +60,12 @@ from __future__ import annotations
 import os
 import signal
 import time
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing as mp
+
+import numpy as np
 
 from ..obs import hooks as _obs
 from .placement import DEFAULT_REPLICAS, HashRing
@@ -70,13 +86,24 @@ from .wire import (
     OP_SHUTDOWN,
     OP_STATS,
     OP_VERDICTS,
-    iter_chunks,
+    EventBatch,
+    frame_batches,
     recv_frame,
     send_frame,
 )
 from .worker import worker_main
 
 __all__ = ["ShardError", "ShardRouter"]
+
+#: Session and symbol ids cross the pipe as int32.
+_ID_LIMIT = 2**31
+
+
+def _grown(column: Any, fill: Any) -> Any:
+    """``column`` at twice its length (at least 16), padded with ``fill``."""
+    out = np.full(max(16, 2 * len(column)), fill, dtype=column.dtype)
+    out[: len(column)] = column
+    return out
 
 
 class ShardError(RuntimeError):
@@ -87,20 +114,27 @@ class _Shard:
     """Parent-side handle for one worker process."""
 
     __slots__ = (
-        "id", "proc", "conn", "seq", "inflight", "buffer", "journal",
-        "snapshot", "events_since_checkpoint", "langs", "alive", "errors",
+        "id", "num", "proc", "conn", "seq", "inflight", "journal", "unsent",
+        "unsent_events", "journal_events", "retired", "syms_sent",
+        "snapshot", "langs", "alive", "errors",
     )
 
-    def __init__(self, shard_id: str, proc: Any, conn: Any):
+    def __init__(self, shard_id: str, num: int, proc: Any, conn: Any):
         self.id = shard_id
+        self.num = num               # the shard's code in the placement array
         self.proc = proc
         self.conn = conn
         self.seq = 0
         self.inflight = 0            # un-ACKed OP_EVENTS frames
-        self.buffer: List[Tuple[str, Any, int]] = []
-        self.journal: List[Tuple[str, Any, int]] = []
+        #: ``(op, payload)`` records since the last checkpoint, in order:
+        #: OP_EVENTS column batches and the OP_CLOSE / OP_EVICT requests.
+        self.journal: List[Tuple[int, Any]] = []
+        self.unsent = 0              # journal records from here on are unshipped events
+        self.unsent_events = 0
+        self.journal_events = 0
+        self.retired: List[int] = []  # ids closed or evicted since the checkpoint
+        self.syms_sent = 0           # router symbols the worker has been sent
         self.snapshot: Optional[Dict[str, Any]] = None
-        self.events_since_checkpoint = 0
         self.langs: set = set()      # language keys installed in the worker
         self.alive = True
         self.errors: List[str] = []
@@ -112,6 +146,8 @@ class ShardRouter:
     Pass ``acceptor`` (plus optional ``mux_kwargs`` forwarded to each
     worker's :class:`~repro.stream.session.SessionMux`) for the stream
     path, or neither for a decide-only pool (the engine backends).
+    Session names must be ``str`` (the hash ring places them) and
+    symbols hashable (each is interned once).
     """
 
     def __init__(
@@ -150,8 +186,19 @@ class ShardRouter:
         self._ctx = mp.get_context("fork")
         self._next_id = 0
         self._shards: Dict[str, _Shard] = {}
+        self._shard_of_num: List[str] = []
         self._ring = HashRing([], replicas=replicas)
-        self._placement: Dict[str, str] = {}
+        #: Sessions: name → id for live ones; id → name, kept while a
+        #: journal may still name a retired id (``None`` once free).
+        self._ids: Dict[str, int] = {}
+        self._names: List[Optional[str]] = []
+        self._free: List[int] = []
+        #: id → shard num, and whether the id's name has been sent to
+        #: the current worker of that shard.
+        self._place = np.empty(0, dtype=np.int32)
+        self._sent = np.empty(0, dtype=bool)
+        self._sym_ids: Dict[Any, int] = {}
+        self._symbols: List[Any] = []
         self._max_time: Optional[int] = None
         self._closed = False
         for _ in range(n_shards):
@@ -159,13 +206,15 @@ class ShardRouter:
 
     # -- lifecycle plumbing ------------------------------------------------
     def _add_shard(self) -> _Shard:
-        shard_id = f"s{self._next_id}"
+        num = self._next_id
+        shard_id = f"s{num}"
         self._next_id += 1
-        shard = self._spawn(shard_id)
+        self._shard_of_num.append(shard_id)
+        shard = self._spawn(shard_id, num)
         self._ring.add(shard_id)
         return shard
 
-    def _spawn(self, shard_id: str) -> _Shard:
+    def _spawn(self, shard_id: str, num: int) -> _Shard:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
@@ -175,8 +224,11 @@ class ShardRouter:
         )
         proc.start()
         child_conn.close()
-        shard = _Shard(shard_id, proc, parent_conn)
+        shard = _Shard(shard_id, num, proc, parent_conn)
         self._shards[shard_id] = shard
+        # A fresh worker knows no names: each goes out again with the
+        # session's next frame.
+        self._sent[self._place == num] = False
         return shard
 
     @property
@@ -190,17 +242,60 @@ class ShardRouter:
     @property
     def session_count(self) -> int:
         """Sessions the router has placed (parent-side view)."""
-        return len(self._placement)
+        return len(self._ids)
 
     def place_of(self, name: str) -> str:
         """The shard that owns (or would own) ``name``."""
-        return self._placement.get(name) or self._ring.place(name)
+        sid = self._ids.get(name)
+        if sid is None:
+            return self._ring.place(name)
+        return self._shard_of_num[self._place[sid]]
 
     def __enter__(self) -> "ShardRouter":
         return self
 
     def __exit__(self, *_exc: Any) -> None:
         self.shutdown()
+
+    # -- ids ---------------------------------------------------------------
+    def _session_id(self, name: str) -> int:
+        """The id of ``name``'s session, placed on the ring when new."""
+        sid = self._ids.get(name)
+        if sid is not None:
+            return sid
+        shard = self._shards[self._ring.place(name)]
+        if self._free:
+            sid = self._free.pop()
+            self._names[sid] = name
+        else:
+            sid = len(self._names)
+            if sid >= _ID_LIMIT:
+                raise OverflowError(f"session id {sid} does not fit in int32")
+            self._names.append(name)
+            if sid >= len(self._place):
+                self._place = _grown(self._place, -1)
+                self._sent = _grown(self._sent, False)
+        self._ids[name] = sid
+        self._place[sid] = shard.num
+        self._sent[sid] = False
+        return sid
+
+    def _symbol_id(self, symbol: Any) -> int:
+        sid = self._sym_ids.get(symbol)
+        if sid is None:
+            sid = len(self._symbols)
+            if sid >= _ID_LIMIT:
+                raise OverflowError(f"symbol id {sid} does not fit in int32")
+            self._sym_ids[symbol] = sid
+            self._symbols.append(symbol)
+        return sid
+
+    def _retire(self, shard: _Shard, name: str) -> None:
+        """A closed or evicted session's id waits for ``shard``'s next
+        checkpoint before it is reused: the journal still names it."""
+        sid = self._ids.pop(name, None)
+        if sid is not None:
+            shard.retired.append(sid)
 
     # -- low-level frame traffic ------------------------------------------
     def _count(self, name: str, n: float = 1, **labels: Any) -> None:
@@ -268,34 +363,88 @@ class ShardRouter:
                 raise ShardError(f"shard {shard.id!r}: {frame.payload}")
             raise ShardError(f"shard {shard.id!r}: unexpected opcode {frame.op}")
 
-    def _flush_shard(self, shard: _Shard) -> None:
-        if not shard.buffer:
-            return
-        if not shard.alive:
-            # Keep the events buffered: they are already journaled, and
-            # recover()/fail_over() will replay them on a live worker.
-            return
-        events, shard.buffer = shard.buffer, []
+    def _send_events(self, shard: _Shard, batch: EventBatch) -> None:
+        """One OP_EVENTS frame, inside the ACK window, carrying the
+        names and symbols the worker has not been sent yet."""
+        self._drain_acks(shard, down_to=self.max_inflight - 1)
+        names = symbols = ()
+        sent = self._sent
+        if not sent[batch.ids].all():
+            fresh = list(dict.fromkeys(batch.ids[~sent[batch.ids]].tolist()))
+            sent[fresh] = True
+            names = [(sid, self._names[sid]) for sid in fresh]
+        if shard.syms_sent < len(self._symbols):
+            symbols = list(enumerate(self._symbols))[shard.syms_sent:]
+            shard.syms_sent = len(self._symbols)
+        shard.seq += 1
+        try:
+            send_frame(
+                shard.conn, OP_EVENTS, shard.seq,
+                EventBatch(batch.ids, batch.syms, batch.times, names, symbols),
+            )
+        except (BrokenPipeError, OSError) as exc:
+            raise self._dead(shard, repr(exc)) from exc
+        shard.inflight += 1
         h = _obs.HOOKS
-        for chunk in iter_chunks(events, self.chunk_events):
-            self._drain_acks(shard, down_to=self.max_inflight - 1)
-            shard.seq += 1
-            try:
-                send_frame(shard.conn, OP_EVENTS, shard.seq, chunk)
-            except (BrokenPipeError, OSError) as exc:
-                # Undelivered chunks stay recoverable via the journal.
-                raise self._dead(shard, repr(exc)) from exc
-            shard.inflight += 1
-            if h is not None:
-                h.observe("shard.batch_size", len(chunk))
         if h is not None:
-            h.gauge("shard.queue_depth", shard.inflight, shard=shard.id)
-        shard.events_since_checkpoint += len(events)
-        if (
-            self.checkpoint_every is not None
-            and shard.events_since_checkpoint >= self.checkpoint_every
-        ):
-            self._checkpoint_shard(shard)
+            h.observe("shard.batch_size", len(batch))
+
+    def _ship(self, shards: List[_Shard]) -> None:
+        """Send the unsent events of the live ``shards`` in frames of at
+        most ``chunk_events``, one frame per shard in turn so every
+        worker starts at once; then checkpoint the shards that are due.
+
+        A shard that dies on the way keeps its events in the journal
+        for :meth:`recover` / :meth:`fail_over`; its error is raised
+        once the other shards are served."""
+        queues = []
+        for shard in shards:
+            if shard.unsent_events and shard.alive:
+                batches = [b for _op, b in shard.journal[shard.unsent:]]
+                shard.unsent = len(shard.journal)
+                shard.unsent_events = 0
+                queues.append((shard, frame_batches(batches, self.chunk_events)))
+        shipped = [shard for shard, _frames in queues]
+        error: Optional[ShardError] = None
+        while queues:
+            more = []
+            for shard, frames in queues:
+                batch = next(frames, None)
+                if batch is None:
+                    continue
+                try:
+                    self._send_events(shard, batch)
+                except ShardError as exc:
+                    error = error or exc
+                    continue
+                more.append((shard, frames))
+            queues = more
+        if error is not None:
+            raise error
+        h = _obs.HOOKS
+        for shard in shipped:
+            if h is not None:
+                h.gauge("shard.queue_depth", shard.inflight, shard=shard.id)
+            if (
+                self.checkpoint_every is not None
+                and shard.journal_events >= self.checkpoint_every
+            ):
+                self._checkpoint_shard(shard)
+
+    def _flush_shard(self, shard: _Shard) -> None:
+        self._ship([shard])
+
+    def _apply(self, shard: _Shard, op: int, payload: Any) -> Any:
+        """Run a close or an eviction on ``shard`` after every event
+        routed to it so far, and journal it in order with them (an
+        eviction is journaled with its victims, replayed by name)."""
+        self._flush_shard(shard)
+        result = self._request(shard, op, payload)
+        if op == OP_EVICT:
+            payload = (payload[0], payload[1], result)
+        shard.journal.append((op, payload))
+        shard.unsent = len(shard.journal)
+        return result
 
     def _raise_errors(self) -> None:
         errors: List[str] = []
@@ -309,34 +458,59 @@ class ShardRouter:
     # -- ingestion ---------------------------------------------------------
     def ingest(self, name: str, symbol: Any, t: int) -> None:
         """Route one event to its session's shard (buffered)."""
-        shard_id = self._placement.get(name)
-        if shard_id is None:
-            shard_id = self._ring.place(name)
-            self._placement[name] = shard_id
-        shard = self._shards[shard_id]
-        if self._max_time is None or t > self._max_time:
-            self._max_time = t
-        event = (name, symbol, t)
-        shard.journal.append(event)
-        shard.buffer.append(event)
-        if len(shard.buffer) >= self.batch_events:
-            self._flush_shard(shard)
+        self.ingest_batch([(name, symbol, t)])
 
     def ingest_batch(self, events) -> None:
-        """Route many ``(name, symbol, t)`` events (order kept per name)."""
-        for name, symbol, t in events:
-            self.ingest(name, symbol, t)
+        """Route many ``(name, symbol, t)`` events (order kept per name).
+
+        The batch is encoded once — one pass over the tuples — into
+        session-id, symbol-id and time columns, placed with one gather
+        on the id-indexed placement array, and journaled per shard.
+        """
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        if not events:
+            return
+        names, symbols, times = zip(*events)
+        n = len(names)
+        ids = np.fromiter(map(self._ids.get, names, repeat(-1, n)), np.int32, n)
+        if ids.min() < 0:
+            ids = np.fromiter(map(self._session_id, names), np.int32, n)
+        syms = np.fromiter(map(self._sym_ids.get, symbols, repeat(-1, n)), np.int32, n)
+        if syms.min() < 0:
+            syms = np.fromiter(map(self._symbol_id, symbols), np.int32, n)
+        batch = EventBatch(ids, syms, np.fromiter(times, np.int64, n))
+        t = int(batch.times.max())
+        if self._max_time is None or t > self._max_time:
+            self._max_time = t
+        self._route(batch)
+
+    def _route(self, batch: EventBatch) -> None:
+        """Journal each shard's slice of ``batch`` (by the placement of
+        its ids) and ship the shards with ``batch_events`` unsent."""
+        dest = self._place[batch.ids]
+        full = []
+        for shard in self._shards.values():
+            idx = np.flatnonzero(dest == shard.num)
+            if not len(idx):
+                continue
+            part = batch if len(idx) == len(batch) else batch.take(idx)
+            shard.journal.append((OP_EVENTS, part))
+            shard.journal_events += len(part)
+            shard.unsent_events += len(part)
+            if shard.unsent_events >= self.batch_events:
+                full.append(shard)
+        self._ship(full)
 
     def flush(self) -> None:
         """Ship every buffered event (without waiting for ACKs)."""
-        for shard in self._shards.values():
-            self._flush_shard(shard)
+        self._ship(list(self._shards.values()))
 
     def sync(self) -> None:
         """Flush, wait until every live shard has ACKed everything, and
         raise any worker-side ingest errors collected since last sync."""
+        self.flush()
         for shard in self._shards.values():
-            self._flush_shard(shard)
             if shard.alive:
                 self._drain_acks(shard)
         self._raise_errors()
@@ -361,12 +535,9 @@ class ShardRouter:
 
     def close_session(self, name: str, horizon: Optional[int] = None) -> Any:
         """Close one session on its shard; returns its SessionReport."""
-        shard_id = self._placement.get(name) or self._ring.place(name)
-        shard = self._shards[shard_id]
-        self._flush_shard(shard)
-        self._drain_acks(shard)
-        report = self._request(shard, OP_CLOSE, (name, horizon))
-        self._placement.pop(name, None)
+        shard = self._shards[self.place_of(name)]
+        report = self._apply(shard, OP_CLOSE, (name, horizon, self._ids.get(name)))
+        self._retire(shard, name)
         return report
 
     def evict_idle(
@@ -383,10 +554,10 @@ class ShardRouter:
             now = self._max_time
         victims: List[str] = []
         for shard in self._shards.values():
-            evicted = self._request(shard, OP_EVICT, (now, idle_ttl))
+            evicted = self._apply(shard, OP_EVICT, (now, idle_ttl, None))
+            for name in evicted:
+                self._retire(shard, name)
             victims.extend(evicted)
-        for name in victims:
-            self._placement.pop(name, None)
         return victims
 
     # -- durability --------------------------------------------------------
@@ -394,7 +565,12 @@ class ShardRouter:
         self._drain_acks(shard)
         shard.snapshot = self._request(shard, OP_CHECKPOINT, None)
         shard.journal = []
-        shard.events_since_checkpoint = 0
+        shard.unsent = shard.unsent_events = shard.journal_events = 0
+        # No journal names the retired ids any more: they are free.
+        for sid in shard.retired:
+            self._names[sid] = None
+        self._free.extend(shard.retired)
+        shard.retired = []
         self._count("shard.checkpoints", shard=shard.id)
 
     def checkpoint(self, shard_id: Optional[str] = None) -> None:
@@ -429,26 +605,33 @@ class ShardRouter:
         """Respawn a dead shard and rebuild its state.
 
         Restore the last checkpoint into a fresh worker, then replay the
-        journal (every event routed since that checkpoint) in original
-        order — deterministic for non-raising drop policies, so the
-        recovered shard's verdicts match an uninterrupted run
-        verdict-for-verdict.  Returns the recovery latency in seconds
-        (also observed as ``shard.recovery_latency``).
+        journal (every event, close and eviction routed since that
+        checkpoint) in original order — deterministic for non-raising
+        drop policies, so the recovered shard's verdicts match an
+        uninterrupted run verdict-for-verdict.  Returns the recovery
+        latency in seconds (also observed as ``shard.recovery_latency``).
         """
         old = self._shards[shard_id]
         t0 = time.perf_counter()
         self._reap(old)
-        shard = self._spawn(shard_id)
+        shard = self._spawn(shard_id, old.num)
         shard.snapshot = old.snapshot
         shard.journal = old.journal
-        shard.events_since_checkpoint = len(old.journal)
+        shard.journal_events = old.journal_events
+        shard.retired = old.retired
+        shard.unsent = len(shard.journal)
         if shard.snapshot is not None:
             self._request(shard, OP_RESTORE, shard.snapshot)
-        for chunk in iter_chunks(shard.journal, self.chunk_events):
-            self._drain_acks(shard, down_to=self.max_inflight - 1)
-            shard.seq += 1
-            send_frame(shard.conn, OP_EVENTS, shard.seq, chunk)
-            shard.inflight += 1
+        batches: List[EventBatch] = []
+        for op, payload in shard.journal + [(None, None)]:
+            if op == OP_EVENTS:
+                batches.append(payload)
+                continue
+            for batch in frame_batches(batches, self.chunk_events):
+                self._send_events(shard, batch)
+            batches = []
+            if op is not None:
+                self._request(shard, op, payload)
         self._drain_acks(shard)
         latency = time.perf_counter() - t0
         h = _obs.HOOKS
@@ -462,8 +645,10 @@ class ShardRouter:
 
         The dead shard's checkpointed sessions are adopted by the shards
         the shrunken ring now maps them to, and its journal is replayed
-        through normal routing (re-creating any session born after the
-        checkpoint).  Returns the names that moved.
+        through the columnar route (re-creating any session born after
+        the checkpoint, and closing or evicting what was closed or
+        evicted since); the adopting shards are then checkpointed.
+        Returns the names that moved.
         """
         if len(self._shards) < 2:
             raise ShardError("cannot fail over the only shard")
@@ -471,10 +656,13 @@ class ShardRouter:
         t0 = time.perf_counter()
         self._reap(dead)
         self._ring.remove(shard_id)
-        # Re-place everything the parent believed lived on the dead shard.
-        for name, sid in list(self._placement.items()):
-            if sid == shard_id:
-                self._placement[name] = self._ring.place(name)
+        # Re-place every id on the dead shard, live or retired: its
+        # journal still names the retired ones.
+        for sid in np.flatnonzero(self._place[: len(self._names)] == dead.num).tolist():
+            name = self._names[sid]
+            if name is not None:
+                self._place[sid] = self._shards[self._ring.place(name)].num
+                self._sent[sid] = False
         groups: Dict[str, Dict[str, Any]] = {}
         if dead.snapshot is not None:
             for name, entry in dead.snapshot["sessions"].items():
@@ -488,8 +676,29 @@ class ShardRouter:
             moved.extend(entries)
         # The journal re-routes through the new ring (and re-journals
         # on the adopting shards, keeping *their* recovery story whole).
-        self.ingest_batch(dead.journal)
+        for op, payload in dead.journal:
+            if op == OP_EVENTS:
+                self._route(payload)
+            elif op == OP_CLOSE:
+                self._apply(self._shards[self._ring.place(payload[0])], op, payload)
+            else:
+                now, idle_ttl, names = payload
+                by_target: Dict[str, List[str]] = {}
+                for name in names:
+                    by_target.setdefault(self._ring.place(name), []).append(name)
+                for target_id, group in sorted(by_target.items()):
+                    self._apply(self._shards[target_id], op, (now, idle_ttl, group))
         self.sync()
+        # The dead shard's retired ids are in the replayed records: each
+        # now waits for its new shard's next checkpoint (not for one the
+        # replay itself may have triggered).
+        for sid in dead.retired:
+            self._shards[self._shard_of_num[self._place[sid]]].retired.append(sid)
+        # Adopted sessions are in no snapshot or journal of their new
+        # shard yet: checkpoint the adopters so a later crash of one of
+        # them recovers them too.
+        for target_id in sorted(groups):
+            self._checkpoint_shard(self._shards[target_id])
         latency = time.perf_counter() - t0
         h = _obs.HOOKS
         if h is not None:
@@ -498,15 +707,16 @@ class ShardRouter:
             h.count("shard.placement_moves", len(moved), cause="failover")
         return moved
 
+
     # -- elasticity --------------------------------------------------------
     def rebalance(self, n_shards: int) -> Dict[str, Any]:
         """Grow or shrink the pool to ``n_shards``, migrating only the
         sessions whose ring placement changed (~K/N of them).
 
         Live sessions move through the checkpoint extract/adopt path —
-        monitor state intact, verdict history intact — and the affected
-        shards are checkpointed afterwards so every journal matches its
-        shard's new session set.  Returns a summary with the moved
+        monitor state intact, verdict history intact — and every shard is
+        checkpointed afterwards so every journal matches its shard's new
+        session set.  Returns a summary with the moved
         session names.
         """
         if n_shards < 1:
@@ -522,12 +732,11 @@ class ShardRouter:
                 self._ring.remove(shard_id)
         # Where does everything live now?
         moves: Dict[str, Dict[str, List[str]]] = {}
-        for name, old_id in self._placement.items():
-            new_id = self._ring.place(name)
+        for name in self._ids:
+            old_id, new_id = self.place_of(name), self._ring.place(name)
             if new_id != old_id:
                 moves.setdefault(old_id, {}).setdefault(new_id, []).append(name)
         moved: List[str] = []
-        touched: set = set()
         for old_id, by_target in sorted(moves.items()):
             source = self._shards[old_id]
             for new_id, names in sorted(by_target.items()):
@@ -535,14 +744,17 @@ class ShardRouter:
                 if entries:
                     target = self._shards[new_id]
                     self._request(target, OP_ADOPT, entries)
-                    touched.add(new_id)
+                num = self._shards[new_id].num
                 for name in names:
-                    self._placement[name] = new_id
+                    sid = self._ids[name]
+                    self._place[sid] = num
+                    self._sent[sid] = False
                 moved.extend(entries)
-            touched.add(old_id)
         for shard in retiring:
             del self._shards[shard.id]
-            touched.discard(shard.id)
+            for sid in shard.retired:
+                self._names[sid] = None
+            self._free.extend(shard.retired)
             try:
                 delta = self._request(shard, OP_SHUTDOWN, None)
             except ShardError:
@@ -550,11 +762,11 @@ class ShardRouter:
             else:
                 self._merge_delta_result(delta)
             self._reap(shard)
-        # Re-checkpoint every shard that gained or lost sessions so its
-        # journal/snapshot pair describes the new layout.
-        for shard_id in sorted(touched):
-            if shard_id in self._shards:
-                self.checkpoint(shard_id)
+        # Re-checkpoint every shard so its journal/snapshot pair describes
+        # the new layout: besides the moved sessions, the ring now sends a
+        # reopened name where an older close or eviction in an untouched
+        # shard's journal would no longer find it.
+        self.checkpoint()
         self._count("shard.placement_moves", len(moved), cause="rebalance")
         return {"n_shards": len(self._shards), "moved": moved}
 
@@ -571,7 +783,7 @@ class ShardRouter:
             os.kill(old.proc.pid, signal.SIGKILL)
         self._reap(old)
         self._count("shard.recoveries", mode="respawn")
-        return self._spawn(shard_id)
+        return self._spawn(shard_id, old.num)
 
     # -- metrics -----------------------------------------------------------
     def _merge_delta_result(self, delta: Any) -> None:
@@ -609,4 +821,4 @@ class ShardRouter:
                     pass
             self._reap(shard)
         self._shards.clear()
-        self._placement.clear()
+        self._ids.clear()

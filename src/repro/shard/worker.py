@@ -20,6 +20,17 @@ is the router's per-shard recovery path).  Everything expensive lives
   child-side counts surface in the parent registry instead of dying
   with the process.
 
+Event frames arrive as columns (:class:`~repro.shard.wire.EventBatch`):
+router session ids, router symbol ids and times.  The worker keeps the
+router's names and symbols it has been sent (each arrives once per
+worker lifetime) and maps router ids to its mux's ids with two gathers
+per frame; the mux then runs the same wave code its own
+:meth:`~repro.stream.session.SessionMux.ingest_batch` runs after
+encoding (:meth:`~repro.stream.session.SessionMux.ingest_columns`).  A
+router id is resolved by name on first use and its entry dropped
+whenever the mux may hand its session's id to another session (close,
+eviction, extraction, restore).
+
 The loop is single-threaded and processes frames strictly in order —
 which is what makes the router's journal replay deterministic: same
 frame order in, same mux state out.  Any handler exception is caught
@@ -30,7 +41,9 @@ the worker itself keeps serving.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
+
+import numpy as np
 
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.batch import _decide_one, compiled_tba
@@ -71,6 +84,12 @@ class _Worker:
         # design exists to keep resident.
         self.mux = mux_factory() if mux_factory is not None else None
         self.langs: Dict[int, Any] = {}
+        #: Router names and symbols by router id, and router id → mux id
+        #: (``-1``: resolve by name / symbol at next use).
+        self.names: List[Optional[str]] = []
+        self.symbols: List[Any] = []
+        self.ids = np.empty(0, dtype=np.intp)
+        self.syms = np.empty(0, dtype=np.intp)
         # The worker always runs instrumented: its metrics only reach a
         # user if the parent pulls and merges them, and the cost of an
         # idle registry is nil.
@@ -103,10 +122,48 @@ class _Worker:
         return self.mux
 
     # -- handlers ----------------------------------------------------------
-    def on_events(self, events) -> Any:
+    @staticmethod
+    def _learn(table: List[Any], column: Any, pairs: Any) -> Any:
+        """Record ``(router id, value)`` pairs; returns ``column`` grown
+        to cover them, their entries reset for resolution."""
+        for rid, value in pairs:
+            if rid >= len(table):
+                table.extend([None] * (rid + 1 - len(table)))
+            table[rid] = value
+        if len(column) < len(table):
+            grown = np.full(2 * len(table), -1, dtype=np.intp)
+            grown[: len(column)] = column
+            column = grown
+        column[[rid for rid, _value in pairs]] = -1
+        return column
+
+    def on_events(self, batch) -> Any:
         mux = self._live_mux()
-        mux.ingest_batch(events)
-        return len(events)
+        if batch.names:
+            self.ids = self._learn(self.names, self.ids, batch.names)
+        if batch.symbols:
+            self.syms = self._learn(self.symbols, self.syms, batch.symbols)
+        syms = self.syms[batch.syms]
+        if syms.min() < 0:
+            new = list(dict.fromkeys(batch.syms[syms < 0].tolist()))
+            self.syms[new] = mux.symbol_ids([self.symbols[r] for r in new])
+            syms = self.syms[batch.syms]
+        rids, times = batch.ids, batch.times
+        ids = self.ids[rids]
+        refused = None
+        if ids.min() < 0:
+            new = list(dict.fromkeys(rids[ids < 0].tolist()))
+            known, refused = mux.session_ids([self.names[r] for r in new])
+            self.ids[new[: len(known)]] = known
+            if refused is not None:
+                # Exactly the events before the refused session's first.
+                cut = int(np.argmax(rids == new[len(known)]))
+                rids, syms, times = rids[:cut], syms[:cut], times[:cut]
+            ids = self.ids[rids]
+        mux.ingest_columns(ids, syms, times)
+        if refused is not None:
+            raise refused
+        return len(batch)
 
     def on_verdicts(self, _payload) -> Dict[str, Any]:
         return self._live_mux().verdicts()
@@ -127,11 +184,15 @@ class _Worker:
         fresh = self._factory()
         restore_mux(snapshot, fresh, **self._lang_kwargs())
         self.mux = fresh
+        # A fresh mux numbers its sessions and symbols anew.
+        self.ids.fill(-1)
+        self.syms.fill(-1)
         return len(fresh)
 
     def on_extract(self, names) -> Dict[str, Any]:
         from ..stream.checkpoint import extract_sessions
 
+        self.ids.fill(-1)
         return extract_sessions(self._live_mux(), names)
 
     def on_adopt(self, entries) -> int:
@@ -143,12 +204,20 @@ class _Worker:
         return len(restored)
 
     def on_close(self, payload) -> Any:
-        name, horizon = payload
-        return self._live_mux().close(name, horizon)
+        name, horizon, rid = payload
+        report = self._live_mux().close(name, horizon)
+        if rid is not None and rid < len(self.ids):
+            self.ids[rid] = -1
+        return report
 
     def on_evict(self, payload) -> Any:
-        now, idle_ttl = payload
-        return self._live_mux().evict_idle(now, idle_ttl)
+        now, idle_ttl, names = payload
+        mux = self._live_mux()
+        self.ids.fill(-1)
+        if names is None:
+            return mux.evict_idle(now, idle_ttl)
+        mux._evict(names, now)
+        return names
 
     def on_install_lang(self, payload) -> bool:
         key, kind, obj = payload

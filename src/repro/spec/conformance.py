@@ -42,6 +42,14 @@ output needed:
     into several sessions, cut into random batch sizes so the wave
     kernel, the deep-slice scan and the late fallback all run —
     verdicts after every batch, ``stats()`` and per-session state.
+``router``
+    the ``mux`` pair's batches through a 2-shard
+    :class:`~repro.shard.router.ShardRouter` (small ``batch_events``,
+    column frames, names sent once per worker lifetime) vs scalar
+    ``ingest`` on one ``SessionMux(compiled=False)`` — verdicts after
+    every batch and ``stats()`` at the end, with a checkpoint, a
+    SIGKILL of one shard and its journal-replay ``recover`` at seeded
+    cuts.
 
 Words and specs come from a seeded generator (reproducible without any
 third-party dependency; ``tests/test_spec_conformance.py`` adds a
@@ -158,6 +166,7 @@ PAIRS: Tuple[str, ...] = (
     "shards",
     "checkpoint",
     "mux",
+    "router",
 )
 
 #: Events replayed into stream monitors per word (prefix + unrollings).
@@ -814,6 +823,48 @@ def _check_mux(
     return None
 
 
+def _check_router(
+    spec: Case, alphabet: Tuple[Any, ...], word: TimedWord
+) -> Optional[str]:
+    """A 2-shard router vs a scalar mux over the ``mux`` pair's feed,
+    through a checkpoint and a crash/recover of one shard."""
+    from ..shard import ShardError, ShardRouter
+    from ..stream.session import SessionMux
+
+    tba = _case_tba(spec, alphabet)
+    batches = _mux_feed(_events(word, _replay_len(word)))
+    rng = random.Random(repr(batches))
+    save = rng.randrange(len(batches) + 1)
+    kill = rng.randrange(save, len(batches) + 1)
+    scalar = SessionMux(tba, late_policy="drop", compiled=False)
+    with ShardRouter(
+        tba, n_shards=2, batch_events=8, mux_kwargs={"late_policy": "drop"}
+    ) as router:
+        victim = router.shard_ids[rng.randrange(2)]
+        try:
+            for k, batch in enumerate(batches + [[]]):
+                if k == save:
+                    router.checkpoint()
+                if k == kill:
+                    router.crash(victim)
+                    router.recover(victim)
+                router.ingest_batch(batch)
+                for name, s, t in batch:
+                    scalar.ingest(name, s, t)
+                if router.verdicts() != scalar.verdicts():
+                    return (
+                        f"after batch {k} ({len(batch)} events; checkpoint "
+                        f"before {save}, {victim} killed before {kill}) the "
+                        f"router says {router.verdicts()} but scalar ingest "
+                        f"says {scalar.verdicts()}"
+                    )
+            if router.stats() != scalar.stats():
+                return f"router stats {router.stats()} != scalar {scalar.stats()}"
+        except ShardError as exc:
+            return f"router raised {exc} (checkpoint before {save}, {victim} killed before {kill})"
+    return None
+
+
 def _check_query_mux(
     queries: Dict[str, Any], alphabet: Tuple[Any, ...], word: TimedWord
 ) -> Optional[str]:
@@ -934,6 +985,8 @@ def check_pair(
         return _check_checkpoint(spec, alpha, word)
     if pair == "mux":
         return _check_mux(spec, alpha, word)
+    if pair == "router":
+        return _check_router(spec, alpha, word)
     raise ValueError(f"unknown pair {pair!r}; known: {PAIRS}")
 
 

@@ -22,12 +22,24 @@ so by ``tests/test_stream_compiled.py``:
 * :meth:`SessionMux.ingest_batch` — many ``(name, symbol, t)`` events
   at once.  On a compiled deterministic table (plain TBA or fused
   plan) each session's monitor is a view onto one slot of a columnar
-  :class:`~repro.stream.monitor.SlotTable`; each wave of the batch is
-  advanced by one vectorized judge kernel (a ``step_many`` gather plus
-  numpy flag, verdict and counter updates), and few deep sessions run
-  the table's scalar scan instead.  Everything else — machine-backed
-  monitors, buffering sessions, late or out-of-order events — falls
-  back to the scalar path, event order preserved per session.
+  :class:`~repro.stream.monitor.SlotTable`.  Few deep sessions run the
+  table's scalar scan; otherwise the batch is encoded once into
+  columns and handed to :meth:`SessionMux.ingest_columns`, where each
+  wave of the batch is advanced by one vectorized judge kernel (a
+  ``step_many`` gather plus numpy flag, verdict and counter updates).
+  Everything else — machine-backed monitors, buffering sessions, late
+  or out-of-order events — falls back to the scalar path, event order
+  preserved per session.
+
+The columns are integer ids: every session has an id while it is open
+(:meth:`SessionMux.session_ids`; freed on close, eviction or
+extraction and reused), an id-indexed column gives its slot on the
+table (``-1`` off it), and symbols take the table's ``sym_index``
+codes, any other symbol interned after them
+(:meth:`SessionMux.symbol_ids`).  A shard worker
+(:mod:`repro.shard.worker`) hands the router's columns to
+:meth:`SessionMux.ingest_columns` directly, so both front-ends share
+one wave path.
 
 Boundedness is explicit, not accidental:
 
@@ -63,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.verdict import DecisionReport, Verdict
@@ -77,6 +89,11 @@ DROP_POLICIES = ("drop-new", "drop-old", "reject")
 
 #: Fields of a ``(name, symbol, t)`` batch event.
 _NAME, _SYMBOL, _TIME = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _as_list(column: Any) -> List[Any]:
+    """A column as a list of Python scalars."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
 class BackpressureError(RuntimeError):
@@ -193,9 +210,16 @@ class SessionMux:
         #: automaton fell back to the interpreter).
         self._tba_compiled = None
         #: The columnar session table over ``_tba_compiled`` (on-time
-        #: deterministic muxes only) and the slot of every session on it.
+        #: deterministic muxes only).
         self._table: Optional[SlotTable] = None
-        self._slots: Dict[str, int] = {}
+        #: Session ids: name → id, id → name (``None`` once freed), and
+        #: the freed ids a new session takes first.
+        self._ids: Dict[str, int] = {}
+        self._names: List[Optional[str]] = []
+        self._free_ids: List[int] = []
+        #: id → slot on ``_table`` (``-1`` off the table); numpy, so a
+        #: batch finds its slots with one gather.
+        self._slot_of: Any = None
         if monitor_factory is not None:
             self._factory = monitor_factory
         elif plan is not None:
@@ -226,6 +250,13 @@ class SessionMux:
             self._table = SlotTable(
                 comp, f_window, ledger=plan is not None, columnar=True
             )
+            self._slot_of = NUMPY.empty(0, dtype=NUMPY.int32)
+        #: Symbol ids: the table's ``sym_index`` codes, then every other
+        #: symbol in order of arrival.
+        self._symbols: List[Any] = []
+        self._sym_ids: Dict[Any, int] = {}
+        if self._table is not None:
+            self._symbols, self._sym_ids = list(comp.symbols), dict(comp.sym_index)
 
     # -- session table -----------------------------------------------------
     def __len__(self) -> int:
@@ -273,29 +304,49 @@ class SessionMux:
         return monitor
 
     def _add(self, name: str, monitor: Any) -> None:
-        """Register a session; an on-time monitor over the shared
-        compiled artifact moves its slot into the mux's table."""
+        """Register a session under a free id; an on-time monitor over
+        the shared compiled artifact moves its slot into the mux's table."""
         self._sessions[name] = monitor
+        if self._free_ids:
+            sid = self._free_ids.pop()
+            self._names[sid] = name
+        else:
+            sid = len(self._names)
+            self._names.append(name)
+        self._ids[name] = sid
         tab = self._table
+        if tab is None:
+            return
+        if sid >= len(self._slot_of):
+            grown = NUMPY.full(max(16, 2 * sid), -1, dtype=NUMPY.int32)
+            grown[: len(self._slot_of)] = self._slot_of
+            self._slot_of = grown
+        slot = -1
         if (
-            tab is not None
-            and getattr(monitor, "_compiled", None) is tab.comp
+            getattr(monitor, "_compiled", None) is tab.comp
             and monitor.lateness == 0
             and not monitor._heap
             and monitor.f_window == tab.f_window
             and monitor._ledger == (tab.svc is not None)
         ):
-            monitor._slot = self._slots[name] = tab.take(monitor._tab, monitor._slot)
+            monitor._slot = slot = tab.take(monitor._tab, monitor._slot)
             monitor._tab = tab
+        self._slot_of[sid] = slot
 
     def _forget(self, name: str) -> Any:
-        """Unregister a session; its monitor keeps its final state in a
-        private one-slot table (handles outlive the session)."""
+        """Unregister a session and free its id; its monitor keeps its
+        final state in a private one-slot table (handles outlive the
+        session)."""
         monitor = self._sessions.pop(name)
-        slot = self._slots.pop(name, None)
-        if slot is not None:
-            own = SlotTable(self._table.comp, self._table.f_window, monitor._ledger)
-            monitor._slot, monitor._tab = own.take(self._table, slot), own
+        sid = self._ids.pop(name)
+        self._names[sid] = None
+        self._free_ids.append(sid)
+        if self._table is not None:
+            slot = int(self._slot_of[sid])
+            self._slot_of[sid] = -1
+            if slot >= 0:
+                own = SlotTable(self._table.comp, self._table.f_window, monitor._ledger)
+                monitor._slot, monitor._tab = own.take(self._table, slot), own
         return monitor
 
     # -- ingestion ---------------------------------------------------------
@@ -325,56 +376,156 @@ class SessionMux:
 
         Each session's relative order is preserved.  Few deep sessions
         run their slices through the table's ``scan`` up to the first
-        late event; otherwise wave ``k`` (the ``k``-th event of every
-        on-time, in-order session) is advanced by one ``step_wave``
-        kernel call.  Everything else — machine-backed monitors,
-        buffering or late traffic, interpreter fallbacks — replays
-        through :meth:`ingest` in batch order.  Verdicts and counters
-        equal a loop of :meth:`ingest`, refusals included: a session
-        that cannot open raises :class:`BackpressureError` after exactly
-        the events before its first one were applied.
+        late event; otherwise the batch is encoded once into id columns
+        and handed to :meth:`ingest_columns`.  Everything else —
+        machine-backed monitors, buffering or late traffic, interpreter
+        fallbacks — replays through :meth:`ingest` in batch order.
+        Verdicts and counters equal a loop of :meth:`ingest`, refusals
+        included: a session that cannot open raises
+        :class:`BackpressureError` after exactly the events before its
+        first one were applied.
 
         Returns the number of events advanced through a vectorized
         path (the rest went through :meth:`ingest`).
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
-        tab = self._table
-        if tab is None or not events:
+        if self._table is None or not events:
             for name, symbol, t in events:
                 self.ingest(name, symbol, t)
             return 0
-        # Column views by map, not ``zip(*events)``: that builds one
-        # iterator per event, the batch's largest transient allocation.
+        # The deep arm is chosen from the names alone: encoding columns
+        # first would cost the few-deep-sessions case more than it saves.
         names = list(map(_NAME, events))
         seen = set(names)
-        distinct = len(seen)
-        deep = len(names) >= 8 * distinct
-        sessions = self._sessions
-        slots = None if deep else list(map(self._slots.get, names))
-        unknown = not all(map(sessions.__contains__, seen)) if deep else None in slots
+        deep = len(names) >= 8 * len(seen)
         refused = None
+        unknown = not all(map(self._ids.__contains__, seen))
+        del seen  # one hash slot per name: free it before the columns
         if unknown:
-            for name in dict.fromkeys(n for n in names if n not in sessions):
-                try:
-                    self.open(name)
-                except BackpressureError as exc:
-                    refused = exc
-                    cut = names.index(name)
-                    events, names = events[:cut], names[:cut]
-                    distinct = len(set(names))
-                    break
-            if not deep:
-                slots = list(map(self._slots.get, names))
-        # Few deep sessions: each session's own scan beats assembling
-        # cross-session waves, which need at least one session on the table.
-        if deep or slots.count(None) == len(slots):
+            ids, refused = self.session_ids(names)
+            if refused is not None:
+                events, names = events[: len(ids)], names[: len(ids)]
+        if deep:
             vectorized = self._ingest_slices(events)
+        elif events:
+            np = NUMPY
+            n = len(names)
+            sy = np.fromiter(
+                map(self._sym_ids.get, map(_SYMBOL, events), repeat(-1, n)),
+                dtype=np.intp,
+                count=n,
+            )
+            if sy.min() < 0:
+                sy = np.array(self.symbol_ids(list(map(_SYMBOL, events))), dtype=np.intp)
+            vectorized = self.ingest_columns(
+                np.fromiter(map(self._ids.__getitem__, names), dtype=np.intp, count=n),
+                sy,
+                np.fromiter(map(_TIME, events), dtype=np.int64, count=n),
+            )
         else:
-            vectorized = self._ingest_waves(events, slots, distinct)
+            vectorized = 0
         if refused is not None:
             raise refused
         return vectorized
+
+    def session_ids(self, names) -> Tuple[List[int], Optional[BackpressureError]]:
+        """The session id of every name, opening unknown sessions in
+        order of first appearance.
+
+        On a refused open, returns the ids of the names before the
+        refused session's first appearance, with the refusal (the
+        sessions opened before it stay open).
+        """
+        get = self._ids.get
+        ids = list(map(get, names))
+        if None in ids:
+            for name in dict.fromkeys(n for n, i in zip(names, ids) if i is None):
+                try:
+                    self.open(name)
+                except BackpressureError as exc:
+                    return list(map(get, names[: names.index(name)])), exc
+            ids = list(map(get, names))
+        return ids, None
+
+    def symbol_ids(self, symbols) -> List[int]:
+        """Symbol ids: alphabet symbols take the table's ``sym_index``
+        codes, any other symbol is interned after them."""
+        ids = list(map(self._sym_ids.get, symbols))
+        if None in ids:
+            ids = list(map(self._symbol_id, symbols))
+        return ids
+
+    def _symbol_id(self, symbol: Any) -> int:
+        sid = self._sym_ids.get(symbol)
+        if sid is None:
+            sid = self._sym_ids[symbol] = len(self._symbols)
+            self._symbols.append(symbol)
+        return sid
+
+    def ingest_columns(self, ids, symbols, times) -> int:
+        """Feed a batch given as columns: open sessions' ids
+        (:meth:`session_ids`), symbol ids (:meth:`symbol_ids`) and
+        times, as integer arrays.
+
+        Wave ``k`` (the ``k``-th event of every on-time, in-order
+        session on the table) is advanced by one ``step_wave`` kernel
+        call; every other session's events replay through
+        :meth:`ingest`, decoded to their names and symbols, in batch
+        order.  Verdicts and counters equal a loop of :meth:`ingest`.
+        Returns the number of events advanced by the kernel.
+        """
+        np = NUMPY
+        tab = self._table
+        if tab is None or not tab.capacity:
+            self._replay(ids, symbols, times)
+            return 0
+        ids = np.asarray(ids)
+        tt = np.asarray(times, dtype=np.int64)
+        n = len(ids)
+        # Indexing with intp is several times faster than with int32.
+        sl = self._slot_of[ids].astype(np.intp)
+        # A slice rides the waves only if it is on time and in order:
+        # each event at or after its predecessor in the session (or the
+        # slot's max_seen), never negative.
+        floor = np.maximum(tab.arrays["max_seen"].take(sl, mode="clip"), 0)
+        rank = None
+        s = np.sort(ids)
+        if (s[1:] == s[:-1]).any():
+            # Some session has several events: rank them by position.
+            order = np.argsort(ids, kind="stable")
+            s = ids[order]
+            starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+            rank = np.empty(n, dtype=np.intp)
+            rank[order] = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+            prev = np.empty(n, dtype=np.int64)
+            prev[order[1:]] = tt[order[:-1]]
+            floor = np.where(rank == 0, floor, prev)
+        scalar = (tt < floor) | (sl < 0)
+        if scalar.any():
+            scalar = np.isin(ids, ids[scalar])
+        # Symbols off the alphabet all step through the unknown column.
+        sy = np.minimum(symbols, tab.comp.n_symbols)
+        waves = 1
+        if rank is not None:
+            on = rank[~scalar]
+            waves = int(on.max()) + 1 if len(on) else 0
+        vectorized = 0
+        for k in range(waves):
+            w = ~scalar if rank is None else (rank == k) & ~scalar
+            if not w.all():
+                w = np.flatnonzero(w)
+            vectorized += tab.step_wave(sl[w], sy[w], tt[w])
+        if vectorized < n:
+            w = np.flatnonzero(scalar)
+            self._replay(ids[w], np.asarray(symbols)[w], tt[w])
+        return vectorized
+
+    def _replay(self, ids, symbols, times) -> None:
+        """Columns through the scalar path, decoded, in order."""
+        names, syms = self._names, self._symbols
+        for i, s, t in zip(_as_list(ids), _as_list(symbols), _as_list(times)):
+            self.ingest(names[i], syms[s], t)
 
     def _ingest_slices(self, events) -> int:
         groups: Dict[str, List[Any]] = {}
@@ -384,10 +535,11 @@ class SessionMux:
                 g = groups[name] = []
             g.append((symbol, t))
         scan = self._table.scan
+        ids, slot_of = self._ids, self._slot_of
         vectorized = 0
         for name, slice_ in groups.items():
-            slot = self._slots.get(name)
-            if slot is not None:
+            slot = int(slot_of[ids[name]])
+            if slot >= 0:
                 # The scan stops at the first late event; the scalar
                 # path takes it and the rest of the slice.
                 done = scan(slot, slice_)
@@ -397,48 +549,6 @@ class SessionMux:
                 slice_ = slice_[done:]
             for symbol, t in slice_:
                 self.ingest(name, symbol, t)
-        return vectorized
-
-    def _ingest_waves(self, events, slots, distinct) -> int:
-        np = NUMPY
-        tab = self._table
-        comp = tab.comp
-        n = len(slots)
-        sl = np.array(
-            [-1 if s is None else s for s in slots] if None in slots else slots,
-            dtype=np.intp,
-        )
-        tt = np.fromiter(map(_TIME, events), dtype=np.int64, count=n)
-        # A slice rides the waves only if it is on time and in order:
-        # each event at or after its predecessor in the session (or the
-        # slot's max_seen), never negative.
-        floor = np.maximum(tab.arrays["max_seen"].take(sl, mode="clip"), 0)
-        rank = None
-        if distinct < n:
-            order = np.argsort(sl, kind="stable")
-            s = sl[order]
-            starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-            rank = np.empty(n, dtype=np.intp)
-            rank[order] = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
-            prev = np.empty(n, dtype=np.int64)
-            prev[order[1:]] = tt[order[:-1]]
-            floor = np.where(rank == 0, floor, prev)
-        scalar = (tt < floor) | (sl < 0)
-        if scalar.any():
-            scalar = np.isin(sl, sl[scalar])
-        sy = np.fromiter(
-            map(comp.sym_index.get, map(_SYMBOL, events), repeat(comp.n_symbols, n)),
-            dtype=np.intp,
-            count=n,
-        )
-        vectorized = 0
-        for k in range(1 if rank is None else int(rank.max()) + 1):
-            w = ~scalar if rank is None else (rank == k) & ~scalar
-            if not w.all():
-                w = np.flatnonzero(w)
-            vectorized += tab.step_wave(sl[w], sy[w], tt[w])
-        for i in np.flatnonzero(scalar).tolist():
-            self.ingest(*events[i])
         return vectorized
 
     def verdicts(self) -> Dict[str, StreamVerdict]:
@@ -515,9 +625,16 @@ class SessionMux:
         victims = [
             name for name, t in last.items() if t is None or now - t > ttl
         ]
+        self._evict(victims, now)
+        return victims
+
+    def _evict(self, victims: List[str], now: int) -> None:
+        """Retire the named sessions as idle at ``now``, filing their
+        eviction summaries (a journal replays an eviction through here)."""
         h = _obs.HOOKS
         for name in victims:
             monitor = self._forget(name)
+            last = monitor.max_seen
             so_far = monitor.verdict
             final = (
                 so_far.as_verdict()
@@ -527,12 +644,12 @@ class SessionMux:
             decision = DecisionReport(
                 verdict=final,
                 f_count=getattr(monitor, "accept_visits", 0),
-                decided_at=last[name],
+                decided_at=last,
                 evidence={
                     "evicted": "idle",
                     "stream_verdict": so_far.value,
                     "pending": monitor.pending,
-                    "last_event_time": last[name],
+                    "last_event_time": last,
                     "now": now,
                 },
                 strategy="evicted",
@@ -554,7 +671,6 @@ class SessionMux:
                 h.count("stream.sessions", op="evicted")
         if victims and h is not None:
             h.gauge("stream.sessions_active", len(self._sessions))
-        return victims
 
     def drain_evictions(self) -> List[SessionReport]:
         """Hand over (and clear) the accumulated eviction summaries."""

@@ -329,7 +329,7 @@ class TestMuxBatch:
         snap = checkpoint_mux(first)
         mux = restore_mux(snap, SessionMux(tba, late_policy="drop"), tba=tba)
         m = mux.monitor("s")
-        tab, slot = mux._table, mux._slots["s"]
+        tab, slot = mux._table, mux._slot_of[mux._ids["s"]]
         assert m._tab is tab
         state = snap["sessions"]["s"]["snapshot"]["state"]
         assert m.configs == restore(snap["sessions"]["s"]["snapshot"], tba=tba).configs

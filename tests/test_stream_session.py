@@ -8,6 +8,7 @@ from repro.kernel import Le
 from repro.machine import RealTimeAlgorithm
 from repro.obs import instrumented
 from repro.stream import BackpressureError, SessionMux, StreamVerdict, TBAMonitor
+from repro.stream.compiled import compilation_enabled
 from repro.words import TimedWord
 
 
@@ -356,3 +357,52 @@ class TestEvictionReports:
         assert report.decision.verdict is Verdict.UNDECIDED
         assert report.decision.evidence["pending"] == 2
         assert report.events_released == 0
+
+
+# ---------------------------------------------------------------- columns
+
+
+def test_symbol_off_the_alphabet_rejects_on_table_but_not_a_private_query():
+    # Both sessions see "tick": the shared table has no such symbol (it
+    # steps through the unknown column), the private query knows it,
+    # so the columns must carry the symbol itself back to the scalar path.
+    events = [("plain", "hb", 0), ("special", "tick", 0), ("plain", "tick", 2),
+              ("special", "tick", 8), ("plain", "hb", 3)]
+    batched = SessionMux(query="repeat(hb within 5)")
+    batched.open("special", query="repeat(tick within 9)")
+    # plain's events run on the table (none without compilation)
+    assert batched.ingest_batch(events) == (3 if compilation_enabled() else 0)
+    scalar = SessionMux(query="repeat(hb within 5)", compiled=False)
+    scalar.open("special", query="repeat(tick within 9)")
+    for e in events:
+        scalar.ingest(*e)
+    assert batched.verdicts() == scalar.verdicts() == {
+        "plain": StreamVerdict.REJECTED,
+        "special": StreamVerdict.ACCEPTING,
+    }
+
+
+def test_empty_and_generator_batches():
+    events = [(f"s{i % 3}", "a", i // 3) for i in range(30)]
+    mux = SessionMux(bounded_gap_tba())
+    assert mux.ingest_batch([]) == 0
+    assert mux.ingest_batch(iter([])) == 0
+    assert mux.ingest_batch(e for e in events) == (30 if compilation_enabled() else 0)
+    ref = SessionMux(bounded_gap_tba())
+    for e in events:
+        ref.ingest(*e)
+    assert mux.verdicts() == ref.verdicts()
+
+
+def test_session_ids_are_reused_and_the_slot_column_follows():
+    mux = SessionMux(bounded_gap_tba())
+    mux.ingest_batch([("a", "a", 1), ("b", "a", 1), ("c", "a", 1)])
+    freed = mux._ids["b"]
+    mux.close("b")
+    mux.ingest_batch([("d", "a", 2), ("a", "a", 2)])
+    assert mux._ids["d"] == freed and mux._names[freed] == "d"
+    assert mux.session_ids(["a", "e"]) == ([mux._ids["a"], 3], None)
+    if mux._table is not None:
+        assert mux._table.arrays["events"][mux._slot_of[freed]] == 1
+        mux.close("d")
+        assert mux._slot_of[freed] == -1
