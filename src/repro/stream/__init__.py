@@ -15,11 +15,12 @@ shape needs verdicts over live traffic.  This package is that runtime:
     :class:`TBAMonitor` steps a timed Büchi automaton's configuration
     set against a precomputed liveness analysis.
 ``stream.compiled``
-    :class:`CompiledTBA` — the analysis lowered to dense integer
-    transition tables and bitset masks, so TBA stepping and lasso
-    acceptance are array lookups instead of dict interpretation
-    (automatic fallback when numpy is absent or the automaton exceeds
-    the table bounds; see ``docs/performance.md``).
+    :class:`CompiledTBA` — the analysis lowered to one dense integer
+    transition table over the reachable configuration sets, so TBA
+    stepping is an array lookup instead of dict interpretation,
+    deterministic automaton or not (automatic fallback when numpy is
+    absent or the automaton reaches more sets than the table bounds
+    allow; see ``docs/performance.md``).
 ``stream.session``
     :class:`SessionMux` — many named streams over shared compiled
     acceptors, with bounded per-session buffers, explicit

@@ -43,11 +43,11 @@ Two monitors share the ingestion machinery:
     *interpreted* path calls ``TimedBuchiAutomaton._step_configs`` per
     event (dict-built valuations, guard ASTs re-evaluated).  The
     *compiled* path (:mod:`repro.stream.compiled`, the default when
-    numpy is available) steps a dense transition table / successor
-    bitset compiled once per analysis, so an event costs a couple of
-    array lookups.  On a deterministic table the monitor is a view onto
-    one slot of a :class:`SlotTable` (private, or a mux's shared one),
-    whose scan and vectorized wave kernel own the judge rule.
+    numpy is available) steps a dense transition table over the
+    reachable configuration sets, compiled once per analysis, so an
+    event costs a couple of array lookups.  There the monitor is a view
+    onto one slot of a :class:`SlotTable` (private, or a mux's shared
+    one), whose scan and vectorized wave kernel own the judge rule.
     ``compiled=False`` (or ``REPRO_STREAM_COMPILED=0``, or a missing
     numpy, or an automaton past the table bounds) falls back to the
     interpreter; ``tests/test_stream_compiled.py`` pins the paths
@@ -400,15 +400,16 @@ class SlotTable:
 
     :attr:`cols` holds the :attr:`COLUMNS` (``None`` times stored as
     ``-1``; ``lat`` is the last accepting visit, ``glock`` the green
-    lock, ``vcode`` the verdict code).  A table over a compiled
-    *deterministic* artifact owns the judge rule in two layouts:
+    lock, ``vcode`` the verdict code; ``ci`` is the row of the
+    configuration set).  A table over a compiled artifact owns the
+    judge rule in two layouts:
     :meth:`scan` (one slot, an event slice) and :meth:`step_wave` (many
     slots, one event each).  Only a ``columnar`` table — a mux's shared
     one — runs the kernel: its columns are numpy arrays, read per slot
     through memoryviews.  Other tables keep plain lists.  ``ledger``
     tables also carry :class:`~repro.query.plan.PlanMonitor`'s per-slot
-    occupancy ledger (visit counts and last visit times per
-    configuration), Python lists the scan writes directly.
+    occupancy ledger (visit counts and last visit times per row),
+    Python lists the scan writes directly.
     """
 
     COLUMNS = (
@@ -480,7 +481,7 @@ class SlotTable:
         slot = self._put(self._fresh)
         if self.svc is not None:
             if self.comp is not None:
-                n = self.comp.n_configs + 1
+                n = len(self.comp.sets)
                 self.svc[slot], self.slt[slot] = [0] * n, [None] * n
             else:
                 self.svc[slot], self.slt[slot] = {}, {}
@@ -675,10 +676,12 @@ class TBAAnalysis:
 
     ``deterministic`` is *semantic*: at most one successor per
     (configuration, symbol, gap-class), measured on the reachable graph
-    during the BFS — the same notion :class:`CompiledTBA` uses.
-    Guard-disjoint multi-edges (the multi-query plan's completed
-    product automata are full of them) therefore still qualify for
-    dense-table stepping and green guarantees.
+    during the BFS.  Guard-disjoint multi-edges (the multi-query plan's
+    completed product automata are full of them) therefore still
+    qualify for green guarantees.  The BFS keeps every successor set it
+    computes in :attr:`cells`, which the totality fixpoint and
+    :class:`~repro.stream.compiled.CompiledTBA`'s enumeration of
+    configuration sets read instead of stepping again.
 
     Both liveness sets are *parameterized* over the accepting set:
     :meth:`live_for` / :meth:`green_for` recompute them for any
@@ -694,22 +697,28 @@ class TBAAnalysis:
             # (tests/test_stream_compiled.py asserts on this counter).
             h.count("stream.analysis_builds")
         self.tba = tba
-        self._gap_classes = range(tba._cmax + 2)
+        self.symbols: List[Any] = sorted(tba.alphabet, key=repr)
+        gaps = range(tba._cmax + 2)
         init = tba._initial_config()
+        #: Each configuration's successor set per (symbol, gap class),
+        #: symbol-major over :attr:`symbols`; equal sets are one object.
+        self.cells: Dict[Config, Tuple[FrozenSet[Config], ...]] = {}
+        distinct: Dict[FrozenSet[Config], FrozenSet[Config]] = {}
         adjacency: Dict[Config, Set[Config]] = {}
         universe: Set[Config] = {init}
         frontier = deque([init])
         deterministic = True
         while frontier:
             c = frontier.popleft()
-            succs: Set[Config] = set()
-            for a in tba.alphabet:
-                for g in self._gap_classes:
-                    out = tba._step_configs({c}, a, g)
+            row = []
+            for a in self.symbols:
+                for g in gaps:
+                    out = frozenset(tba._step_configs({c}, a, g))
                     if len(out) > 1:
                         deterministic = False
-                    succs |= out
-            adjacency[c] = succs
+                    row.append(distinct.setdefault(out, out))
+            self.cells[c] = tuple(row)
+            adjacency[c] = succs = set().union(*row)
             for s in succs:
                 if s not in universe:
                     universe.add(s)
@@ -774,14 +783,7 @@ class TBAAnalysis:
         shared by every :meth:`green_for` projection."""
         if self._total is not None:
             return self._total
-        tba = self.tba
-        cells: Dict[Config, List[Set[Config]]] = {}
-        for c in self.universe:
-            cells[c] = [
-                tba._step_configs({c}, a, g)
-                for a in tba.alphabet
-                for g in self._gap_classes
-            ]
+        cells = self.cells
         total = set(self.universe)
         changed = True
         while changed:
@@ -847,26 +849,27 @@ class TBAMonitor(_BaseMonitor):
 
     * **compiled** (default when available) — the
       :class:`~repro.stream.compiled.CompiledTBA` artifact shared
-      through the analysis: an event is a dense-table lookup
-      (deterministic stepping) or a bitset OR (nondeterministic), plus
-      two flag reads for the judgement.  :meth:`ingest_many`
-      additionally scans whole event slices in one tight loop when no
-      reorder buffering is in play.
+      through the analysis: an event is one lookup in its table over
+      configuration sets, deterministic or not, plus two flag reads
+      for the judgement.  :meth:`ingest_many` additionally scans whole
+      event slices in one tight loop when no reorder buffering is in
+      play.
     * **interpreted** — ``_step_configs`` over the frozen configuration
-      set, the fallback when numpy is absent, the automaton exceeds the
-      table bounds, ``REPRO_STREAM_COMPILED=0``, or ``compiled=False``.
+      set, the oracle the compiled path is tested against, and the
+      fallback when numpy is absent, the automaton reaches more
+      configuration sets than the table bounds allow,
+      ``REPRO_STREAM_COMPILED=0``, or ``compiled=False``.
 
     The monitor is a thin view onto its slot of a :class:`SlotTable`
     (a private list-backed one, or the shared table of the
     :class:`~repro.stream.session.SessionMux` holding it), where
     ``verdict``, ``prev_t``, ``max_seen`` and the counters live.  The
-    compiled deterministic path judges in :meth:`SlotTable.scan`; the
-    interpreted and bitset paths in :meth:`_judge`.  Either way the
-    whole mutable state is (configuration set, previous timestamp,
-    reorder buffer, counters) — which is what makes
-    :mod:`repro.stream.checkpoint` a constant-size snapshot; ``configs``
-    stays the canonical view (a property on the compiled path, decoded
-    on demand).
+    compiled path judges in :meth:`SlotTable.scan`, the interpreter in
+    :meth:`_judge`.  Either way the whole mutable state is
+    (configuration set, previous timestamp, reorder buffer, counters) —
+    which is what makes :mod:`repro.stream.checkpoint` a constant-size
+    snapshot; ``configs`` stays the canonical view (on the compiled
+    path, the set of the slot's row).
 
     Verdict semantics: REJECTED exactly when no reachable configuration
     is ``live`` (no accepting continuation — exact even for
@@ -914,15 +917,10 @@ class TBAMonitor(_BaseMonitor):
                 )
         self._compiled = comp
         self._configs: Optional[FrozenSet[Config]] = None
-        self._cmask: Optional[int] = None  # compiled nondeterministic bitset
-        det = comp is not None and comp.deterministic
-        self._tab = SlotTable(comp if det else None, f_window, self._ledger)
+        self._tab = SlotTable(comp, f_window, self._ledger)
         self._slot = self._tab.alloc()
         if comp is None:
             self._configs = frozenset({tba._initial_config()})
-        elif not det:
-            self._cmask = 1 << comp.initial_index
-        if not det:
             self._judge(0)
 
     @property
@@ -940,39 +938,27 @@ class TBAMonitor(_BaseMonitor):
 
     @property
     def configs(self) -> FrozenSet[Config]:
-        """The reachable configuration set (decoded from the compiled
-        state representation when on the compiled path)."""
+        """The reachable configuration set (its table row's set on the
+        compiled path)."""
         comp = self._compiled
         if comp is None:
             return self._configs  # type: ignore[return-value]
-        if comp.deterministic:
-            if self._ci == comp.trap:
-                return frozenset()
-            return frozenset({comp.configs[self._ci]})
-        return comp.decode_set(self._cmask)
+        return comp.sets[self._ci]
 
     @configs.setter
     def configs(self, value) -> None:
         value = frozenset(value)
         comp = self._compiled
         if comp is not None:
-            try:
-                mask = comp.encode_set(value)
-            except KeyError:
-                mask = None
-            if mask is not None and not comp.deterministic:
-                self._cmask = mask
+            ci = comp.set_index.get(value)
+            if ci is not None:
+                self._ci = ci
                 return
-            if mask is not None and mask & (mask - 1) == 0:
-                self._ci = mask.bit_length() - 1 if mask else comp.trap
-                return
-            # Configurations outside this automaton's reachable universe,
-            # or >1 under deterministic stepping, only come from a foreign
-            # snapshot: drop to the interpreter, off the compiled table.
+            # A set no run of this automaton reaches only comes from a
+            # foreign snapshot: drop to the interpreter, off the table.
             self._compiled = None
-            if self._tab.comp is not None:
-                own = SlotTable(None, self.f_window, self._ledger)
-                self._slot, self._tab = own.take(self._tab, self._slot), own
+            own = SlotTable(None, self.f_window, self._ledger)
+            self._slot, self._tab = own.take(self._tab, self._slot), own
         self._configs = value
 
     @property
@@ -981,8 +967,8 @@ class TBAMonitor(_BaseMonitor):
 
     def ingest(self, symbol: Any, t: int) -> StreamVerdict:
         # An on-time event of an unbuffered, uninstrumented compiled
-        # deterministic monitor goes straight to the scan; the generic
-        # path keeps the late policy, the heap and the observations.
+        # monitor goes straight to the scan; the generic path keeps the
+        # late policy, the heap and the observations.
         tab = self._tab
         if tab.comp is None or self.lateness or self._heap or _obs.HOOKS is not None:
             return super().ingest(symbol, t)
@@ -994,21 +980,14 @@ class TBAMonitor(_BaseMonitor):
         if self._tab.comp is not None:
             self._tab.scan(self._slot, ((symbol, t),), counted=False)
             return
-        comp = self._compiled
         if self.verdict is StreamVerdict.REJECTED:
             return
         gap = t - self.prev_t
         self.prev_t = t
-        if comp is None:
-            self._configs = frozenset(
-                self.tba._step_configs(set(self._configs), symbol, gap)
-            )
-            accepting = any(c[0] in self.tba.accepting for c in self._configs)
-        else:
-            mask = comp.step_mask(self._cmask, symbol, gap)
-            self._cmask = mask
-            accepting = bool(mask & comp.accepting_mask)
-        if accepting:
+        self._configs = frozenset(
+            self.tba._step_configs(set(self._configs), symbol, gap)
+        )
+        if any(c[0] in self.tba.accepting for c in self._configs):
             self.accept_visits += 1
             self._last_accept_time = t
         self._judge(t)
@@ -1018,10 +997,10 @@ class TBAMonitor(_BaseMonitor):
 
         Verdict- and counter-identical to looping :meth:`ingest`, minus
         the per-event ``stream.watermark_lag`` observations (identically
-        zero here).  The scan needs the compiled deterministic path,
-        ``lateness == 0`` and an empty reorder buffer (else the generic
-        loop runs); a late or negative-timestamp event hands itself and
-        the rest of the slice back to :meth:`ingest` for its policy.
+        zero here).  The scan needs the compiled path, ``lateness ==
+        0`` and an empty reorder buffer (else the generic loop runs); a
+        late or negative-timestamp event hands itself and the rest of
+        the slice back to :meth:`ingest` for its policy.
         """
         if self._tab.comp is None or self.lateness or self._heap:
             return super().ingest_many(events)
@@ -1033,21 +1012,11 @@ class TBAMonitor(_BaseMonitor):
         return self.verdict
 
     def _judge(self, t: int) -> None:
-        """The interpreted and bitset paths' judge (the compiled
-        deterministic path judges in the slot table)."""
-        comp = self._compiled
-        if comp is None:
-            an = self.analysis
-            alive = bool(self._configs & an.live)
-            green = bool(an.green) and self._configs <= an.green
-        else:
-            mask = self._cmask
-            alive = bool(mask & comp.live_mask)
-            green = (
-                bool(comp.green_mask)
-                and mask != 0
-                and mask & ~comp.green_mask == 0
-            )
+        """The interpreter's judge (the compiled path judges in the
+        slot table)."""
+        an = self.analysis
+        alive = bool(self._configs & an.live)
+        green = bool(an.green) and self._configs <= an.green
         if not alive:
             self._set_verdict(StreamVerdict.REJECTED)
             return

@@ -20,8 +20,8 @@ so by ``tests/test_stream_compiled.py``:
   path every policy decision (late events, backpressure, drops) runs
   through.
 * :meth:`SessionMux.ingest_batch` — many ``(name, symbol, t)`` events
-  at once.  On a compiled deterministic table (plain TBA or fused
-  plan) each session's monitor is a view onto one slot of a columnar
+  at once.  On a compiled table (any plain TBA or a fused plan) each
+  session's monitor is a view onto one slot of a columnar
   :class:`~repro.stream.monitor.SlotTable`.  Few deep sessions run the
   table's scalar scan; otherwise the batch is encoded once into
   columns and handed to :meth:`SessionMux.ingest_columns`, where each
@@ -210,7 +210,7 @@ class SessionMux:
         #: automaton fell back to the interpreter).
         self._tba_compiled = None
         #: The columnar session table over ``_tba_compiled`` (on-time
-        #: deterministic muxes only).
+        #: muxes only).
         self._table: Optional[SlotTable] = None
         #: Session ids: name → id, id → name (``None`` once freed), and
         #: the freed ids a new session takes first.
@@ -246,7 +246,7 @@ class SessionMux:
                 f_window=f_window,
             )
         comp = self._tba_compiled
-        if comp is not None and comp.deterministic and lateness == 0:
+        if comp is not None and lateness == 0:
             self._table = SlotTable(
                 comp, f_window, ledger=plan is not None, columnar=True
             )

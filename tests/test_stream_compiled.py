@@ -6,9 +6,9 @@ tests pin that, adversarially: random timed words (including foreign
 symbols and guard violations) through both `TBAMonitor` paths event by
 event, checkpoints taken mid-stream and restored across paths, the
 bulk `ingest_many` scan against the scalar loop, the mux's vectorized
-`ingest_batch` against scalar mux ingestion, lasso acceptance against
-`TimedBuchiAutomaton.accepts_lasso`, every fallback gate, and the
-one-analysis-build / one-compile-per-language cache invariants.
+`ingest_batch` against scalar mux ingestion, the deterministic lasso
+walk against `TimedBuchiAutomaton.accepts_lasso`, every fallback gate,
+and the one-analysis-build / one-compile-per-language cache invariants.
 
 The CI stream-smoke job runs this file twice — compiled path active
 and with ``REPRO_STREAM_COMPILED=0`` — so the fallback really is the
@@ -22,7 +22,9 @@ import pytest
 from repro.automata import TimedBuchiAutomaton, TimedTransition
 from repro.engine import clear_caches
 from repro.kernel import Le
+from repro.machine import tba_to_algorithm
 from repro.obs import install, uninstall
+from repro.query import as_query
 from repro.stream import (
     SessionMux,
     StreamVerdict,
@@ -65,6 +67,10 @@ def nondet_tba():
 
 
 CORPUS = TBA_FAMILY + [nondet_tba()]
+
+#: A nondeterministic query (``|`` is automaton union): 51
+#: configurations, 56 reachable configuration sets.
+ALT_QUERY = "repeat(a within 3) | repeat(b within 4)"
 
 
 def random_stream(rng, tba, n, foreign=True):
@@ -117,12 +123,6 @@ class TestDifferentialStepping:
                 assert vi is vc, (ti, seed, symbol, t)
                 assert interp.configs == comp.configs, (ti, seed, symbol, t)
             assert monitor_state(interp) == monitor_state(comp)
-
-    @needs_compiled
-    def test_nondeterministic_path_really_is_nondeterministic(self):
-        comp = compiled_for(analysis_for(nondet_tba()))
-        assert comp is not None and not comp.deterministic
-        assert comp.table is None and comp.succ_int is not None
 
     @needs_compiled
     @pytest.mark.parametrize("ti", range(len(CORPUS)))
@@ -272,6 +272,51 @@ class TestMuxBatch:
             scalar.ingest(name, symbol, t)
         assert batched.verdicts() == scalar.verdicts()
 
+    @needs_compiled
+    def test_alt_query_mux_rides_the_waves(self):
+        """A nondeterministic language steps on the mux table like any
+        other: every event of a wide on-time batch goes through
+        ``step_wave``, landing where the interpreter's sets do."""
+        rng = random.Random(18)
+        batched = SessionMux(query=ALT_QUERY)
+        scalar = SessionMux(query=ALT_QUERY, compiled=False)
+        assert batched._table is not None
+        names = [f"s{i}" for i in range(40)]
+        clocks = dict.fromkeys(names, 0)
+        rounds = {name: [] for name in names}
+        inst = install()
+        try:
+            total = 0
+            for _ in range(30):
+                events = []
+                for i, name in enumerate(names):
+                    # Both symbols every round keeps both branches alive
+                    # (sets of two); a b-only session loses the a branch.
+                    if not rounds[name]:
+                        rounds[name] = ["b"] if i % 4 == 3 else rng.sample("ab", 2)
+                    clocks[name] += rng.randint(0, 1)
+                    events.append((name, rounds[name].pop(), clocks[name]))
+                assert batched.ingest_batch(events) == len(events)
+                total += len(events)
+                for event in events:
+                    scalar.ingest(*event)
+                assert batched.verdicts() == scalar.verdicts()
+            wave = (
+                inst.registry.counter("stream.compiled_steps")
+                .labels(path="wave")
+                .value
+            )
+        finally:
+            uninstall()
+        assert wave == total
+        assert batched.stats() == scalar.stats()
+        sizes = set()
+        for name in names:
+            m = batched.monitor(name)
+            assert monitor_state(m) == monitor_state(scalar.monitor(name))
+            sizes.add(len(m.configs))
+        assert sizes == {1, 2}
+
     def test_machine_factory_mux_falls_back_to_scalar(self):
         """A mux over non-TBA monitors accepts ingest_batch (all
         events routed through the scalar path)."""
@@ -344,26 +389,23 @@ class TestMuxBatch:
 # -- lasso acceptance ------------------------------------------------------
 
 class TestAcceptsLasso:
-    @needs_compiled
-    @pytest.mark.parametrize("ti", range(len(CORPUS)))
+    """The deterministic lasso walk, over the machine's successor table."""
+
+    @pytest.mark.parametrize("ti", range(len(TBA_FAMILY)))
     def test_agrees_with_interpreter(self, ti):
-        tba = CORPUS[ti]
-        comp = compiled_for(analysis_for(tba))
+        tba = TBA_FAMILY[ti]
+        table = tba_to_algorithm(tba).successor_table
         rng = random.Random(880 + ti)
-        checked = 0
         for _ in range(40):
             word = random_lasso(rng, tba.alphabet)
-            assert comp.accepts_lasso(word) == tba.accepts_lasso(word)
-            checked += 1
-        assert checked == 40
+            assert table.accepts_lasso(word) == tba.accepts_lasso(word)
 
-    @needs_compiled
     def test_rejects_non_lasso_words(self):
         from repro.words import TimedWord
 
-        comp = compiled_for(analysis_for(bounded_gap_tba(1)))
+        table = tba_to_algorithm(bounded_gap_tba(1)).successor_table
         with pytest.raises(ValueError):
-            comp.accepts_lasso(TimedWord.finite([("a", 1)]))
+            table.accepts_lasso(TimedWord.finite([("a", 1)]))
 
 
 # -- cache invariants ------------------------------------------------------
@@ -469,6 +511,30 @@ class TestFallbacks:
         finally:
             uninstall()
         assert not TBAMonitor(analysis.tba, analysis=analysis).compiled
+
+    @needs_compiled
+    def test_bounds_count_configuration_sets(self, monkeypatch):
+        """``MAX_CONFIGS`` bounds table rows, the reachable sets: 51
+        configurations fit, their 56 sets do not."""
+        tba = as_query(ALT_QUERY).tba()
+        analysis = TBAAnalysis(tba)  # fresh, not shared
+        assert len(analysis.universe) == 51
+        monkeypatch.setattr(compiled_mod, "MAX_CONFIGS", 51)
+        inst = install()
+        try:
+            assert compiled_for(analysis) is None
+            reason = (
+                inst.registry.counter("stream.compile_fallbacks")
+                .labels(reason="bounds")
+                .value
+            )
+            assert reason == 1
+        finally:
+            uninstall()
+        monkeypatch.setattr(compiled_mod, "MAX_CONFIGS", 56)
+        assert compiled_for(analysis) is None  # the cached None
+        comp = compiled_for(TBAAnalysis(tba))
+        assert comp is not None and comp.trap == 56
 
     def test_fallback_monitor_still_agrees(self, monkeypatch):
         """The point of the gates: numpy-absent verdicts are the same."""
