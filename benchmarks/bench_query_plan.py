@@ -126,7 +126,7 @@ def test_per_query_baseline(benchmark, report, bench_record):
 def test_planned_fused(benchmark, report, bench_record):
     """One fused product mux — one shared table lookup per event."""
     if PLAN.compiled is None:
-        pytest.skip("compiled stepping unavailable (numpy absent/disabled)")
+        pytest.skip("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
     mux = benchmark(run_planned)
     assert mux.stats()["active"] == N_SESSIONS
     verdicts = mux.monitor("s0").query_verdicts()
@@ -151,7 +151,7 @@ def test_ablation_speedup(benchmark, report, bench_record):
     """The committed claim: fused plan ≥ 2x the per-query baseline on
     the 500-session workload, with a built-in verdict cross-check."""
     if PLAN.compiled is None:
-        pytest.skip("compiled stepping unavailable (numpy absent/disabled)")
+        pytest.skip("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
     # Warm both paths (shared artifacts, session-table allocation) and
     # cross-check the verdicts before timing anything.
     planned_mux = run_planned()

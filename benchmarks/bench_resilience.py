@@ -121,7 +121,7 @@ def test_mux_failover_recovery_latency(once, report, bench_record):
     def run():
         # 256 does not divide either event count, so the crash lands
         # with a non-empty journal and recovery times a real replay
-        supervisor = MuxSupervisor(factory, checkpoint_every=256, tba=tba)
+        supervisor = MuxSupervisor(factory, checkpoint_every=256)
         t0 = time.perf_counter()
         for name, sym, t in events:
             supervisor.ingest(name, sym, t)

@@ -103,7 +103,7 @@ def test_single_session_tba_compiled_events_per_sec(
 ):
     """The compiled path: the same events through the bulk table scan."""
     if compiled_for(ANALYSIS) is None:
-        pytest.skip("compiled stepping unavailable (numpy absent/disabled)")
+        pytest.skip("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
 
     def ingest_all():
         monitor = TBAMonitor(TBA, analysis=ANALYSIS, compiled=True)
@@ -191,7 +191,7 @@ def test_mux_sustains_concurrent_sessions(once, report, bench_record):
 def test_mux_batched_compiled_sessions(once, report, bench_record):
     """The same fan-in, chunked through vectorized ``ingest_batch``."""
     if compiled_for(ANALYSIS) is None:
-        pytest.skip("compiled stepping unavailable (numpy absent/disabled)")
+        pytest.skip("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
     fleet = _fleet()
 
     def drive():

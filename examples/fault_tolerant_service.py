@@ -129,7 +129,7 @@ reference = factory()
 for name, sym, t in events:
     reference.ingest(name, sym, t)
 
-supervisor = MuxSupervisor(factory, checkpoint_every=40, tba=tba)
+supervisor = MuxSupervisor(factory, checkpoint_every=40)
 for k, (name, sym, t) in enumerate(events):
     if k in (97, 213):  # two host losses, mid-stream
         supervisor.crash()

@@ -289,10 +289,9 @@ class QueryPlan:
             self.compiled = compiled_for(self.analysis)
             if compiled is True and self.compiled is None:
                 raise ValueError(
-                    "compiled stepping unavailable for this plan (numpy "
-                    "absent, REPRO_STREAM_COMPILED=0, or the product "
-                    "exceeds the table bounds) — drop queries or split "
-                    "the plan"
+                    "compiled stepping unavailable for this plan "
+                    "(REPRO_STREAM_COMPILED=0, or the product exceeds "
+                    "the table bounds) — drop queries or split the plan"
                 )
         #: Lazily-built per-channel flag views for :attr:`compiled`
         #: (shared read-only by every :class:`PlanMonitor`).

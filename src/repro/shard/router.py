@@ -26,10 +26,11 @@ mux (see :mod:`repro.shard.worker`).  The pieces:
   and every close and eviction as a lifecycle record, in order; a
   per-shard :meth:`checkpoint` snapshots the worker's mux and truncates
   that journal, and a SIGKILLed shard (:meth:`crash`, or any detected
-  death) comes back via :meth:`recover` — respawn, restore the
-  snapshot, replay the journal — or via :meth:`fail_over`, which
-  re-places the dead shard's sessions on the survivors and re-routes
-  its journal through the same columnar route.
+  death) comes back via :meth:`recover` — respawn and restore the
+  snapshot — or via :meth:`fail_over`, which re-places the dead shard's
+  checkpointed sessions on the survivors.  Either way the journal is
+  replayed one way, through the live front door: event columns through
+  the columnar route, closes and evictions on the ring's shard.
 * **Elasticity** — :meth:`rebalance` grows or shrinks the pool,
   migrating exactly the sessions whose ring placement changed
   (consistent hashing moves ~K/N of them) through the live-session
@@ -574,7 +575,10 @@ class ShardRouter:
         self._count("shard.checkpoints", shard=shard.id)
 
     def checkpoint(self, shard_id: Optional[str] = None) -> None:
-        """Snapshot shard muxes and truncate their journals."""
+        """Snapshot shard muxes and truncate their journals (a no-op on
+        a decide-only pool, which holds no session state)."""
+        if self._mux_factory is None:
+            return
         targets = (
             [self._shards[shard_id]]
             if shard_id is not None
@@ -606,32 +610,21 @@ class ShardRouter:
 
         Restore the last checkpoint into a fresh worker, then replay the
         journal (every event, close and eviction routed since that
-        checkpoint) in original order — deterministic for non-raising
-        drop policies, so the recovered shard's verdicts match an
-        uninterrupted run verdict-for-verdict.  Returns the recovery
-        latency in seconds (also observed as ``shard.recovery_latency``).
+        checkpoint) in original order through :meth:`_replay` —
+        deterministic for non-raising drop policies, so the recovered
+        shard's verdicts match an uninterrupted run verdict-for-verdict.
+        Returns the recovery latency in seconds (also observed as
+        ``shard.recovery_latency``).
         """
         old = self._shards[shard_id]
         t0 = time.perf_counter()
         self._reap(old)
         shard = self._spawn(shard_id, old.num)
         shard.snapshot = old.snapshot
-        shard.journal = old.journal
-        shard.journal_events = old.journal_events
-        shard.retired = old.retired
-        shard.unsent = len(shard.journal)
         if shard.snapshot is not None:
             self._request(shard, OP_RESTORE, shard.snapshot)
-        batches: List[EventBatch] = []
-        for op, payload in shard.journal + [(None, None)]:
-            if op == OP_EVENTS:
-                batches.append(payload)
-                continue
-            for batch in frame_batches(batches, self.chunk_events):
-                self._send_events(shard, batch)
-            batches = []
-            if op is not None:
-                self._request(shard, op, payload)
+        self._replay(old)
+        self._flush_shard(shard)
         self._drain_acks(shard)
         latency = time.perf_counter() - t0
         h = _obs.HOOKS
@@ -640,15 +633,42 @@ class ShardRouter:
             h.observe("shard.recovery_latency", latency)
         return latency
 
+    def _replay(self, dead: _Shard) -> None:
+        """Re-apply a dead shard's journal the way live traffic arrives:
+        event columns through :meth:`_route`, each close and eviction on
+        the ring's shard through :meth:`_apply` (both re-journal them on
+        the shard that now holds the sessions).
+
+        The dead shard's retired ids are handed to the shards now placing
+        them only afterwards: a checkpoint the replay itself triggers
+        (``checkpoint_every``) must not free ids later records still name.
+        """
+        for op, payload in dead.journal:
+            if op == OP_EVENTS:
+                self._route(payload)
+                continue
+            if op == OP_CLOSE:
+                parts = {self._ring.place(payload[0]): payload}
+            else:
+                now, idle_ttl, names = payload
+                groups: Dict[str, List[str]] = {}
+                for name in names:
+                    groups.setdefault(self._ring.place(name), []).append(name)
+                parts = {k: (now, idle_ttl, g) for k, g in groups.items()}
+            for target_id, part in sorted(parts.items()):
+                self._apply(self._shards[target_id], op, part)
+        for sid in dead.retired:
+            self._shards[self._shard_of_num[self._place[sid]]].retired.append(sid)
+
     def fail_over(self, shard_id: str) -> List[str]:
         """Retire a dead shard by re-placing its sessions on survivors.
 
         The dead shard's checkpointed sessions are adopted by the shards
         the shrunken ring now maps them to, and its journal is replayed
-        through the columnar route (re-creating any session born after
-        the checkpoint, and closing or evicting what was closed or
-        evicted since); the adopting shards are then checkpointed.
-        Returns the names that moved.
+        through :meth:`_replay` (re-creating any session born after the
+        checkpoint, and closing or evicting what was closed or evicted
+        since); the adopting shards are then checkpointed.  Returns the
+        names that moved.
         """
         if len(self._shards) < 2:
             raise ShardError("cannot fail over the only shard")
@@ -674,26 +694,8 @@ class ShardRouter:
             self._drain_acks(target)
             self._request(target, OP_ADOPT, entries)
             moved.extend(entries)
-        # The journal re-routes through the new ring (and re-journals
-        # on the adopting shards, keeping *their* recovery story whole).
-        for op, payload in dead.journal:
-            if op == OP_EVENTS:
-                self._route(payload)
-            elif op == OP_CLOSE:
-                self._apply(self._shards[self._ring.place(payload[0])], op, payload)
-            else:
-                now, idle_ttl, names = payload
-                by_target: Dict[str, List[str]] = {}
-                for name in names:
-                    by_target.setdefault(self._ring.place(name), []).append(name)
-                for target_id, group in sorted(by_target.items()):
-                    self._apply(self._shards[target_id], op, (now, idle_ttl, group))
+        self._replay(dead)
         self.sync()
-        # The dead shard's retired ids are in the replayed records: each
-        # now waits for its new shard's next checkpoint (not for one the
-        # replay itself may have triggered).
-        for sid in dead.retired:
-            self._shards[self._shard_of_num[self._place[sid]]].retired.append(sid)
         # Adopted sessions are in no snapshot or journal of their new
         # shard yet: checkpoint the adopters so a later crash of one of
         # them recovers them too.

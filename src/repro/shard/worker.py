@@ -8,7 +8,10 @@ is the router's per-shard recovery path).  Everything expensive lives
 * the :class:`~repro.stream.session.SessionMux` with its shared
   :class:`~repro.stream.monitor.TBAAnalysis` and
   :class:`~repro.stream.compiled.CompiledTBA` (built once at worker
-  start, reused by every session and every recovery restore);
+  start, reused by every session and every recovery restore: a restore
+  or an adoption reopens each session through the mux itself, so the
+  worker never names a language and any mux the factory builds,
+  ``monitor_factory`` ones included, checkpoints and recovers);
 * the engine's :class:`~repro.engine.batch.AcceptorCache` — a language
   installed via ``OP_INSTALL_LANG`` is compiled once and then serves
   every subsequent ``OP_DECIDE`` chunk without recompilation or
@@ -45,7 +48,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..automata.timed import TimedBuchiAutomaton
 from ..engine.batch import _decide_one, compiled_tba
 from ..engine.strategies import get_strategy
 from ..obs import DeltaDumper, Instrumentation
@@ -100,19 +102,6 @@ class _Worker:
         self._frames = self.inst.registry.counter(
             "shard.worker_frames", "frames served by a shard worker"
         ).labels(shard=shard_id)
-
-    # -- language rebinding for checkpoint restore ------------------------
-    def _lang_kwargs(self) -> Dict[str, Any]:
-        """How :mod:`repro.stream.checkpoint` re-binds this mux's language."""
-        if self.mux is None or self.mux.acceptor is None:
-            raise RuntimeError(
-                "this shard hosts no checkpointable mux (decide-only pool "
-                "or monitor_factory-backed sessions)"
-            )
-        lang = self.mux.acceptor
-        if isinstance(lang, TimedBuchiAutomaton):
-            return {"tba": lang}
-        return {"acceptor": lang}
 
     def _live_mux(self):
         if self.mux is None:
@@ -179,15 +168,12 @@ class _Worker:
     def on_restore(self, snapshot) -> int:
         from ..stream.checkpoint import restore_mux
 
-        if self._factory is None:
-            raise RuntimeError("decide-only shard cannot restore a mux")
-        fresh = self._factory()
-        restore_mux(snapshot, fresh, **self._lang_kwargs())
-        self.mux = fresh
+        self._live_mux()  # refuses on a decide-only shard
+        self.mux = restore_mux(snapshot, self._factory())
         # A fresh mux numbers its sessions and symbols anew.
         self.ids.fill(-1)
         self.syms.fill(-1)
-        return len(fresh)
+        return len(self.mux)
 
     def on_extract(self, names) -> Dict[str, Any]:
         from ..stream.checkpoint import extract_sessions
@@ -198,10 +184,7 @@ class _Worker:
     def on_adopt(self, entries) -> int:
         from ..stream.checkpoint import restore_sessions
 
-        restored = restore_sessions(
-            self._live_mux(), entries, **self._lang_kwargs()
-        )
-        return len(restored)
+        return len(restore_sessions(self._live_mux(), entries))
 
     def on_close(self, payload) -> Any:
         name, horizon, rid = payload

@@ -33,7 +33,11 @@ output needed:
     mid-stream :func:`repro.stream.checkpoint.checkpoint` / ``restore``
     across *both* stepping paths (compiled snapshot → interpreted
     restore and vice versa, plus a JSON round-trip) vs the
-    uninterrupted run.
+    uninterrupted run; and the same for a whole mux
+    (``checkpoint_mux`` → JSON → ``restore_mux`` halfway through the
+    ``mux`` pair's feed, on time and under a lateness bound) vs an
+    uninterrupted scalar mux — verdicts, ``stats()`` and every
+    session's state.
 ``mux``
     :meth:`~repro.stream.session.SessionMux.ingest_batch` on the
     shared compiled table vs scalar ``ingest`` on
@@ -675,8 +679,10 @@ def _check_checkpoint(
     spec: Case, alphabet: Tuple[Any, ...], word: TimedWord
 ) -> Optional[str]:
     from ..stream.checkpoint import checkpoint as save_snapshot
+    from ..stream.checkpoint import checkpoint_mux, restore_mux
     from ..stream.checkpoint import restore as restore_snapshot
     from ..stream.monitor import TBAMonitor
+    from ..stream.session import SessionMux
 
     tba = _case_tba(spec, alphabet)
     events = _events(word, _replay_len(word))
@@ -728,6 +734,32 @@ def _check_checkpoint(
                 f"(compiled={load_compiled}) flushes to {_final(second)} "
                 f"!= uninterrupted {_final(whole)}"
             )
+    # A whole mux, halfway through the mux pair's feed, restored onto
+    # the other stepping path (buffered sessions included under a
+    # lateness bound).
+    batches = _mux_feed(events)
+    half = len(batches) // 2
+    for lateness in (0, LATENESS):
+        kw = dict(lateness=lateness, late_policy="drop")
+        plain = SessionMux(tba, compiled=False, **kw)
+        for batch in batches:
+            for name, s, t in batch:
+                plain.ingest(name, s, t)
+        for save_compiled, load_compiled in ((False, None), (None, False)):
+            first = SessionMux(tba, compiled=save_compiled, **kw)
+            for batch in batches[:half]:
+                first.ingest_batch(batch)
+            snap = json.loads(json.dumps(checkpoint_mux(first)))
+            second = restore_mux(snap, SessionMux(tba, compiled=load_compiled, **kw))
+            for batch in batches[half:]:
+                second.ingest_batch(batch)
+            got, want = _mux_end(second), _mux_end(plain)
+            if got != want:
+                return (
+                    f"lateness={lateness}: mux save(compiled={save_compiled})"
+                    f"→restore(compiled={load_compiled}) after batch {half} "
+                    f"ends at {got} != uninterrupted {want}"
+                )
     return None
 
 
@@ -783,6 +815,12 @@ def _session_state(m) -> Tuple[Any, ...]:
         m.verdict_flips,
         m._green_locked,
     )
+
+
+def _mux_end(mux) -> Tuple[Any, ...]:
+    """A mux's verdicts, ``stats()`` and every session's state."""
+    states = {name: _session_state(mux.monitor(name)) for name in mux.active}
+    return mux.verdicts(), mux.stats(), states
 
 
 def _check_mux(

@@ -18,9 +18,9 @@ shape needs verdicts over live traffic.  This package is that runtime:
     :class:`CompiledTBA` — the analysis lowered to one dense integer
     transition table over the reachable configuration sets, so TBA
     stepping is an array lookup instead of dict interpretation,
-    deterministic automaton or not (automatic fallback when numpy is
-    absent or the automaton reaches more sets than the table bounds
-    allow; see ``docs/performance.md``).
+    deterministic automaton or not (automatic fallback when the
+    automaton reaches more sets than the table bounds allow; see
+    ``docs/performance.md``).
 ``stream.session``
     :class:`SessionMux` — many named streams over shared compiled
     acceptors, with bounded per-session buffers, explicit

@@ -15,7 +15,14 @@ JSON-able dictionaries:
   machine.  O(events) but exact (the machine re-dispatches the same
   event sequence).
 * :class:`~repro.stream.session.SessionMux` — per-session snapshots
-  plus the mux counters.
+  plus the mux counters; a session opened on a private query also
+  carries the query's text (``Query.to_text()``, rendered at checkpoint
+  time; a query with no text form refuses).  :func:`restore_mux` and
+  :func:`restore_sessions` reopen each session through the receiving
+  mux, as ``open`` would (its factory, or the session's own query),
+  refuse a snapshot whose kind or monitor settings (``lateness``,
+  ``late_policy``, ``f_window``) differ from that monitor's, and only
+  then load the state.
 
 Symbols, TBA states, and clock values cross the serialization boundary
 as ``repr`` strings inverted by :func:`ast.literal_eval`, so streams
@@ -30,12 +37,12 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import asdict
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.verdict import DecisionReport, Verdict
 from ..obs import hooks as _obs
-from .monitor import Monitor, StreamVerdict, TBAAnalysis, TBAMonitor, analysis_for
+from .monitor import Monitor, StreamVerdict, TBAAnalysis, TBAMonitor
 from .session import SessionMux, SessionReport
 
 __all__ = [
@@ -96,12 +103,24 @@ def _restore_base(monitor: Any, state: Dict[str, Any]) -> None:
     monitor._heap = [(t, seq, _dec(sym)) for t, seq, sym in state["buffer"]]
 
 
+def _kind(monitor: Any) -> Optional[str]:
+    """The snapshot kind of a monitor (``"plan"`` never checkpoints)."""
+    if hasattr(monitor, "query_verdicts"):
+        return "plan"
+    if isinstance(monitor, TBAMonitor):
+        return "tba"
+    if isinstance(monitor, Monitor):
+        return "machine"
+    return None
+
+
 def checkpoint(monitor: Any) -> Dict[str, Any]:
     """Snapshot one monitor into a JSON-able dictionary."""
     h = _obs.HOOKS
     if h is not None:
         h.count("stream.checkpoints", op="save")
-    if hasattr(monitor, "query_verdicts"):
+    kind = _kind(monitor)
+    if kind == "plan":
         # PlanMonitors carry per-channel occupancy books the TBA
         # snapshot format cannot express; snapshotting them as plain
         # TBAMonitors would silently lose the per-query verdicts.
@@ -109,7 +128,7 @@ def checkpoint(monitor: Any) -> Dict[str, Any]:
             "checkpointing fused plan monitors is not supported; "
             "checkpoint the individual query monitors instead"
         )
-    if isinstance(monitor, TBAMonitor):
+    if kind == "tba":
         return {
             "version": FORMAT_VERSION,
             "kind": "tba",
@@ -126,7 +145,7 @@ def checkpoint(monitor: Any) -> Dict[str, Any]:
                 green_locked=monitor._green_locked,
             ),
         }
-    if isinstance(monitor, Monitor):
+    if kind == "machine":
         if not monitor.keep_history:
             raise ValueError(
                 "machine-backed monitors checkpoint by replay; build the "
@@ -142,6 +161,44 @@ def checkpoint(monitor: Any) -> Dict[str, Any]:
             ),
         }
     raise TypeError(f"cannot checkpoint {type(monitor).__name__}")
+
+
+def _state(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    if snapshot.get("version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {snapshot.get('version')!r}")
+    return snapshot["state"]
+
+
+def _load(monitor: Any, snapshot: Dict[str, Any]) -> Any:
+    """Load a :func:`checkpoint` snapshot into a fresh ``monitor``,
+    refusing one whose kind or settings differ from the monitor's."""
+    state = _state(snapshot)
+    saved = (snapshot["kind"], state["lateness"], state["late_policy"], state["f_window"])
+    built = (_kind(monitor), monitor.lateness, monitor.late_policy, monitor.f_window)
+    if saved != built:
+        raise ValueError(
+            f"snapshot (kind, lateness, late_policy, f_window) {saved} does not "
+            f"fit this mux's monitor {built}"
+        )
+    h = _obs.HOOKS
+    if h is not None:
+        h.count("stream.checkpoints", op="restore")
+    if built[0] == "tba":
+        monitor.configs = frozenset(
+            (_dec(s), tuple(vals)) for s, vals in state["configs"]
+        )
+        monitor.prev_t = state["prev_t"]
+        monitor.accept_visits = state["accept_visits"]
+        monitor._last_accept_time = state["last_accept_time"]
+        monitor._green_locked = state["green_locked"]
+    else:
+        # Replay the released-event log through the machine, then pin
+        # the ingestion counters back to the snapshot's values (replay
+        # re-counts releases and flips).
+        for sym, t in state["history"]:
+            monitor._advance(_dec(sym), t)
+    _restore_base(monitor, state)
+    return monitor
 
 
 def restore(
@@ -162,51 +219,20 @@ def restore(
     interpreted path may be restored onto the compiled one and vice
     versa (the spec conformance harness cross-checks this).
     """
-    if snapshot.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {snapshot.get('version')!r}")
-    h = _obs.HOOKS
-    if h is not None:
-        h.count("stream.checkpoints", op="restore")
-    state = snapshot["state"]
+    state = _state(snapshot)
+    settings = {k: state[k] for k in ("lateness", "late_policy", "f_window")}
     kind = snapshot["kind"]
     if kind == "tba":
         if tba is None:
             raise ValueError("restoring a 'tba' snapshot needs tba=...")
-        monitor = TBAMonitor(
-            tba,
-            analysis=analysis,
-            lateness=state["lateness"],
-            late_policy=state["late_policy"],
-            f_window=state["f_window"],
-            compiled=compiled,
-        )
-        monitor.configs = frozenset(
-            (_dec(s), tuple(vals)) for s, vals in state["configs"]
-        )
-        monitor.prev_t = state["prev_t"]
-        monitor.accept_visits = state["accept_visits"]
-        monitor._last_accept_time = state["last_accept_time"]
-        monitor._green_locked = state["green_locked"]
-        _restore_base(monitor, state)
-        return monitor
-    if kind == "machine":
+        monitor = TBAMonitor(tba, analysis=analysis, compiled=compiled, **settings)
+    elif kind == "machine":
         if acceptor is None:
             raise ValueError("restoring a 'machine' snapshot needs acceptor=...")
-        monitor = Monitor(
-            acceptor,
-            lateness=state["lateness"],
-            late_policy=state["late_policy"],
-            f_window=state["f_window"],
-            keep_history=True,
-        )
-        # Replay the released-event log through the machine, then pin
-        # the ingestion counters back to the snapshot's values (replay
-        # re-counts releases and flips).
-        for sym, t in state["history"]:
-            monitor._advance(_dec(sym), t)
-        _restore_base(monitor, state)
-        return monitor
-    raise ValueError(f"unknown checkpoint kind {kind!r}")
+        monitor = Monitor(acceptor, keep_history=True, **settings)
+    else:
+        raise ValueError(f"unknown checkpoint kind {kind!r}")
+    return _load(monitor, snapshot)
 
 
 def _report_state(report: SessionReport) -> Dict[str, Any]:
@@ -226,11 +252,17 @@ def _restore_report(state: Dict[str, Any]) -> SessionReport:
 
 
 def _session_entry(mux: SessionMux, name: str, monitor: Any) -> Dict[str, Any]:
-    return {
+    entry = {
         "snapshot": checkpoint(monitor),
         "last_event_time": monitor.max_seen,
         "drops": mux._drops.get(name, 0),
     }
+    query = mux._queries.get(name)
+    if query is not None:
+        from ..query import as_query
+
+        entry["query"] = as_query(query).to_text()
+    return entry
 
 
 def checkpoint_mux(mux: SessionMux) -> Dict[str, Any]:
@@ -253,23 +285,13 @@ def checkpoint_mux(mux: SessionMux) -> Dict[str, Any]:
     }
 
 
-def _restore_entries(
-    mux: SessionMux,
-    entries: Dict[str, Dict[str, Any]],
-    tba: Optional[TimedBuchiAutomaton],
-    acceptor: Any,
-    compiled: Optional[bool],
-) -> List[str]:
-    # One analysis per language, shared by every restored session —
-    # without this, each restore() re-derives it from scratch (the
-    # one-build-per-language invariant is pinned by
-    # tests/test_stream_compiled.py).
-    analysis = analysis_for(tba) if tba is not None else None
-    kw = dict(tba=tba, acceptor=acceptor, analysis=analysis, compiled=compiled)
+def _restore_entries(mux: SessionMux, entries: Dict[str, Dict[str, Any]]) -> List[str]:
+    # Each session reopens through the mux's own door (its artifacts, its path).
     for name, entry in entries.items():
         if name in mux:
             raise ValueError(f"session {name!r} already live on this mux")
-        mux._add(name, restore(entry["snapshot"], **kw))
+        query = entry.get("query")
+        mux._add(name, _load(mux._new_monitor(query), entry["snapshot"]), query)
         if entry["drops"]:
             mux._drops[name] = entry["drops"]
     h = _obs.HOOKS
@@ -283,19 +305,20 @@ def restore_mux(
     mux: SessionMux,
     *,
     tba: Optional[TimedBuchiAutomaton] = None,
-    acceptor: Any = None,
-    compiled: Optional[bool] = None,
 ) -> SessionMux:
     """Repopulate a freshly-constructed mux from :func:`checkpoint_mux`.
 
     ``mux`` must be empty and configured like the one snapshotted (the
-    configuration, like the acceptor, is code and is not serialized).
-    Snapshots without eviction state restore it as empty.
+    configuration, like the acceptor, is code and is not serialized);
+    ``tba``, if given, must be its automaton.  Snapshots without
+    eviction state restore it as empty.
     """
     if len(mux):
         raise ValueError("restore_mux needs an empty mux")
     if snapshot.get("kind") != "mux":
         raise ValueError(f"not a mux snapshot: kind={snapshot.get('kind')!r}")
+    if tba is not None and tba is not mux.acceptor:
+        raise ValueError("tba= is not this mux's automaton")
     counters = snapshot["counters"]
     mux.drops = counters["drops"]
     mux.sessions_opened = counters["sessions_opened"]
@@ -305,7 +328,7 @@ def restore_mux(
     mux.eviction_reports = [
         _restore_report(r) for r in snapshot.get("eviction_reports", [])
     ]
-    _restore_entries(mux, snapshot["sessions"], tba, acceptor, compiled)
+    _restore_entries(mux, snapshot["sessions"])
     return mux
 
 
@@ -332,21 +355,14 @@ def extract_sessions(mux: SessionMux, names) -> Dict[str, Dict[str, Any]]:
     return entries
 
 
-def restore_sessions(
-    mux: SessionMux,
-    entries: Dict[str, Dict[str, Any]],
-    *,
-    tba: Optional[TimedBuchiAutomaton] = None,
-    acceptor: Any = None,
-    compiled: Optional[bool] = None,
-) -> List[str]:
+def restore_sessions(mux: SessionMux, entries: Dict[str, Dict[str, Any]]) -> List[str]:
     """Re-home :func:`extract_sessions` entries into a live mux.
 
     The receiving mux may already hold sessions (unlike
     :func:`restore_mux`); a name collision raises rather than silently
     clobbering a live monitor.  Returns the restored names.
     """
-    return _restore_entries(mux, entries, tba, acceptor, compiled)
+    return _restore_entries(mux, entries)
 
 
 def save_json(path: str, snapshot: Dict[str, Any]) -> None:

@@ -29,11 +29,11 @@ numpy artifacts so that stepping becomes array lookups:
 
 :func:`compiled_for` is the gated entry point: it returns ``None`` —
 and the monitors fall back to the interpreter, verdict-identically —
-when numpy is absent, when ``REPRO_STREAM_COMPILED=0`` disables the
-path, or when the enumeration passes the table bounds.  Outcomes are
-counted under ``stream.compile`` / ``stream.compile_fallbacks``
-(see ``docs/observability.md``); the cost model and measured speedups
-are documented in ``docs/performance.md``.
+when ``REPRO_STREAM_COMPILED=0`` disables the path or when the
+enumeration passes the table bounds.  Outcomes are counted under
+``stream.compile`` / ``stream.compile_fallbacks`` (see
+``docs/observability.md``); the cost model and measured speedups are
+documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -41,16 +41,9 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from ..obs import hooks as _obs
-
-try:  # pragma: no cover - exercised via the fallback tests' monkeypatch
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-#: The numpy module, or None.  Tests monkeypatch this to simulate a
-#: numpy-absent interpreter and pin the fallback behaviour.
-NUMPY = _numpy
 
 __all__ = [
     "CompiledTBA",
@@ -77,8 +70,8 @@ ConfigSet = FrozenSet[Tuple[Any, Tuple[int, ...]]]
 
 
 def compilation_enabled() -> bool:
-    """Numpy present and the env toggle not set to off."""
-    return NUMPY is not None and os.environ.get(ENV_TOGGLE, "1").lower() not in (
+    """The env toggle is not set to off."""
+    return os.environ.get(ENV_TOGGLE, "1").lower() not in (
         "0",
         "false",
         "no",
@@ -134,7 +127,6 @@ class CompiledTBA:
     """
 
     def __init__(self, analysis: Any, sets: List[ConfigSet], rows: List[List[int]]):
-        np = NUMPY
         tba = analysis.tba
         self.analysis = analysis
         self.tba = tba
@@ -195,7 +187,6 @@ class CompiledTBA:
     def step_many(self, states: Any, sym_indices: Any, gaps: Any) -> Any:
         """Vectorized step: one table gather advances a whole array of
         sessions (`states` may include the trap)."""
-        np = NUMPY
         return self.table[states, sym_indices, np.minimum(gaps, self.gap_cap)]
 
 
@@ -247,21 +238,15 @@ def compiled_for(analysis: Any) -> Optional[CompiledTBA]:
     """The cached :class:`CompiledTBA` for one analysis, or ``None``.
 
     Fallback (returns ``None``, counted under
-    ``stream.compile_fallbacks``) when numpy is absent, when
-    ``REPRO_STREAM_COMPILED=0``, or when the automaton reaches more
-    than :data:`MAX_CONFIGS` configuration sets or its table would pass
-    :data:`MAX_TABLE_CELLS` (the enumeration stops there).  The compiled
-    artifact is memoized *on the analysis object*, so every session
-    sharing the analysis shares one compilation (the
-    one-build-per-language invariant of
+    ``stream.compile_fallbacks``) when ``REPRO_STREAM_COMPILED=0``, or
+    when the automaton reaches more than :data:`MAX_CONFIGS`
+    configuration sets or its table would pass :data:`MAX_TABLE_CELLS`
+    (the enumeration stops there).  The compiled artifact is memoized
+    *on the analysis object*, so every session sharing the analysis
+    shares one compilation (the one-build-per-language invariant of
     ``tests/test_stream_compiled.py``).
     """
     h = _obs.HOOKS
-    if NUMPY is None:
-        if h is not None:
-            h.count("stream.compile", outcome="fallback")
-            h.count("stream.compile_fallbacks", reason="numpy-absent")
-        return None
     if not compilation_enabled():
         if h is not None:
             h.count("stream.compile", outcome="fallback")

@@ -42,16 +42,16 @@ Two monitors share the ingestion machinery:
     The TBA monitor has **two verdict-identical stepping paths**.  The
     *interpreted* path calls ``TimedBuchiAutomaton._step_configs`` per
     event (dict-built valuations, guard ASTs re-evaluated).  The
-    *compiled* path (:mod:`repro.stream.compiled`, the default when
-    numpy is available) steps a dense transition table over the
-    reachable configuration sets, compiled once per analysis, so an
-    event costs a couple of array lookups.  There the monitor is a view
-    onto one slot of a :class:`SlotTable` (private, or a mux's shared
-    one), whose scan and vectorized wave kernel own the judge rule.
-    ``compiled=False`` (or ``REPRO_STREAM_COMPILED=0``, or a missing
-    numpy, or an automaton past the table bounds) falls back to the
-    interpreter; ``tests/test_stream_compiled.py`` pins the paths
-    verdict-stream-identical.  Cost model: ``docs/performance.md``.
+    *compiled* path (:mod:`repro.stream.compiled`, the default) steps a
+    dense transition table over the reachable configuration sets,
+    compiled once per analysis, so an event costs a couple of array
+    lookups.  There the monitor is a view onto one slot of a
+    :class:`SlotTable` (private, or a mux's shared one), whose scan and
+    vectorized wave kernel own the judge rule.  ``compiled=False`` (or
+    ``REPRO_STREAM_COMPILED=0``, or an automaton past the table bounds)
+    falls back to the interpreter; ``tests/test_stream_compiled.py``
+    pins the paths verdict-stream-identical.  Cost model:
+    ``docs/performance.md``.
 
 Out-of-order tolerance: events are buffered in a small reorder heap
 and applied only once the *watermark* (``max_seen − lateness``) passes
@@ -71,6 +71,8 @@ from collections import deque
 from enum import Enum
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.batch import cached_acceptor
 from ..engine.strategies import DEFAULT_HORIZON
@@ -79,7 +81,7 @@ from ..kernel.simulator import Simulator
 from ..machine.rtalgorithm import ACCEPT_SYMBOL, Context, WorkingStorage
 from ..machine.tape import InputTape, OutputTape
 from ..obs import hooks as _obs
-from .compiled import NUMPY, compiled_for
+from .compiled import compiled_for
 
 __all__ = [
     "StreamVerdict",
@@ -445,7 +447,6 @@ class SlotTable:
         self.cols: List[Any] = [] if columnar else [[] for _ in self.COLUMNS]
 
     def _grow(self) -> None:
-        np = NUMPY
         self.capacity = cap = max(1, 2 * self.capacity)
         self.cols = []
         for name, dtype in self.COLUMNS:
@@ -590,7 +591,6 @@ class SlotTable:
         as array updates — the same rule :meth:`scan` applies per event.
         Returns the number of events applied.
         """
-        np = NUMPY
         a = self.arrays
         comp = self.comp
         total = len(idx)
@@ -847,7 +847,7 @@ class TBAMonitor(_BaseMonitor):
     O(state) per event, on one of two verdict-identical paths chosen at
     construction:
 
-    * **compiled** (default when available) — the
+    * **compiled** (the default) — the
       :class:`~repro.stream.compiled.CompiledTBA` artifact shared
       through the analysis: an event is one lookup in its table over
       configuration sets, deterministic or not, plus two flag reads
@@ -856,9 +856,9 @@ class TBAMonitor(_BaseMonitor):
       play.
     * **interpreted** — ``_step_configs`` over the frozen configuration
       set, the oracle the compiled path is tested against, and the
-      fallback when numpy is absent, the automaton reaches more
-      configuration sets than the table bounds allow,
-      ``REPRO_STREAM_COMPILED=0``, or ``compiled=False``.
+      fallback when the automaton reaches more configuration sets than
+      the table bounds allow, ``REPRO_STREAM_COMPILED=0``, or
+      ``compiled=False``.
 
     The monitor is a thin view onto its slot of a :class:`SlotTable`
     (a private list-backed one, or the shared table of the
@@ -911,9 +911,8 @@ class TBAMonitor(_BaseMonitor):
             comp = compiled_for(self.analysis)
             if compiled is True and comp is None:
                 raise ValueError(
-                    "compiled stepping unavailable (numpy absent, "
-                    "REPRO_STREAM_COMPILED=0, or automaton exceeds the "
-                    "table bounds)"
+                    "compiled stepping unavailable (REPRO_STREAM_COMPILED=0, "
+                    "or automaton exceeds the table bounds)"
                 )
         self._compiled = comp
         self._configs: Optional[FrozenSet[Config]] = None

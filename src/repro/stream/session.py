@@ -77,10 +77,12 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.verdict import DecisionReport, Verdict
 from ..obs import hooks as _obs
-from .compiled import NUMPY, compiled_for
+from .compiled import compiled_for
 from .monitor import Monitor, SlotTable, StreamVerdict, TBAMonitor, analysis_for
 
 __all__ = ["BackpressureError", "SessionReport", "SessionMux"]
@@ -197,6 +199,8 @@ class SessionMux:
         self._sessions: Dict[str, Any] = {}
         #: Per-session drop counts (absent until a session drops).
         self._drops: Dict[str, int] = {}
+        #: The private query of each session opened with one.
+        self._queries: Dict[str, Any] = {}
         #: Monitor knobs shared with per-session query overrides
         #: (``open(name, query=...)``).
         self._monitor_kw = dict(
@@ -250,7 +254,7 @@ class SessionMux:
             self._table = SlotTable(
                 comp, f_window, ledger=plan is not None, columnar=True
             )
-            self._slot_of = NUMPY.empty(0, dtype=NUMPY.int32)
+            self._slot_of = np.empty(0, dtype=np.int32)
         #: Symbol ids: the table's ``sym_index`` codes, then every other
         #: symbol in order of arrival.
         self._symbols: List[Any] = []
@@ -289,13 +293,8 @@ class SessionMux:
             raise BackpressureError(
                 f"session table full ({self.max_sessions}); close or evict first"
             )
-        if query is not None:
-            from ..query import query_monitor
-
-            monitor = query_monitor(query, **self._monitor_kw)
-        else:
-            monitor = self._factory()
-        self._add(name, monitor)
+        monitor = self._new_monitor(query)
+        self._add(name, monitor, query)
         self.sessions_opened += 1
         h = _obs.HOOKS
         if h is not None:
@@ -303,10 +302,21 @@ class SessionMux:
             h.gauge("stream.sessions_active", len(self._sessions))
         return monitor
 
-    def _add(self, name: str, monitor: Any) -> None:
+    def _new_monitor(self, query: Any = None) -> Any:
+        """A fresh monitor from the mux's factory or on a private
+        ``query``: the one door of :meth:`open` and every restore."""
+        if query is None:
+            return self._factory()
+        from ..query import query_monitor
+
+        return query_monitor(query, **self._monitor_kw)
+
+    def _add(self, name: str, monitor: Any, query: Any = None) -> None:
         """Register a session under a free id; an on-time monitor over
         the shared compiled artifact moves its slot into the mux's table."""
         self._sessions[name] = monitor
+        if query is not None:
+            self._queries[name] = query
         if self._free_ids:
             sid = self._free_ids.pop()
             self._names[sid] = name
@@ -318,7 +328,7 @@ class SessionMux:
         if tab is None:
             return
         if sid >= len(self._slot_of):
-            grown = NUMPY.full(max(16, 2 * sid), -1, dtype=NUMPY.int32)
+            grown = np.full(max(16, 2 * sid), -1, dtype=np.int32)
             grown[: len(self._slot_of)] = self._slot_of
             self._slot_of = grown
         slot = -1
@@ -338,6 +348,7 @@ class SessionMux:
         final state in a private one-slot table (handles outlive the
         session)."""
         monitor = self._sessions.pop(name)
+        self._queries.pop(name, None)
         sid = self._ids.pop(name)
         self._names[sid] = None
         self._free_ids.append(sid)
@@ -409,7 +420,6 @@ class SessionMux:
         if deep:
             vectorized = self._ingest_slices(events)
         elif events:
-            np = NUMPY
             n = len(names)
             sy = np.fromiter(
                 map(self._sym_ids.get, map(_SYMBOL, events), repeat(-1, n)),
@@ -475,7 +485,6 @@ class SessionMux:
         order.  Verdicts and counters equal a loop of :meth:`ingest`.
         Returns the number of events advanced by the kernel.
         """
-        np = NUMPY
         tab = self._table
         if tab is None or not tab.capacity:
             self._replay(ids, symbols, times)

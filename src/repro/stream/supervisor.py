@@ -16,7 +16,10 @@ and maintains, at all times, enough durable state to rebuild it:
 
 ``crash()`` injects the failure (the live mux is gone — a dead host);
 ``recover()`` rebuilds from ``mux_factory`` + latest checkpoint +
-journal replay.  The guarantee the fault suite pins: recovery loses
+journal replay.  The factory's fresh mux reopens every checkpointed
+session itself (:func:`~repro.stream.checkpoint.restore_mux`), on its
+own language or the session's private query, so the supervisor never
+names a language.  The guarantee the fault suite pins: recovery loses
 **zero verdicts for events the supervisor accepted** — the recovered
 mux agrees with an uninterrupted run, verdict for verdict.  With the
 journal disabled (``journal=False``) the guarantee weakens to the
@@ -42,7 +45,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..automata.timed import TimedBuchiAutomaton
 from ..obs import hooks as _obs
 from .checkpoint import checkpoint_mux, restore_mux, save_json
 from .monitor import LateEventError, StreamVerdict
@@ -60,12 +62,9 @@ class MuxSupervisor:
 
     ``mux_factory`` builds an *empty* mux configured like the one being
     supervised (the acceptor and all policies are code, not data, so
-    the factory — not the snapshot — carries them).  ``tba`` /
-    ``acceptor`` are forwarded to
-    :func:`~repro.stream.checkpoint.restore_mux` to rebind the
-    language artifact on restore; pass whichever the mux's monitors
-    need (machine-backed monitors must be built with
-    ``keep_history=True`` to be checkpointable at all).
+    the factory — not the snapshot — carries them; machine-backed
+    monitors must be built with ``keep_history=True`` to be
+    checkpointable at all).
     """
 
     def __init__(
@@ -75,8 +74,6 @@ class MuxSupervisor:
         checkpoint_every: int = 64,
         journal: bool = True,
         auto_recover: bool = True,
-        tba: Optional[TimedBuchiAutomaton] = None,
-        acceptor: Any = None,
         snapshot_path: Optional[str] = None,
     ):
         if checkpoint_every < 1:
@@ -87,8 +84,6 @@ class MuxSupervisor:
         self.checkpoint_every = checkpoint_every
         self.journal_enabled = journal
         self.auto_recover = auto_recover
-        self.tba = tba
-        self.acceptor = acceptor
         self.snapshot_path = snapshot_path
         self.mux: Optional[SessionMux] = mux_factory()
         self.journal: List[Tuple[str, Any, int]] = []
@@ -167,10 +162,7 @@ class MuxSupervisor:
         h = _obs.HOOKS
 
         def rebuild() -> None:
-            fresh = self._factory()
-            restore_mux(
-                self._snapshot, fresh, tba=self.tba, acceptor=self.acceptor
-            )
+            fresh = restore_mux(self._snapshot, self._factory())
             for name, symbol, t in self.journal:
                 try:
                     fresh.ingest(name, symbol, t)

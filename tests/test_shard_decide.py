@@ -85,6 +85,18 @@ def test_second_call_reuses_the_warm_pool():
     assert {s.proc.pid for s in router._shards.values()} == pids
 
 
+def test_pool_grows_past_two_shards_on_a_wider_machine(monkeypatch):
+    # Growth goes through rebalance, which must not ask decide-only
+    # workers for mux snapshots.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    tba, words = bounded_gap_tba(), make_words(40)
+    shared_pool(2)
+    serial = decide_many(tba, words, horizon=200, backend="serial")
+    sharded = decide_many(tba, words, horizon=200, workers=4, backend="shards")
+    assert shared_pool().n_shards == 4
+    assert fingerprint(sharded) == fingerprint(serial)
+
+
 def test_unshippable_acceptor_falls_back_with_recorded_reason():
     words = make_words(70)
     serial = decide_many(

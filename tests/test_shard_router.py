@@ -367,6 +367,61 @@ def test_random_lifecycle_matches_a_single_mux(tba, seed):
             _assert_like(router, ref)
 
 
+def test_recover_whose_replay_checkpoints_after_a_close(tba):
+    # The victim's journal holds events, a close and more events (the
+    # reopened session among them) past checkpoint_every, unshipped; the
+    # replay re-routes them and checkpoints on its own.
+    ref = SessionMux(tba)
+    with ShardRouter(
+        tba, n_shards=2, batch_events=10_000, checkpoint_every=30
+    ) as router:
+        victim = router.place_of("x")
+        names = ["x"] + [
+            n for n in (f"c-{i}" for i in range(40)) if router.place_of(n) == victim
+        ][:3]
+
+        def feed(times):
+            batch = [(n, "a", t) for t in times for n in names]
+            router.ingest_batch(batch)
+            for e in batch:
+                ref.ingest(*e)
+
+        feed(range(1, 6))
+        assert router.close_session("x").verdict == ref.close("x").verdict
+        feed(range(6, 16))
+        shard = router._shards[victim]
+        assert shard.snapshot is None and shard.journal_events > 30
+        router.crash(victim)
+        router.recover(victim)
+        _assert_like(router, ref)
+
+
+def test_monitor_factory_muxes_checkpoint_and_recover(tba):
+    from repro.stream import TBAMonitor
+
+    events = traffic(events=600)
+    head, tail = events[:300], events[300:]
+    with ShardRouter(
+        mux_factory=lambda: SessionMux(
+            monitor_factory=lambda: TBAMonitor(tba, late_policy="drop")
+        ),
+        n_shards=2,
+        batch_events=32,
+    ) as router:
+        router.ingest_batch(head)
+        router.checkpoint()
+        router.ingest_batch(tail)
+        victim = router.shard_ids[0]
+        router.crash(victim)
+        router.recover(victim)
+        assert router.verdicts() == reference_verdicts(tba, events)
+
+
+def test_decide_only_router_rebalances_without_snapshots():
+    with ShardRouter(n_shards=1) as router:
+        assert router.rebalance(2) == {"n_shards": 2, "moved": []}
+
+
 # -- the columnar path ---------------------------------------------------------
 
 

@@ -134,9 +134,7 @@ def test_mux_json_round_trip_mid_fuzz_matches_uninterrupted():
         for name, sym, t in events[:cut]:
             one.ingest(name, sym, t)
         snap = json.loads(json.dumps(checkpoint_mux(one)))
-        other = restore_mux(
-            snap, SessionMux(tba, lateness=2, compiled=dst), tba=tba, compiled=dst
-        )
+        other = restore_mux(snap, SessionMux(tba, lateness=2, compiled=dst), tba=tba)
         for name, sym, t in events[cut:]:
             other.ingest(name, sym, t)
         assert other.verdicts() == baseline

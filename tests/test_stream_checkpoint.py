@@ -280,14 +280,17 @@ class TestMuxSnapshots:
         } == {"alpha": (5, 9, 5, 1), "beta": (3, 10, 1, 2), "gamma": (1, 3, 1, 1)}
 
     def test_interpreted_restore_onto_compiled_mux_takes_batches(self):
-        # Sessions restored with compiled=False stay off the mux's table;
-        # a batch touching only them runs on the scalar path.
+        # A private-query session, saved from the interpreter and
+        # restored onto a compiled mux, steps its own language off the
+        # mux's table; a batch touching only it runs on the scalar path.
         tba = bounded_gap_tba()
-        source = SessionMux(tba)
+        source = SessionMux(tba, compiled=False)
+        source.open("s", query="repeat(a within 2)")
         source.ingest("s", "a", 1)
         snap = checkpoint_mux(source)
-        mux = restore_mux(snap, SessionMux(tba), tba=tba, compiled=False)
-        assert not mux.monitor("s").compiled
+        mux = restore_mux(snap, SessionMux(tba), tba=tba)
+        assert mux.monitor("s")._tab is not mux._table
+        assert mux._slot_of[mux._ids["s"]] == -1
         assert mux.ingest_batch([("s", "a", 2), ("s", "a", 3)]) == 0
         source.ingest_batch([("s", "a", 2), ("s", "a", 3)])
         assert mux.verdicts() == source.verdicts() == {"s": StreamVerdict.ACCEPTING}
@@ -297,3 +300,101 @@ class TestMuxSnapshots:
         snap = checkpoint(TBAMonitor(bounded_gap_tba()))
         with pytest.raises(ValueError, match="not a mux snapshot"):
             restore_mux(snap, SessionMux(bounded_gap_tba()), tba=bounded_gap_tba())
+
+
+class TestRestoreThroughTheMux:
+    """Restores reopen each session through the receiving mux: its
+    factory, or the session's own query, and nothing else."""
+
+    MUX_QUERY, OWN_QUERY = "repeat(a within 3)", "repeat(b within 2)"
+
+    def test_private_query_session_survives_json_round_trip(self):
+        events = [
+            ("m", "a", 1), ("p", "b", 2), ("m", "a", 3), ("p", "b", 4),
+            ("p", "b", 6), ("m", "a", 6),
+            ("m", "a", 8), ("p", "b", 8), ("m", "a", 10), ("p", "b", 10),
+        ]
+        cut = 6
+        whole, first = SessionMux(query=self.MUX_QUERY), SessionMux(query=self.MUX_QUERY)
+        for mux in (whole, first):
+            mux.open("p", query=self.OWN_QUERY)
+            for e in events[:cut]:
+                mux.ingest(*e)
+        snap = json.loads(json.dumps(checkpoint_mux(first)))
+        assert snap["sessions"]["p"]["query"] == self.OWN_QUERY
+        assert "query" not in snap["sessions"]["m"]
+        fresh = SessionMux(query=self.MUX_QUERY)
+        second = restore_mux(snap, fresh, tba=fresh.acceptor)
+        for e in events[cut:]:
+            assert second.ingest(*e) is whole.ingest(*e), e
+        assert second.verdicts() == whole.verdicts()
+        assert whole.verdicts()["p"] is StreamVerdict.ACCEPTING
+        # The restored session keeps its query for the next checkpoint.
+        assert checkpoint_mux(second)["sessions"]["p"]["query"] == self.OWN_QUERY
+
+    def test_query_text_is_rendered_at_checkpoint(self):
+        from repro.query import Q
+
+        mux = SessionMux(query=self.MUX_QUERY)
+        mux.open("p", query=Q.event("b").within(2).repeat())
+        assert checkpoint_mux(mux)["sessions"]["p"]["query"] == self.OWN_QUERY
+
+    def test_private_query_without_text_form_refuses_to_checkpoint(self):
+        from repro.query import Q
+
+        mux = SessionMux(query=self.MUX_QUERY)
+        mux.open("p", query=Q.event(("x", 1)).within(2).repeat())
+        with pytest.raises(ValueError, match="no text form"):
+            checkpoint_mux(mux)
+
+    def test_other_lateness_is_refused(self):
+        tba = bounded_gap_tba()
+        source = SessionMux(tba, lateness=2)
+        source.ingest("s", "a", 1)
+        with pytest.raises(ValueError, match="lateness"):
+            restore_mux(checkpoint_mux(source), SessionMux(tba), tba=tba)
+
+    def test_other_f_window_is_refused_by_restore_sessions(self):
+        from repro.stream.checkpoint import extract_sessions, restore_sessions
+
+        tba = bounded_gap_tba()
+        source = SessionMux(tba, f_window=3)
+        source.ingest("s", "a", 1)
+        entries = extract_sessions(source, ["s"])
+        with pytest.raises(ValueError, match="f_window"):
+            restore_sessions(SessionMux(tba), entries)
+
+    def test_other_kind_is_refused(self):
+        source = SessionMux(bounded_gap_tba())
+        source.ingest("s", "a", 1)
+        machine_mux = SessionMux(
+            monitor_factory=lambda: Monitor(
+                make_parity_acceptor(), late_policy="drop", keep_history=True
+            )
+        )
+        with pytest.raises(ValueError, match="kind"):
+            restore_mux(checkpoint_mux(source), machine_mux)
+
+    def test_plan_mux_refuses_checkpoint_and_restore(self):
+        from repro.query import QueryPlan
+
+        def plan_mux():
+            return SessionMux(plan=QueryPlan({"q": self.MUX_QUERY}, ("a",)))
+
+        live = plan_mux()
+        live.ingest("s", "a", 1)
+        with pytest.raises(NotImplementedError, match="plan monitors"):
+            checkpoint_mux(live)
+        source = SessionMux(query=self.MUX_QUERY)
+        source.ingest("s", "a", 1)
+        with pytest.raises(ValueError, match="plan"):
+            restore_mux(checkpoint_mux(source), plan_mux())
+
+    def test_tba_must_be_the_mux_automaton(self):
+        source = SessionMux(bounded_gap_tba())
+        source.ingest("s", "a", 1)
+        snap = checkpoint_mux(source)
+        with pytest.raises(ValueError, match="automaton"):
+            restore_mux(snap, SessionMux(bounded_gap_tba()), tba=bounded_gap_tba())
+        tba = bounded_gap_tba()
+        assert restore_mux(snap, SessionMux(tba), tba=tba).verdicts() == source.verdicts()

@@ -44,7 +44,7 @@ from test_stream_monitor import TBA_FAMILY, bounded_gap_tba, random_lasso
 
 needs_compiled = pytest.mark.skipif(
     not compilation_enabled(),
-    reason="compiled stepping disabled (numpy absent or REPRO_STREAM_COMPILED=0)",
+    reason="compiled stepping disabled (REPRO_STREAM_COMPILED=0)",
 )
 
 
@@ -475,25 +475,6 @@ class TestFallbacks:
         with pytest.raises(ValueError):
             TBAMonitor(tba, analysis=analysis, compiled=True)
 
-    def test_numpy_absent_falls_back(self, monkeypatch):
-        monkeypatch.setattr(compiled_mod, "NUMPY", None)
-        tba = bounded_gap_tba(1)
-        analysis = TBAAnalysis(tba)
-        inst = install()
-        try:
-            assert compiled_for(analysis) is None
-            reason = (
-                inst.registry.counter("stream.compile_fallbacks")
-                .labels(reason="numpy-absent")
-                .value
-            )
-            assert reason == 1
-        finally:
-            uninstall()
-        m = TBAMonitor(tba, analysis=analysis)
-        assert not m.compiled
-        assert m.ingest("a", 1) is StreamVerdict.ACCEPTING
-
     @needs_compiled
     def test_bounds_fallback_is_cached_on_the_analysis(self, monkeypatch):
         monkeypatch.setattr(compiled_mod, "MAX_CONFIGS", 0)
@@ -537,8 +518,8 @@ class TestFallbacks:
         assert comp is not None and comp.trap == 56
 
     def test_fallback_monitor_still_agrees(self, monkeypatch):
-        """The point of the gates: numpy-absent verdicts are the same."""
-        monkeypatch.setattr(compiled_mod, "NUMPY", None)
+        """The point of the gates: fallback verdicts are the same."""
+        monkeypatch.setenv(compiled_mod.ENV_TOGGLE, "0")
         tba = nondet_tba()
         analysis = TBAAnalysis(tba)
         fallback = TBAMonitor(tba, analysis=analysis)

@@ -20,6 +20,7 @@ from repro.stream import (
     Monitor,
     MuxSupervisor,
     SessionMux,
+    StreamVerdict,
     load_json,
 )
 
@@ -70,7 +71,7 @@ class TestFailover:
         for name, sym, t in events:
             reference.ingest(name, sym, t)
 
-        supervisor = MuxSupervisor(factory, checkpoint_every=50, tba=tba)
+        supervisor = MuxSupervisor(factory, checkpoint_every=50)
         for k, (name, sym, t) in enumerate(events):
             if k in (137, 291):  # two mid-stream host losses
                 supervisor.crash()
@@ -86,8 +87,7 @@ class TestFailover:
         # serialized reorder buffers) survives, and nothing is invented
         events = traffic(events=150)
         supervisor = MuxSupervisor(
-            factory, checkpoint_every=10_000, journal=False, tba=tba,
-            auto_recover=False,
+            factory, checkpoint_every=10_000, journal=False, auto_recover=False
         )
         for name, sym, t in events[:100]:
             supervisor.ingest(name, sym, t)
@@ -100,7 +100,7 @@ class TestFailover:
         assert supervisor.verdicts() == at_checkpoint
 
     def test_recovery_latency_is_measured(self, tba, factory):
-        supervisor = MuxSupervisor(factory, checkpoint_every=50, tba=tba)
+        supervisor = MuxSupervisor(factory, checkpoint_every=50)
         for name, sym, t in traffic(events=120):
             supervisor.ingest(name, sym, t)
         supervisor.crash()
@@ -109,7 +109,7 @@ class TestFailover:
         assert supervisor.last_recovery_s == latency
 
     def test_crashed_guard_without_auto_recover(self, tba, factory):
-        supervisor = MuxSupervisor(factory, tba=tba, auto_recover=False)
+        supervisor = MuxSupervisor(factory, auto_recover=False)
         supervisor.crash()
         assert supervisor.crashed
         with pytest.raises(CrashedError, match="recover"):
@@ -145,9 +145,7 @@ class TestMachineBackedSessions:
         for name, sym, t in events:
             reference.ingest(name, sym, t)
 
-        supervisor = MuxSupervisor(
-            factory, checkpoint_every=3, acceptor=acceptor
-        )
+        supervisor = MuxSupervisor(factory, checkpoint_every=3)
         for k, (name, sym, t) in enumerate(events):
             if k == 5:
                 supervisor.crash()
@@ -156,9 +154,32 @@ class TestMachineBackedSessions:
         assert supervisor.verdicts() == reference.verdicts()
 
 
+class TestPrivateQuerySessions:
+    def test_private_query_session_recovers_on_its_own_query(self):
+        def factory():
+            return SessionMux(query="repeat(a within 3)", late_policy="drop")
+
+        events = [("m", "a", 1), ("p", "b", 2), ("p", "b", 4), ("m", "a", 4)]
+        events += [("p", "b", t) for t in (6, 8, 10)] + [("m", "a", 7)]
+        reference = factory()
+        reference.open("p", query="repeat(b within 2)")
+        for name, sym, t in events:
+            reference.ingest(name, sym, t)
+
+        supervisor = MuxSupervisor(factory, checkpoint_every=3)
+        supervisor.mux.open("p", query="repeat(b within 2)")
+        for k, (name, sym, t) in enumerate(events):
+            if k == 4:
+                supervisor.crash()
+            supervisor.ingest(name, sym, t)
+        assert supervisor.failovers == 1
+        assert supervisor.verdicts() == reference.verdicts()
+        assert supervisor.verdicts()["p"] is StreamVerdict.ACCEPTING
+
+
 class TestSupervisorLedger:
     def test_checkpoint_cadence_and_journal_depth(self, tba, factory):
-        supervisor = MuxSupervisor(factory, checkpoint_every=25, tba=tba)
+        supervisor = MuxSupervisor(factory, checkpoint_every=25)
         for name, sym, t in traffic(events=110):
             supervisor.ingest(name, sym, t)
         stats = supervisor.stats()
@@ -170,7 +191,7 @@ class TestSupervisorLedger:
     def test_snapshot_path_persists_json(self, tba, factory, tmp_path):
         path = tmp_path / "mux.json"
         supervisor = MuxSupervisor(
-            factory, checkpoint_every=20, tba=tba, snapshot_path=str(path)
+            factory, checkpoint_every=20, snapshot_path=str(path)
         )
         for name, sym, t in traffic(events=60):
             supervisor.ingest(name, sym, t)
@@ -180,11 +201,11 @@ class TestSupervisorLedger:
 
     def test_validation(self, tba, factory):
         with pytest.raises(ValueError, match="checkpoint_every"):
-            MuxSupervisor(factory, checkpoint_every=0, tba=tba)
+            MuxSupervisor(factory, checkpoint_every=0)
 
     def test_failover_metrics(self, tba, factory):
         with instrumented() as inst:
-            supervisor = MuxSupervisor(factory, checkpoint_every=30, tba=tba)
+            supervisor = MuxSupervisor(factory, checkpoint_every=30)
             for name, sym, t in traffic(events=90):
                 supervisor.ingest(name, sym, t)
             supervisor.crash()
