@@ -126,7 +126,7 @@ def test_mux_failover_recovery_latency(once, report, bench_record):
         for name, sym, t in events:
             supervisor.ingest(name, sym, t)
         ingest_s = time.perf_counter() - t0
-        journal_depth = len(supervisor.journal)
+        journal_depth = supervisor.journal.events
         supervisor.crash()
         recovery_s = supervisor.recover()
         assert supervisor.verdicts() == reference.verdicts()
@@ -257,7 +257,7 @@ def test_shard_kill_recovery_latency(once, report, bench_record):
             router.ingest_batch(events[split:])
             router.sync()
             victim = router.shard_ids[1]
-            journal_depth = router._shards[victim].journal_events
+            journal_depth = router._shards[victim].journal.events
             router.crash(victim)
             recovery_s = router.recover(victim)
             assert router.verdicts() == reference.verdicts()

@@ -15,7 +15,9 @@ through three injected failures and shows what the guarantees mean:
    hanging or silently guessing;
 3. a supervised ``SessionMux`` is crashed mid-stream and rebuilt from
    its latest checkpoint plus journal replay, agreeing verdict for
-   verdict with an uninterrupted run — zero lost verdicts.
+   verdict with an uninterrupted run — zero lost verdicts, and a
+   session closed through the supervisor between the crashes stays
+   closed.
 
 Run:  python examples/fault_tolerant_service.py
 """
@@ -126,22 +128,28 @@ for _ in range(300):
     events.append((name, "a", clock[name]))
 
 reference = factory()
-for name, sym, t in events:
-    reference.ingest(name, sym, t)
-
 supervisor = MuxSupervisor(factory, checkpoint_every=40)
 for k, (name, sym, t) in enumerate(events):
+    if k == 150:  # between the crashes: a close, journaled like an event
+        report = supervisor.close_session("sensor-03")
+        assert report == reference.close("sensor-03")
     if k in (97, 213):  # two host losses, mid-stream
         supervisor.crash()
     supervisor.ingest(name, sym, t)  # auto-recovers transparently
+    reference.ingest(name, sym, t)
 
 print("\n3. supervised SessionMux with two injected host crashes:")
 print(f"   failovers: {supervisor.failovers}, "
       f"last recovery: {supervisor.last_recovery_s * 1e3:.2f}ms")
+print(f"   closed between the crashes: {report.name} ({report.verdict.value}, "
+      f"{report.events_ingested} events)")
 print(f"   stats: {supervisor.stats()}")
-agree = supervisor.verdicts() == reference.verdicts()
+agree = (
+    supervisor.verdicts() == reference.verdicts()
+    and supervisor.mux.stats() == reference.stats()
+)
 print(f"   agrees with the uninterrupted run: {agree}")
 assert supervisor.failovers == 2
-assert agree  # zero lost verdicts, none invented
+assert agree  # zero lost verdicts, none invented, the close kept
 
 print("\nall three failure drills recovered with the pinned guarantees intact")

@@ -14,9 +14,9 @@ production surfaces:
   on membership change), events travel as column frames (session ids,
   symbol ids and times as raw arrays; each name crosses the pipe once
   per worker) with ACK-window backpressure (:mod:`repro.shard.wire`),
-  and the journal+checkpoint recovery discipline of
-  :class:`~repro.stream.supervisor.MuxSupervisor` is enforced *per
-  shard*: a SIGKILLed worker is respawned and replayed
+  and each shard keeps the journal of
+  :class:`~repro.stream.supervisor.MuxSupervisor`, records applied by
+  the same function: a SIGKILLed worker is respawned and replayed
   (:meth:`ShardRouter.recover`) or its sessions re-placed on the
   survivors (:meth:`ShardRouter.fail_over`), verdict-for-verdict.
 * **Batch decide scale-out** — ``decide_many(backend="shards")`` and

@@ -211,11 +211,11 @@ def run_chunks(
         def revive(shard: Any, chunk: Tuple[int, int], detail: str) -> None:
             attempts[chunk] = attempt = attempts.get(chunk, 0) + 1
             try:
-                fresh = router.respawn(shard.id)
+                router.recover(shard.id)
             except Exception as exc:
                 give_up(chunk, "worker-death", f"{detail}; respawn failed: {exc!r}")
                 return
-            idle.append(fresh)
+            idle.append(router._shards[shard.id])
             if attempt > max_retries:
                 give_up(chunk, "worker-death", detail)
             else:
@@ -258,7 +258,7 @@ def run_chunks(
                 # strength for the next batch) and fail everything left.
                 for conn, (shard, chunk) in list(busy.items()):
                     try:
-                        router.respawn(shard.id)
+                        router.recover(shard.id)
                     except Exception:  # pragma: no cover
                         pass
                     give_up(chunk, "deadline", None)

@@ -20,17 +20,17 @@ mux (see :mod:`repro.shard.worker`).  The pieces:
   ACKs each frame and the router caps un-ACKed frames at
   ``max_inflight`` (backpressure: a slow shard stalls its *own*
   senders instead of growing an unbounded pipe).
-* **Durability** — the supervisor pattern of
-  :class:`~repro.stream.supervisor.MuxSupervisor`, lifted to per-shard
-  granularity: every event is journaled as columns when it is routed,
-  and every close and eviction as a lifecycle record, in order; a
-  per-shard :meth:`checkpoint` snapshots the worker's mux and truncates
-  that journal, and a SIGKILLed shard (:meth:`crash`, or any detected
-  death) comes back via :meth:`recover` — respawn and restore the
-  snapshot — or via :meth:`fail_over`, which re-places the dead shard's
+* **Durability** — each shard keeps the
+  :class:`~repro.stream.checkpoint.Journal` of
+  :class:`~repro.stream.supervisor.MuxSupervisor`: every event is
+  journaled as columns when it is routed, and every close and eviction
+  as a record in order; a per-shard :meth:`checkpoint` snapshots the
+  worker's mux and truncates that journal, and a SIGKILLed shard
+  (:meth:`crash`, or any detected death) comes back via :meth:`recover`
+  or via :meth:`fail_over`, which re-places the dead shard's
   checkpointed sessions on the survivors.  Either way the journal is
-  replayed one way, through the live front door: event columns through
-  the columnar route, closes and evictions on the ring's shard.
+  replayed through the front door; routing adds only the shard each
+  record goes to.
 * **Elasticity** — :meth:`rebalance` grows or shrinks the pool,
   migrating exactly the sessions whose ring placement changed
   (consistent hashing moves ~K/N of them) through the live-session
@@ -61,27 +61,29 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import Counter
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import multiprocessing as mp
 
 import numpy as np
 
 from ..obs import hooks as _obs
+from ..stream.checkpoint import CLOSE, EVENTS, EVICT, Journal
 from .placement import DEFAULT_REPLICAS, HashRing
 from .wire import (
     DEFAULT_CHUNK_EVENTS,
     OP_ACK,
     OP_ADOPT,
     OP_CHECKPOINT,
-    OP_CLOSE,
     OP_ERR,
     OP_EVENTS,
-    OP_EVICT,
     OP_EXTRACT,
     OP_INSTALL_LANG,
     OP_METRICS,
+    OP_NEWEST,
+    OP_RECORD,
     OP_REPLY,
     OP_RESTORE,
     OP_SHUTDOWN,
@@ -116,8 +118,7 @@ class _Shard:
 
     __slots__ = (
         "id", "num", "proc", "conn", "seq", "inflight", "journal", "unsent",
-        "unsent_events", "journal_events", "retired", "syms_sent",
-        "snapshot", "langs", "alive", "errors",
+        "unsent_events", "retired", "syms_sent", "langs", "alive", "errors",
     )
 
     def __init__(self, shard_id: str, num: int, proc: Any, conn: Any):
@@ -127,15 +128,13 @@ class _Shard:
         self.conn = conn
         self.seq = 0
         self.inflight = 0            # un-ACKed OP_EVENTS frames
-        #: ``(op, payload)`` records since the last checkpoint, in order:
-        #: OP_EVENTS column batches and the OP_CLOSE / OP_EVICT requests.
-        self.journal: List[Tuple[int, Any]] = []
+        #: The last snapshot and the records since, in order: EVENTS
+        #: column batches, CLOSE and EVICT records.
+        self.journal = Journal()
         self.unsent = 0              # journal records from here on are unshipped events
         self.unsent_events = 0
-        self.journal_events = 0
         self.retired: List[int] = []  # ids closed or evicted since the checkpoint
         self.syms_sent = 0           # router symbols the worker has been sent
-        self.snapshot: Optional[Dict[str, Any]] = None
         self.langs: set = set()      # language keys installed in the worker
         self.alive = True
         self.errors: List[str] = []
@@ -200,7 +199,8 @@ class ShardRouter:
         self._sent = np.empty(0, dtype=bool)
         self._sym_ids: Dict[Any, int] = {}
         self._symbols: List[Any] = []
-        self._max_time: Optional[int] = None
+        #: Lifetime counters of the shards that left the pool.
+        self._left: Counter = Counter()
         self._closed = False
         for _ in range(n_shards):
             self._add_shard()
@@ -401,8 +401,9 @@ class ShardRouter:
         queues = []
         for shard in shards:
             if shard.unsent_events and shard.alive:
-                batches = [b for _op, b in shard.journal[shard.unsent:]]
-                shard.unsent = len(shard.journal)
+                records = shard.journal.records
+                batches = [b for _op, b in records[shard.unsent:]]
+                shard.unsent = len(records)
                 shard.unsent_events = 0
                 queues.append((shard, frame_batches(batches, self.chunk_events)))
         shipped = [shard for shard, _frames in queues]
@@ -428,23 +429,21 @@ class ShardRouter:
                 h.gauge("shard.queue_depth", shard.inflight, shard=shard.id)
             if (
                 self.checkpoint_every is not None
-                and shard.journal_events >= self.checkpoint_every
+                and shard.journal.events >= self.checkpoint_every
             ):
                 self._checkpoint_shard(shard)
 
     def _flush_shard(self, shard: _Shard) -> None:
         self._ship([shard])
 
-    def _apply(self, shard: _Shard, op: int, payload: Any) -> Any:
-        """Run a close or an eviction on ``shard`` after every event
+    def _apply(self, shard: _Shard, op: str, payload: Any) -> Any:
+        """Apply a lifecycle record on ``shard`` after every event
         routed to it so far, and journal it in order with them (an
-        eviction is journaled with its victims, replayed by name)."""
+        eviction with its victims, replayed by name)."""
         self._flush_shard(shard)
-        result = self._request(shard, op, payload)
-        if op == OP_EVICT:
-            payload = (payload[0], payload[1], result)
-        shard.journal.append((op, payload))
-        shard.unsent = len(shard.journal)
+        result = self._request(shard, OP_RECORD, (op, payload))
+        shard.journal.applied(op, payload, result)
+        shard.unsent = len(shard.journal.records)
         return result
 
     def _raise_errors(self) -> None:
@@ -480,11 +479,7 @@ class ShardRouter:
         syms = np.fromiter(map(self._sym_ids.get, symbols, repeat(-1, n)), np.int32, n)
         if syms.min() < 0:
             syms = np.fromiter(map(self._symbol_id, symbols), np.int32, n)
-        batch = EventBatch(ids, syms, np.fromiter(times, np.int64, n))
-        t = int(batch.times.max())
-        if self._max_time is None or t > self._max_time:
-            self._max_time = t
-        self._route(batch)
+        self._route(EventBatch(ids, syms, np.fromiter(times, np.int64, n)))
 
     def _route(self, batch: EventBatch) -> None:
         """Journal each shard's slice of ``batch`` (by the placement of
@@ -496,8 +491,7 @@ class ShardRouter:
             if not len(idx):
                 continue
             part = batch if len(idx) == len(batch) else batch.take(idx)
-            shard.journal.append((OP_EVENTS, part))
-            shard.journal_events += len(part)
+            shard.journal.append(EVENTS, part, len(part))
             shard.unsent_events += len(part)
             if shard.unsent_events >= self.batch_events:
                 full.append(shard)
@@ -526,9 +520,10 @@ class ShardRouter:
         return out
 
     def stats(self) -> Dict[str, int]:
-        """Aggregated mux counters across shards."""
+        """Aggregated mux counters across shards, with the lifetime
+        counters of the shards that left the pool."""
         self.sync()
-        total: Dict[str, int] = {}
+        total = dict(self._left)
         for shard in self._shards.values():
             for key, value in self._request(shard, OP_STATS, None).items():
                 total[key] = total.get(key, 0) + value
@@ -537,7 +532,7 @@ class ShardRouter:
     def close_session(self, name: str, horizon: Optional[int] = None) -> Any:
         """Close one session on its shard; returns its SessionReport."""
         shard = self._shards[self.place_of(name)]
-        report = self._apply(shard, OP_CLOSE, (name, horizon, self._ids.get(name)))
+        report = self._apply(shard, CLOSE, (name, horizon))
         self._retire(shard, name)
         return report
 
@@ -546,16 +541,18 @@ class ShardRouter:
     ) -> List[str]:
         """Run idle eviction on every shard; returns all evicted names.
 
-        With ``now=None`` the *global* max routed timestamp is used, so
-        a shard holding only stale sessions still evicts them (each
-        worker alone would think its own newest event is "now").
+        With ``now=None`` the newest :meth:`SessionMux.newest` of all
+        shards is used, as one mux would: a shard holding only stale
+        sessions still evicts them (each worker alone would take its
+        own newest event for "now").
         """
         self.sync()
         if now is None:
-            now = self._max_time
+            stamps = [self._request(s, OP_NEWEST, None) for s in self._shards.values()]
+            now = max((t for t in stamps if t is not None), default=None)
         victims: List[str] = []
         for shard in self._shards.values():
-            evicted = self._apply(shard, OP_EVICT, (now, idle_ttl, None))
+            evicted = self._apply(shard, EVICT, (now, idle_ttl, None))
             for name in evicted:
                 self._retire(shard, name)
             victims.extend(evicted)
@@ -564,9 +561,8 @@ class ShardRouter:
     # -- durability --------------------------------------------------------
     def _checkpoint_shard(self, shard: _Shard) -> None:
         self._drain_acks(shard)
-        shard.snapshot = self._request(shard, OP_CHECKPOINT, None)
-        shard.journal = []
-        shard.unsent = shard.unsent_events = shard.journal_events = 0
+        shard.journal = Journal(self._request(shard, OP_CHECKPOINT, None))
+        shard.unsent = shard.unsent_events = 0
         # No journal names the retired ids any more: they are free.
         for sid in shard.retired:
             self._names[sid] = None
@@ -606,23 +602,26 @@ class ShardRouter:
             pass
 
     def recover(self, shard_id: str) -> float:
-        """Respawn a dead shard and rebuild its state.
+        """SIGKILL (if alive) and respawn a shard; rebuild its state.
 
         Restore the last checkpoint into a fresh worker, then replay the
         journal (every event, close and eviction routed since that
         checkpoint) in original order through :meth:`_replay` —
         deterministic for non-raising drop policies, so the recovered
         shard's verdicts match an uninterrupted run verdict-for-verdict.
+        A decide-pool shard has an empty journal: it is just respawned.
         Returns the recovery latency in seconds (also observed as
         ``shard.recovery_latency``).
         """
         old = self._shards[shard_id]
         t0 = time.perf_counter()
+        if old.proc.is_alive():
+            os.kill(old.proc.pid, signal.SIGKILL)
         self._reap(old)
         shard = self._spawn(shard_id, old.num)
-        shard.snapshot = old.snapshot
-        if shard.snapshot is not None:
-            self._request(shard, OP_RESTORE, shard.snapshot)
+        shard.journal = Journal(old.journal.snapshot)
+        if shard.journal.snapshot is not None:
+            self._request(shard, OP_RESTORE, shard.journal.snapshot)
         self._replay(old)
         self._flush_shard(shard)
         self._drain_acks(shard)
@@ -634,8 +633,9 @@ class ShardRouter:
         return latency
 
     def _replay(self, dead: _Shard) -> None:
-        """Re-apply a dead shard's journal the way live traffic arrives:
-        event columns through :meth:`_route`, each close and eviction on
+        """Re-apply a dead shard's journal the way live traffic arrives;
+        routing adds only the shard each record goes to: event columns
+        through :meth:`_route`, a close or each victim of an eviction on
         the ring's shard through :meth:`_apply` (both re-journal them on
         the shard that now holds the sessions).
 
@@ -643,11 +643,11 @@ class ShardRouter:
         them only afterwards: a checkpoint the replay itself triggers
         (``checkpoint_every``) must not free ids later records still name.
         """
-        for op, payload in dead.journal:
-            if op == OP_EVENTS:
+        for op, payload in dead.journal.records:
+            if op == EVENTS:
                 self._route(payload)
                 continue
-            if op == OP_CLOSE:
+            if op == CLOSE:
                 parts = {self._ring.place(payload[0]): payload}
             else:
                 now, idle_ttl, names = payload
@@ -684,8 +684,12 @@ class ShardRouter:
                 self._place[sid] = self._shards[self._ring.place(name)].num
                 self._sent[sid] = False
         groups: Dict[str, Dict[str, Any]] = {}
-        if dead.snapshot is not None:
-            for name, entry in dead.snapshot["sessions"].items():
+        snapshot = dead.journal.snapshot
+        if snapshot is not None:
+            # The replay counts what happened since, where it lands.
+            counts = snapshot["counters"].items()
+            self._left.update({k.removeprefix("sessions_"): v for k, v in counts})
+            for name, entry in snapshot["sessions"].items():
                 groups.setdefault(self._ring.place(name), {})[name] = entry
         moved: List[str] = []
         for target_id, entries in sorted(groups.items()):
@@ -758,6 +762,8 @@ class ShardRouter:
                 self._names[sid] = None
             self._free.extend(shard.retired)
             try:
+                if self._mux_factory is not None:  # its sessions moved away
+                    self._left.update(self._request(shard, OP_STATS, None))
                 delta = self._request(shard, OP_SHUTDOWN, None)
             except ShardError:
                 pass
@@ -777,15 +783,6 @@ class ShardRouter:
         if key not in shard.langs:
             self._request(shard, OP_INSTALL_LANG, (key, kind, payload))
             shard.langs.add(key)
-
-    def respawn(self, shard_id: str) -> _Shard:
-        """Kill-and-replace a worker with no state carryover (decide pool)."""
-        old = self._shards[shard_id]
-        if old.proc.is_alive():
-            os.kill(old.proc.pid, signal.SIGKILL)
-        self._reap(old)
-        self._count("shard.recoveries", mode="respawn")
-        return self._spawn(shard_id, old.num)
 
     # -- metrics -----------------------------------------------------------
     def _merge_delta_result(self, delta: Any) -> None:

@@ -26,7 +26,8 @@ no pickle per event.  Names and symbols cross the pipe once per worker
 lifetime: a frame carries ``(id, name)`` and ``(id, symbol)`` pairs
 only for ids its receiver has not been sent yet (pickled, after the
 columns).  Every other payload is plain pickled data: checkpoints are
-the JSON-able dicts of :mod:`repro.stream.checkpoint`, decisions are
+the JSON-able dicts of :mod:`repro.stream.checkpoint`, a lifecycle
+record is the ``(op, payload)`` pair the shard journals, decisions are
 :class:`~repro.engine.verdict.DecisionReport` lists, metrics are
 :meth:`~repro.obs.registry.MetricRegistry.dump` entries.
 """
@@ -59,12 +60,12 @@ OP_CHECKPOINT = 4    # () → checkpoint_mux dict
 OP_RESTORE = 5       # mux snapshot → rebuild the mux from it
 OP_EXTRACT = 6       # [names] → {name: session entry} (removed from mux)
 OP_ADOPT = 7         # {name: session entry} → restored into the mux
-OP_CLOSE = 8         # (name, horizon|None, router id|None) → SessionReport
+OP_RECORD = 8        # journal record (op, payload) → apply_record's result
 OP_INSTALL_LANG = 9  # (key, kind, payload) → warm a language artifact
 OP_DECIDE = 10       # (lang_key, lo, words, horizon, strategy, seed) → reports
 OP_METRICS = 11      # () → registry delta dump
 OP_SHUTDOWN = 12     # () → final metrics delta, then the worker exits
-OP_EVICT = 13        # (now|None, idle_ttl|None, names|None) → evicted names
+OP_NEWEST = 13       # () → mux.newest(), the default eviction time
 
 # ... and replies (worker → router).
 OP_ACK = 64          # echoes an OP_EVENTS sequence (payload: applied count)

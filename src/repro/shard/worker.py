@@ -31,8 +31,10 @@ per frame; the mux then runs the same wave code its own
 :meth:`~repro.stream.session.SessionMux.ingest_batch` runs after
 encoding (:meth:`~repro.stream.session.SessionMux.ingest_columns`).  A
 router id is resolved by name on first use and its entry dropped
-whenever the mux may hand its session's id to another session (close,
-eviction, extraction, restore).
+whenever the mux may hand its session's id to another session: a
+close or an eviction (applied by
+:func:`~repro.stream.checkpoint.apply_record`, as in the supervisor),
+an extraction, a restore.
 
 The loop is single-threaded and processes frames strictly in order —
 which is what makes the router's journal replay deterministic: same
@@ -56,14 +58,14 @@ from .wire import (
     OP_ACK,
     OP_ADOPT,
     OP_CHECKPOINT,
-    OP_CLOSE,
     OP_DECIDE,
     OP_ERR,
     OP_EVENTS,
-    OP_EVICT,
     OP_EXTRACT,
     OP_INSTALL_LANG,
     OP_METRICS,
+    OP_NEWEST,
+    OP_RECORD,
     OP_REPLY,
     OP_RESTORE,
     OP_SHUTDOWN,
@@ -186,21 +188,19 @@ class _Worker:
 
         return len(restore_sessions(self._live_mux(), entries))
 
-    def on_close(self, payload) -> Any:
-        name, horizon, rid = payload
-        report = self._live_mux().close(name, horizon)
-        if rid is not None and rid < len(self.ids):
-            self.ids[rid] = -1
-        return report
+    def on_record(self, record) -> Any:
+        from ..stream.checkpoint import CLOSE, apply_record
 
-    def on_evict(self, payload) -> Any:
-        now, idle_ttl, names = payload
         mux = self._live_mux()
-        self.ids.fill(-1)
-        if names is None:
-            return mux.evict_idle(now, idle_ttl)
-        mux._evict(names, now)
-        return names
+        op, payload = record
+        if op == CLOSE:  # frees the closed session's mux id
+            self.ids[self.ids == mux._ids.get(payload[0], -1)] = -1
+        else:  # an eviction frees many
+            self.ids.fill(-1)
+        return apply_record(mux, op, payload)
+
+    def on_newest(self, _payload) -> Any:
+        return self._live_mux().newest()
 
     def on_install_lang(self, payload) -> bool:
         key, kind, obj = payload
@@ -242,8 +242,8 @@ class _Worker:
         OP_RESTORE: on_restore,
         OP_EXTRACT: on_extract,
         OP_ADOPT: on_adopt,
-        OP_CLOSE: on_close,
-        OP_EVICT: on_evict,
+        OP_RECORD: on_record,
+        OP_NEWEST: on_newest,
         OP_INSTALL_LANG: on_install_lang,
         OP_DECIDE: on_decide,
         OP_METRICS: on_metrics,

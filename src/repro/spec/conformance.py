@@ -46,14 +46,23 @@ output needed:
     into several sessions, cut into random batch sizes so the wave
     kernel, the deep-slice scan and the late fallback all run —
     verdicts after every batch, ``stats()`` and per-session state.
-``router``
-    the ``mux`` pair's batches through a 2-shard
-    :class:`~repro.shard.router.ShardRouter` (small ``batch_events``,
-    column frames, names sent once per worker lifetime) vs scalar
-    ``ingest`` on one ``SessionMux(compiled=False)`` — verdicts after
-    every batch and ``stats()`` at the end, with a checkpoint, a
-    SIGKILL of one shard and its journal-replay ``recover`` at seeded
-    cuts.
+``recovery``
+    the ``mux`` pair's batches under a schedule seeded from them —
+    closes of random active sessions, ``evict_idle`` at ``now=None`` or
+    an explicit ``now`` with a random ttl, drains, checkpoints, crash
+    plus ``recover``, crash plus ``fail_over`` and ``rebalance(1–4)``
+    — run on two recovering fronts, each against one uninterrupted
+    ``SessionMux(compiled=False)``: a
+    :class:`~repro.stream.supervisor.MuxSupervisor` fed through both
+    ``ingest`` and ``ingest_batch`` at a drawn ``checkpoint_every``,
+    which also opens a private-query session (the case's query text
+    under ``gen="query"``, else a fixed query over the alphabet) whose
+    events only it and its reference see; and a
+    :class:`~repro.shard.router.ShardRouter` of 2–4 shards with drawn
+    ``batch_events``, ``chunk_events`` and ``checkpoint_every``.  After
+    every step verdicts, close reports, eviction victims, drained
+    eviction reports and ``stats()`` must agree; at the end, every
+    session's state on the supervisor.
 
 Words and specs come from a seeded generator (reproducible without any
 third-party dependency; ``tests/test_spec_conformance.py`` adds a
@@ -170,7 +179,7 @@ PAIRS: Tuple[str, ...] = (
     "shards",
     "checkpoint",
     "mux",
-    "router",
+    "recovery",
 )
 
 #: Events replayed into stream monitors per word (prefix + unrollings).
@@ -186,15 +195,20 @@ class Disagreement:
     alphabet: Tuple[Any, ...]
     word: TimedWord
     detail: str
+    #: The private query text the ``recovery`` pair ran (``--gen query``).
+    query: Optional[str] = None
 
     def describe(self) -> str:
+        source = regression_source(
+            self.pair, self.spec, self.alphabet, self.word, self.query
+        )
         return (
             f"[{self.pair}] {self.detail}\n"
             f"  spec:  {case_source(self.spec)}\n"
             f"  word:  lasso(prefix={list(self.word.prefix)!r}, "
             f"loop={list(self.word.loop)!r}, shift={self.word.shift})\n"
             f"  alpha: {self.alphabet!r}\n"
-            f"{regression_source(self.pair, self.spec, self.alphabet, self.word)}"
+            f"{source}"
         )
 
 
@@ -861,46 +875,147 @@ def _check_mux(
     return None
 
 
-def _check_router(
-    spec: Case, alphabet: Tuple[Any, ...], word: TimedWord
-) -> Optional[str]:
-    """A 2-shard router vs a scalar mux over the ``mux`` pair's feed,
-    through a checkpoint and a crash/recover of one shard."""
+def _recovery_schedule(batches, rng: random.Random) -> List[Tuple[str, Any]]:
+    """The ``mux`` pair's batches with seeded lifecycle steps between
+    them, and one private-query ``open`` at a random place."""
+    top = max((t for b in batches for _n, _s, t in b), default=0) + 10
+    ops = ("close", "evict", "drain", "checkpoint", "recover", "fail_over", "rebalance")
+    steps: List[Tuple[str, Any]] = []
+    for batch in batches + [[]]:
+        while rng.random() < 0.4:
+            op = rng.choice(ops)
+            if op == "evict":
+                arg: Any = (rng.choice((None, rng.randint(0, top))), rng.randint(1, 10))
+            elif op == "rebalance":
+                arg = rng.randint(1, 4)
+            else:
+                arg = rng.random()  # which session to close, or shard to kill
+            steps.append((op, arg))
+        steps.append(("batch", batch))
+    steps.insert(rng.randrange(len(steps) + 1), ("open", None))
+    return steps
+
+
+def _lifecycle(front, ref, op: str, arg: Any) -> Optional[str]:
+    """Close a random active session, or evict, on ``front`` and on the
+    reference mux; how the two differ, or ``None``."""
+    if op == "close" and ref.active:
+        name = sorted(ref.active)[int(arg * len(ref.active))]
+        got, want = front.close_session(name), ref.close(name)
+    elif op == "evict":
+        got, want = sorted(front.evict_idle(*arg)), sorted(ref.evict_idle(*arg))
+    else:
+        return None
+    return None if got == want else f"{op} {arg} gives {got} but one mux {want}"
+
+
+def _recovery_supervisor(tba, steps, events, query, rng) -> Optional[str]:
+    from ..stream.session import SessionMux
+    from ..stream.supervisor import MuxSupervisor
+
+    every = rng.choice((1, 7, 30, 10_000))
+    ref = SessionMux(tba, late_policy="drop", compiled=False)
+    sup = MuxSupervisor(
+        lambda: SessionMux(tba, late_policy="drop"), checkpoint_every=every
+    )
+    private: List[Tuple[str, Any, int]] = []
+    for k, (op, arg) in enumerate(steps):
+        where = f"supervisor (checkpoint_every={every}), step {k} {op}"
+        if op == "batch":
+            batch = arg + private[:4]
+            del private[:4]
+            if rng.random() < 0.5:
+                got = [sup.ingest(*e).value for e in batch]
+                want = [ref.ingest(*e).value for e in batch]
+                if got != want:
+                    return f"{where}: ingest says {got} but one mux {want}"
+            else:
+                sup.ingest_batch(batch)
+                for e in batch:
+                    ref.ingest(*e)
+        elif op == "open":
+            sup.open("q", query)
+            ref.open("q", query)
+            private = [("q", s, t) for s, t in events]
+        elif op == "drain":
+            got, want = sup.drain_evictions(), ref.drain_evictions()
+            if got != want:
+                return f"{where}: drains {got} but one mux {want}"
+        elif op == "checkpoint":
+            sup.checkpoint()
+        elif op in ("recover", "fail_over"):
+            sup.crash()
+            sup.recover()
+        else:
+            detail = _lifecycle(sup, ref, op, arg)
+            if detail is not None:
+                return f"{where}: {detail}"
+        got, want = (sup.verdicts(), sup.mux.stats()), (ref.verdicts(), ref.stats())
+        if got != want:
+            return f"{where}: reads {got} but one mux {want}"
+    got, want = _mux_end(sup.mux), _mux_end(ref)
+    if got != want:
+        return f"supervisor ends at {got} != one mux {want}"
+    return None
+
+
+def _recovery_router(tba, steps, rng) -> Optional[str]:
     from ..shard import ShardError, ShardRouter
     from ..stream.session import SessionMux
 
-    tba = _case_tba(spec, alphabet)
-    batches = _mux_feed(_events(word, _replay_len(word)))
-    rng = random.Random(repr(batches))
-    save = rng.randrange(len(batches) + 1)
-    kill = rng.randrange(save, len(batches) + 1)
-    scalar = SessionMux(tba, late_policy="drop", compiled=False)
-    with ShardRouter(
-        tba, n_shards=2, batch_events=8, mux_kwargs={"late_policy": "drop"}
-    ) as router:
-        victim = router.shard_ids[rng.randrange(2)]
-        try:
-            for k, batch in enumerate(batches + [[]]):
-                if k == save:
+    knobs = dict(
+        n_shards=rng.randint(2, 4),
+        batch_events=rng.choice((1, 4, 16, 64)),
+        chunk_events=rng.choice((3, 50, 512)),
+        checkpoint_every=rng.choice((None, None, 30, 5)),
+    )
+    ref = SessionMux(tba, late_policy="drop", compiled=False)
+    with ShardRouter(tba, mux_kwargs={"late_policy": "drop"}, **knobs) as router:
+        for k, (op, arg) in enumerate(steps):
+            where = f"router {knobs}, step {k} {op}"
+            try:
+                if op == "batch":
+                    router.ingest_batch(arg)
+                    for e in arg:
+                        ref.ingest(*e)
+                elif op == "checkpoint":
                     router.checkpoint()
-                if k == kill:
+                elif op == "recover" or (op == "fail_over" and router.n_shards > 1):
+                    victim = router.shard_ids[int(arg * router.n_shards)]
                     router.crash(victim)
-                    router.recover(victim)
-                router.ingest_batch(batch)
-                for name, s, t in batch:
-                    scalar.ingest(name, s, t)
-                if router.verdicts() != scalar.verdicts():
-                    return (
-                        f"after batch {k} ({len(batch)} events; checkpoint "
-                        f"before {save}, {victim} killed before {kill}) the "
-                        f"router says {router.verdicts()} but scalar ingest "
-                        f"says {scalar.verdicts()}"
-                    )
-            if router.stats() != scalar.stats():
-                return f"router stats {router.stats()} != scalar {scalar.stats()}"
-        except ShardError as exc:
-            return f"router raised {exc} (checkpoint before {save}, {victim} killed before {kill})"
+                    getattr(router, op)(victim)
+                elif op == "rebalance":
+                    router.rebalance(arg)
+                else:
+                    detail = _lifecycle(router, ref, op, arg)
+                    if detail is not None:
+                        return f"{where}: {detail}"
+                got = (router.verdicts(), router.stats())
+            except ShardError as exc:
+                return f"{where}: router raised {exc}"
+            want = (ref.verdicts(), ref.stats())
+            if got != want:
+                return f"{where}: reads {got} but one mux {want}"
     return None
+
+
+def _check_recovery(
+    spec: Case, alphabet: Tuple[Any, ...], word: TimedWord, query: Optional[str] = None
+) -> Optional[str]:
+    """The ``mux`` pair's feed under a seeded lifecycle schedule through
+    a supervisor and a 2–4 shard router, each against one
+    uninterrupted ``SessionMux(compiled=False)``; the supervisor side
+    also runs a private-query session (``query``, or a fixed one)."""
+    tba = _case_tba(spec, alphabet)
+    events = _events(word, _replay_len(word))
+    batches = _mux_feed(events)
+    rng = random.Random(repr(batches))
+    steps = _recovery_schedule(batches, rng)
+    if query is None:
+        query = " | ".join(f"repeat({a} within 2)" for a in alphabet)
+    return _recovery_supervisor(tba, steps, events, query, rng) or _recovery_router(
+        tba, steps, rng
+    )
 
 
 def _check_query_mux(
@@ -1001,14 +1116,17 @@ def check_pair(
     spec: Case,
     alphabet: Sequence[Any],
     word: TimedWord,
+    query: Optional[str] = None,
 ) -> Optional[str]:
     """Run one oracle pair on one case; ``None`` means agreement.
 
     ``spec`` is either a combinator :class:`Spec` or a raw
     :class:`TimedBuchiAutomaton` (the ``gen="tba"`` mode); every pair
     handles both, reading ground truth from ``accepts_lasso`` when
-    there is no combinator denotation.  This is the entry point
-    minimized counterexamples pin in their emitted regression tests.
+    there is no combinator denotation.  ``query`` is the text of the
+    ``recovery`` pair's private-query session (a fixed query over the
+    alphabet when ``None``).  This is the entry point minimized
+    counterexamples pin in their emitted regression tests.
     """
     alpha = tuple(alphabet)
     if pair == "semantics":
@@ -1023,8 +1141,8 @@ def check_pair(
         return _check_checkpoint(spec, alpha, word)
     if pair == "mux":
         return _check_mux(spec, alpha, word)
-    if pair == "router":
-        return _check_router(spec, alpha, word)
+    if pair == "recovery":
+        return _check_recovery(spec, alpha, word, query)
     raise ValueError(f"unknown pair {pair!r}; known: {PAIRS}")
 
 
@@ -1122,12 +1240,13 @@ def minimize(
     spec: Case,
     alphabet: Sequence[Any],
     word: TimedWord,
+    query: Optional[str] = None,
 ) -> Tuple[Case, TimedWord, str]:
     """Greedily shrink a disagreeing case while it still disagrees."""
 
     def fails(s: Case, w: TimedWord) -> Optional[str]:
         try:
-            return check_pair(pair, s, alphabet, w)
+            return check_pair(pair, s, alphabet, w, query)
         except Exception:  # a shrink that crashes is a different case
             return None
 
@@ -1196,9 +1315,11 @@ def regression_source(
     spec: Case,
     alphabet: Sequence[Any],
     word: TimedWord,
+    query: Optional[str] = None,
 ) -> str:
     """A ready-to-paste pytest function pinning the (fixed) case."""
     name = f"test_conformance_{pair}_regression"
+    extra = "" if query is None else f", query={query!r}"
     return (
         f"def {name}():\n"
         f"    # minimized by repro.spec.conformance\n"
@@ -1208,7 +1329,7 @@ def regression_source(
         f"        {list(word.loop)!r},\n"
         f"        shift={word.shift},\n"
         f"    )\n"
-        f"    assert check_pair({pair!r}, spec, {tuple(alphabet)!r}, word) is None\n"
+        f"    assert check_pair({pair!r}, spec, {tuple(alphabet)!r}, word{extra}) is None\n"
     )
 
 
@@ -1263,6 +1384,7 @@ def run(
         else:
             spec = gen_spec(rng, actions, depth=depth)
         words = [gen_word(rng, spec, alphabet) for _ in range(words_per_case)]
+        text = None if query is None else query.to_text()
         if query is not None:
             # Query-layer differentials ride along on every case; they
             # have no word/spec shrink space, so disagreements are
@@ -1335,12 +1457,12 @@ def run(
                 continue
             for word in words:
                 stats.checks[pair] = stats.checks.get(pair, 0) + 1
-                detail = check_pair(pair, spec, alphabet, word)
+                detail = check_pair(pair, spec, alphabet, word, text)
                 if detail is not None:
                     log(f"case {case}: DISAGREEMENT {pair}, minimizing…")
-                    mspec, mword, mdetail = minimize(pair, spec, alphabet, word)
+                    mspec, mword, mdetail = minimize(pair, spec, alphabet, word, text)
                     stats.disagreements.append(
-                        Disagreement(pair, mspec, alphabet, mword, mdetail)
+                        Disagreement(pair, mspec, alphabet, mword, mdetail, text)
                     )
                     break
     return stats

@@ -33,11 +33,11 @@ shape needs verdicts over live traffic.  This package is that runtime:
     and merge many words into a mux.
 ``stream.checkpoint``
     Serialize/restore monitor and mux state so sessions survive a
-    process restart.
+    process restart, plus the journal both recovering fronts keep.
 ``stream.supervisor``
-    :class:`MuxSupervisor` — periodic checkpoints plus an event
-    journal in front of a live mux, with crash injection and timed
-    failover that loses zero verdicts for accepted events.
+    :class:`MuxSupervisor` — the in-process front door of a live mux,
+    journaling every call, with periodic checkpoints, crash injection
+    and timed failover that loses zero verdicts for accepted calls.
 
 Importing this package also registers the ``"online-incremental"``
 strategy with :mod:`repro.engine` (``engine.decide(...,
@@ -72,11 +72,10 @@ from .sources import (
     rtdb_periodic_stream,
 )
 from .strategy import OnlineIncremental
-from .supervisor import CrashedError, MuxSupervisor
+from .supervisor import MuxSupervisor
 
 __all__ = [
     "MuxSupervisor",
-    "CrashedError",
     "StreamVerdict",
     "LateEventError",
     "Monitor",

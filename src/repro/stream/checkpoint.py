@@ -29,6 +29,12 @@ as ``repr`` strings inverted by :func:`ast.literal_eval`, so streams
 must use literal-evaluable symbols (strings, numbers, tuples — every
 encoding in this repo qualifies).
 
+A :class:`Journal` is a snapshot plus the ``(op, payload)`` records
+since: ``EVENT``/``EVENTS`` in the front's own encoding, ``OPEN``
+``(name, query)``, ``CLOSE`` ``(name, horizon)``, ``EVICT`` ``(now,
+idle_ttl, victims)``, ``DRAIN``.  Both recovering fronts (supervisor,
+shard router) apply lifecycle records with :func:`apply_record`.
+
 Observability: ``stream.checkpoints`` counted with ``op=save|restore``.
 """
 
@@ -37,7 +43,7 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.verdict import DecisionReport, Verdict
@@ -54,6 +60,8 @@ __all__ = [
     "restore_sessions",
     "save_json",
     "load_json",
+    "Journal",
+    "apply_record",
 ]
 
 FORMAT_VERSION = 1
@@ -375,3 +383,55 @@ def load_json(path: str) -> Dict[str, Any]:
     """Read a snapshot back from disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+#: Journal record ops (payloads in the module docstring).
+EVENT, EVENTS, OPEN, CLOSE, EVICT, DRAIN = (
+    "event", "events", "open", "close", "evict", "drain",
+)
+
+
+class Journal:
+    """A mux's last snapshot (``None`` before the first) and the
+    records applied since, in order, with the events they carry."""
+
+    __slots__ = ("snapshot", "records", "events")
+
+    def __init__(self, snapshot: Optional[Dict[str, Any]] = None):
+        self.snapshot = snapshot
+        self.records: List[Tuple[str, Any]] = []
+        self.events = 0
+
+    def append(self, op: str, payload: Any, events: int) -> None:
+        self.records.append((op, payload))
+        self.events += events
+
+    def applied(self, op: str, payload: Any, result: Any) -> Any:
+        """Journal a lifecycle record the mux accepted with ``result``;
+        an eviction keeps its victims.  Returns ``result``."""
+        if op == EVICT:
+            payload = (payload[0], payload[1], result)
+        self.records.append((op, payload))
+        return result
+
+
+def apply_record(mux: SessionMux, op: str, payload: Any) -> Any:
+    """Apply one journal record to ``mux`` through the call that made
+    it live; returns that call's result (an eviction's victims)."""
+    if op == EVENT:
+        return mux.ingest(*payload)
+    if op == EVENTS:
+        return mux.ingest_batch(payload)
+    if op == OPEN:
+        return mux.open(*payload)
+    if op == CLOSE:
+        return mux.close(*payload)
+    if op == EVICT:
+        now, idle_ttl, victims = payload
+        if victims is None:
+            return mux.evict_idle(now, idle_ttl)
+        mux._evict(victims, now)
+        return victims
+    if op == DRAIN:
+        return mux.drain_evictions()
+    raise ValueError(f"unknown journal record {op!r}")

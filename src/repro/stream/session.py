@@ -625,17 +625,22 @@ class SessionMux:
         ttl = idle_ttl if idle_ttl is not None else self.idle_ttl
         if ttl is None:
             raise ValueError("no idle_ttl configured or passed")
-        last = {name: m.max_seen for name, m in self._sessions.items()}
         if now is None:
-            stamps = [t for t in last.values() if t is not None]
-            if not stamps:
+            now = self.newest()
+            if now is None:
                 return []
-            now = max(stamps)
+        last = {name: m.max_seen for name, m in self._sessions.items()}
         victims = [
             name for name, t in last.items() if t is None or now - t > ttl
         ]
         self._evict(victims, now)
         return victims
+
+    def newest(self) -> Optional[int]:
+        """The newest event time (``max_seen``) of any open session, or
+        ``None``: what :meth:`evict_idle` takes for ``now`` by default."""
+        stamps = [m.max_seen for m in self._sessions.values()]
+        return max((t for t in stamps if t is not None), default=None)
 
     def _evict(self, victims: List[str], now: int) -> None:
         """Retire the named sessions as idle at ``now``, filing their

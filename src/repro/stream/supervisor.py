@@ -1,32 +1,32 @@
 """Crash-recovering supervision of a :class:`~repro.stream.session.SessionMux`.
 
 PR 3's checkpoints made mux state *serializable*; this module makes it
-*survivable*.  A :class:`MuxSupervisor` stands in front of a live mux
-and maintains, at all times, enough durable state to rebuild it:
+*survivable*.  A :class:`MuxSupervisor` is the in-process front door of
+a live mux and keeps, at all times, enough durable state to rebuild it
+in a :class:`~repro.stream.checkpoint.Journal`, the log each shard of
+the shard router keeps too:
 
 * a **checkpoint** — :func:`~repro.stream.checkpoint.checkpoint_mux`
-  taken every ``checkpoint_every`` ingested events (and on demand).
-  The snapshot carries each session's reorder buffer, so every event
-  the mux has *accepted* — watermarked-and-applied or still buffered —
-  is inside it;
-* a **journal** — the ordered tail of events ingested since the last
-  checkpoint.  Replaying it through a restored mux is deterministic
-  (same order ⇒ same drops, same late-event outcomes, same verdicts),
-  which closes the gap between the checkpoint and the crash.
+  taken once ``checkpoint_every`` events were journaled since the last
+  one (and on demand).  The snapshot carries each session's reorder
+  buffer, so every event the mux has *accepted* — watermarked-and-
+  applied or still buffered — is inside it;
+* the **records** since: ``ingest`` and ``ingest_batch`` journal their
+  events before they touch the mux, so a call that raises part-way
+  replays to the same point; ``open``, ``close_session``,
+  ``evict_idle`` and ``drain_evictions`` journal once the mux accepted
+  them.  A change made directly on ``supervisor.mux`` is not journaled.
 
 ``crash()`` injects the failure (the live mux is gone — a dead host);
-``recover()`` rebuilds from ``mux_factory`` + latest checkpoint +
-journal replay.  The factory's fresh mux reopens every checkpointed
-session itself (:func:`~repro.stream.checkpoint.restore_mux`), on its
-own language or the session's private query, so the supervisor never
-names a language.  The guarantee the fault suite pins: recovery loses
-**zero verdicts for events the supervisor accepted** — the recovered
-mux agrees with an uninterrupted run, verdict for verdict.  With the
-journal disabled (``journal=False``) the guarantee weakens to the
-checkpoint boundary: nothing already checkpointed (in particular every
-watermarked event) is lost, and nothing wrong is ever re-emitted,
-because replay starts from a consistent snapshot rather than from
-guesswork.
+``recover()``, which the next call after a crash also runs, is
+:func:`~repro.stream.checkpoint.restore_mux` into a fresh
+``mux_factory()`` mux plus a replay of the records through
+:func:`~repro.stream.checkpoint.apply_record`, as the shard worker
+applies them.  The fresh mux reopens every checkpointed session itself,
+on its own language or the session's private query, so the supervisor
+never names a language.  The guarantee the fault suite pins: recovery
+loses **zero verdicts for calls the supervisor accepted** — the
+recovered mux agrees with an uninterrupted run, verdict for verdict.
 
 Recovery itself is timed (the commit-protocol literature's point:
 recovery must meet its own bounds): ``recover()`` runs under a
@@ -34,27 +34,24 @@ recovery must meet its own bounds): ``recover()`` runs under a
 is what ``benchmarks/bench_resilience.py`` measures.
 
 Observability: ``stream.failovers``, ``stream.supervisor_checkpoints``,
-``stream.journal_depth`` (gauge), and the ``stream.failover`` span.
-``snapshot_path`` additionally persists each checkpoint as JSON via
-:func:`~repro.stream.checkpoint.save_json` for process-restart
+``stream.journal_depth`` (gauge, in events), and the ``stream.failover``
+span.  ``snapshot_path`` additionally persists each checkpoint as JSON
+via :func:`~repro.stream.checkpoint.save_json` for process-restart
 durability.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..obs import hooks as _obs
+from .checkpoint import CLOSE, DRAIN, EVENT, EVENTS, EVICT, OPEN, Journal, apply_record
 from .checkpoint import checkpoint_mux, restore_mux, save_json
 from .monitor import LateEventError, StreamVerdict
-from .session import BackpressureError, SessionMux
+from .session import BackpressureError, SessionMux, SessionReport
 
-__all__ = ["MuxSupervisor", "CrashedError"]
-
-
-class CrashedError(RuntimeError):
-    """The supervised mux is down and auto-recovery is disabled."""
+__all__ = ["MuxSupervisor"]
 
 
 class MuxSupervisor:
@@ -72,8 +69,6 @@ class MuxSupervisor:
         mux_factory: Callable[[], SessionMux],
         *,
         checkpoint_every: int = 64,
-        journal: bool = True,
-        auto_recover: bool = True,
         snapshot_path: Optional[str] = None,
     ):
         if checkpoint_every < 1:
@@ -82,16 +77,12 @@ class MuxSupervisor:
             )
         self._factory = mux_factory
         self.checkpoint_every = checkpoint_every
-        self.journal_enabled = journal
-        self.auto_recover = auto_recover
         self.snapshot_path = snapshot_path
         self.mux: Optional[SessionMux] = mux_factory()
-        self.journal: List[Tuple[str, Any, int]] = []
-        self.events_since_checkpoint = 0
         self.checkpoints_taken = 0
         self.failovers = 0
         self.last_recovery_s: Optional[float] = None
-        self._snapshot = checkpoint_mux(self.mux)
+        self.journal = Journal(checkpoint_mux(self.mux))
 
     # -- state ------------------------------------------------------------
     @property
@@ -101,16 +92,11 @@ class MuxSupervisor:
 
     def _live(self) -> SessionMux:
         if self.mux is None:
-            if not self.auto_recover:
-                raise CrashedError(
-                    "supervised mux is down; call recover() (or enable "
-                    "auto_recover)"
-                )
             self.recover()
         assert self.mux is not None
         return self.mux
 
-    # -- ingestion --------------------------------------------------------
+    # -- the front door ---------------------------------------------------
     def ingest(self, name: str, symbol: Any, t: int) -> StreamVerdict:
         """Feed one event through the supervisor (journaled, then muxed).
 
@@ -120,31 +106,62 @@ class MuxSupervisor:
         late-event handling) on the recovered mux.
         """
         mux = self._live()
-        if self.journal_enabled:
-            self.journal.append((name, symbol, t))
+        journal = self.journal
+        journal.append(EVENT, (name, symbol, t), 1)
         try:
-            verdict = mux.ingest(name, symbol, t)
+            return mux.ingest(name, symbol, t)
         finally:
-            self.events_since_checkpoint += 1
-            if self.events_since_checkpoint >= self.checkpoint_every:
+            if journal.events >= self.checkpoint_every:
                 self.checkpoint()
-        return verdict
+
+    def ingest_batch(self, events) -> int:
+        """Feed many events as one journaled record (``mux.ingest_batch``)."""
+        events = tuple(events)  # not the caller's list, which may change
+        mux = self._live()
+        self.journal.append(EVENTS, events, len(events))
+        try:
+            return mux.ingest_batch(events)
+        finally:
+            if self.journal.events >= self.checkpoint_every:
+                self.checkpoint()
+
+    def _apply(self, op: str, payload: Any) -> Any:
+        result = apply_record(self._live(), op, payload)
+        return self.journal.applied(op, payload, result)
+
+    def open(self, name: str, query: Any = None) -> Any:
+        """Open a session, on the mux's language or a private ``query``."""
+        return self._apply(OPEN, (name, query))
+
+    def close_session(self, name: str, horizon: Optional[int] = None) -> SessionReport:
+        """Close one session; returns its SessionReport."""
+        return self._apply(CLOSE, (name, horizon))
+
+    def evict_idle(
+        self, now: Optional[int] = None, idle_ttl: Optional[int] = None
+    ) -> List[str]:
+        """Idle eviction; the record keeps ``now`` (``mux.newest()`` if None)."""
+        if now is None:
+            now = self._live().newest()
+        return self._apply(EVICT, (now, idle_ttl, None))
+
+    def drain_evictions(self) -> List[SessionReport]:
+        """Hand over (and clear) the eviction reports, for good."""
+        return self._apply(DRAIN, None)
 
     # -- checkpointing ----------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
         """Snapshot the live mux now; truncates the journal."""
-        mux = self._live()
-        self._snapshot = checkpoint_mux(mux)
-        self.journal.clear()
-        self.events_since_checkpoint = 0
+        snapshot = checkpoint_mux(self._live())
+        self.journal = Journal(snapshot)
         self.checkpoints_taken += 1
         if self.snapshot_path is not None:
-            save_json(self.snapshot_path, self._snapshot)
+            save_json(self.snapshot_path, snapshot)
         h = _obs.HOOKS
         if h is not None:
             h.count("stream.supervisor_checkpoints")
             h.gauge("stream.journal_depth", 0)
-        return self._snapshot
+        return snapshot
 
     # -- failure and recovery ---------------------------------------------
     def crash(self) -> None:
@@ -160,14 +177,15 @@ class MuxSupervisor:
         """
         start = time.perf_counter()
         h = _obs.HOOKS
+        journal = self.journal
 
         def rebuild() -> None:
-            fresh = restore_mux(self._snapshot, self._factory())
-            for name, symbol, t in self.journal:
+            fresh = restore_mux(journal.snapshot, self._factory())
+            for op, payload in journal.records:
                 try:
-                    fresh.ingest(name, symbol, t)
+                    apply_record(fresh, op, payload)
                 except (LateEventError, BackpressureError):
-                    # the original ingest raised identically; the
+                    # the original call raised identically; the
                     # mutation (late/drop accounting) already happened
                     pass
             self.mux = fresh
@@ -177,12 +195,12 @@ class MuxSupervisor:
         else:
             with h.span(
                 "stream.failover",
-                sessions=len(self._snapshot["sessions"]),
-                journal=len(self.journal),
+                sessions=len(journal.snapshot["sessions"]),
+                journal=journal.events,
             ):
                 rebuild()
             h.count("stream.failovers")
-            h.gauge("stream.journal_depth", len(self.journal))
+            h.gauge("stream.journal_depth", journal.events)
         self.failovers += 1
         self.last_recovery_s = time.perf_counter() - start
         return self.last_recovery_s
@@ -198,7 +216,6 @@ class MuxSupervisor:
         stats.update(
             checkpoints=self.checkpoints_taken,
             failovers=self.failovers,
-            journal_depth=len(self.journal),
-            events_since_checkpoint=self.events_since_checkpoint,
+            journal_depth=self.journal.events,
         )
         return stats

@@ -21,6 +21,7 @@ from repro.shard import HashRing, ShardError, ShardRouter
 from repro.shard import router as router_mod
 from repro.shard.wire import OP_EVENTS, EventBatch, frame_batches, pack_frame, unpack_frame
 from repro.stream import SessionMux
+from repro.stream.checkpoint import EVENTS
 
 
 def bounded_gap_tba(bound=2):
@@ -220,9 +221,10 @@ def test_auto_checkpoint_bounds_the_journal(tba):
         router.ingest_batch(events)
         router.sync()
         for shard in router._shards.values():
-            journaled = sum(len(cols) for op, cols in shard.journal if op == OP_EVENTS)
-            assert journaled == shard.journal_events <= 200
-            assert shard.snapshot is not None
+            journal = shard.journal
+            journaled = sum(len(cols) for op, cols in journal.records if op == EVENTS)
+            assert journaled == journal.events <= 200
+            assert journal.snapshot is not None
         victim = router.shard_ids[1]
         router.crash(victim)
         router.recover(victim)
@@ -389,8 +391,8 @@ def test_recover_whose_replay_checkpoints_after_a_close(tba):
         feed(range(1, 6))
         assert router.close_session("x").verdict == ref.close("x").verdict
         feed(range(6, 16))
-        shard = router._shards[victim]
-        assert shard.snapshot is None and shard.journal_events > 30
+        journal = router._shards[victim].journal
+        assert journal.snapshot is None and journal.events > 30
         router.crash(victim)
         router.recover(victim)
         _assert_like(router, ref)
@@ -598,3 +600,38 @@ def test_worker_event_path_never_imports_numpy_ma():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["300"]
+
+
+def test_stats_keep_the_counters_of_shards_that_leave(tba):
+    # fail_over and a shrinking rebalance retire shards; their lifetime
+    # counters (opened, closed, ...) must stay in stats().
+    events = [(f"n{i}", "a", t) for t in (1, 2) for i in range(12)]
+    ref = SessionMux(tba)
+    ref.ingest_batch(events)
+    with ShardRouter(tba, n_shards=3, batch_events=4) as router:
+        router.ingest_batch(events)
+        router.close_session("n0")
+        ref.close("n0")
+        router.checkpoint()
+        assert router.stats() == ref.stats()
+        victim = router.shard_ids[1]
+        router.crash(victim)
+        router.fail_over(victim)
+        assert router.stats() == ref.stats()
+        router.rebalance(1)
+        assert router.stats() == ref.stats()
+        assert router.verdicts() == ref.verdicts()
+
+
+def test_evict_idle_takes_now_from_open_sessions(tba):
+    # x's newest event (t=30) leaves with its close: one mux then takes
+    # "now" from y alone and evicts nothing.
+    events = [("x", "a", t) for t in (1, 2, 3, 30)] + [("y", "a", 1)]
+    ref = SessionMux(tba)
+    ref.ingest_batch(events)
+    with ShardRouter(tba, n_shards=2) as router:
+        router.ingest_batch(events)
+        router.close_session("x")
+        ref.close("x")
+        assert router.evict_idle(idle_ttl=10) == ref.evict_idle(idle_ttl=10) == []
+        assert router.stats() == ref.stats()

@@ -1,10 +1,9 @@
 """Failover tests for repro.stream.supervisor — the crash-recovering mux.
 
 The pinned guarantee: a recovered mux re-emits no wrong verdicts and
-loses none for events the supervisor accepted — with the journal on,
-it agrees with an uninterrupted run event for event; with the journal
-off, everything up to the latest checkpoint (in particular every
-watermarked event) survives.
+loses none for calls the supervisor accepted — it agrees with an
+uninterrupted run event for event, and every open, close, eviction and
+drain made through the supervisor survives the crash.
 """
 
 import random
@@ -16,11 +15,12 @@ from repro.kernel import Le
 from repro.machine import RealTimeAlgorithm
 from repro.obs import instrumented
 from repro.stream import (
-    CrashedError,
+    BackpressureError,
     Monitor,
     MuxSupervisor,
     SessionMux,
     StreamVerdict,
+    checkpoint_mux,
     load_json,
 )
 
@@ -81,24 +81,6 @@ class TestFailover:
         assert supervisor.verdicts() == reference.verdicts()
         assert supervisor.mux.stats()["drops"] == reference.stats()["drops"]
 
-    def test_no_wrong_verdicts_without_journal(self, tba, factory):
-        # journal off: recovery restarts from the checkpoint; everything
-        # the checkpoint holds (all watermarked events plus the
-        # serialized reorder buffers) survives, and nothing is invented
-        events = traffic(events=150)
-        supervisor = MuxSupervisor(
-            factory, checkpoint_every=10_000, journal=False, auto_recover=False
-        )
-        for name, sym, t in events[:100]:
-            supervisor.ingest(name, sym, t)
-        supervisor.checkpoint()
-        at_checkpoint = dict(supervisor.verdicts())
-        for name, sym, t in events[100:]:
-            supervisor.ingest(name, sym, t)
-        supervisor.crash()
-        supervisor.recover()
-        assert supervisor.verdicts() == at_checkpoint
-
     def test_recovery_latency_is_measured(self, tba, factory):
         supervisor = MuxSupervisor(factory, checkpoint_every=50)
         for name, sym, t in traffic(events=120):
@@ -107,16 +89,6 @@ class TestFailover:
         latency = supervisor.recover()
         assert latency > 0
         assert supervisor.last_recovery_s == latency
-
-    def test_crashed_guard_without_auto_recover(self, tba, factory):
-        supervisor = MuxSupervisor(factory, auto_recover=False)
-        supervisor.crash()
-        assert supervisor.crashed
-        with pytest.raises(CrashedError, match="recover"):
-            supervisor.ingest("s0", "a", 1)
-        supervisor.recover()
-        assert not supervisor.crashed
-        supervisor.ingest("s0", "a", 1)
 
 
 class TestMachineBackedSessions:
@@ -185,7 +157,6 @@ class TestSupervisorLedger:
         stats = supervisor.stats()
         assert stats["checkpoints"] == 4
         assert stats["journal_depth"] == 10
-        assert stats["events_since_checkpoint"] == 10
         assert stats["failovers"] == 0
 
     def test_snapshot_path_persists_json(self, tba, factory, tmp_path):
@@ -216,3 +187,95 @@ class TestSupervisorLedger:
         )
         spans = [s.name for s in inst.spans.completed()]
         assert "stream.failover" in spans
+
+
+class TestFrontDoor:
+    """Every call through the supervisor survives a crash after the
+    last checkpoint, and the recovered mux equals one uninterrupted mux."""
+
+    @staticmethod
+    def _recovered(supervisor):
+        supervisor.crash()
+        supervisor.recover()
+        return supervisor.mux
+
+    @staticmethod
+    def _same(mux, ref):
+        assert checkpoint_mux(mux) == checkpoint_mux(ref)
+        assert mux.stats() == ref.stats()
+
+    def test_close_after_checkpoint_stays_closed(self, factory):
+        events = traffic(sessions=4, events=60)
+        ref = factory()
+        ref.ingest_batch(events)
+        supervisor = MuxSupervisor(factory, checkpoint_every=10_000)
+        supervisor.ingest_batch(events)
+        supervisor.checkpoint()
+        got, want = supervisor.close_session("s1"), ref.close("s1")
+        assert got == want
+        mux = self._recovered(supervisor)
+        assert "s1" not in mux
+        self._same(mux, ref)
+
+    def test_eviction_after_checkpoint_stays_evicted(self, factory):
+        ref = factory()
+        supervisor = MuxSupervisor(factory, checkpoint_every=10_000)
+        for sink in (ref, supervisor):
+            sink.ingest("x", "a", 1)
+            sink.ingest("y", "a", 2)
+        supervisor.checkpoint()
+        assert supervisor.evict_idle(now=50, idle_ttl=5) == ["x", "y"]
+        ref.evict_idle(now=50, idle_ttl=5)
+        mux = self._recovered(supervisor)
+        assert (mux.stats()["active"], mux.stats()["evicted"]) == (0, 2)
+        self._same(mux, ref)
+
+    def test_private_query_open_after_checkpoint_keeps_its_query(self):
+        def factory():
+            return SessionMux(query="repeat(a within 3)", late_policy="drop")
+
+        ref = factory()
+        supervisor = MuxSupervisor(factory, checkpoint_every=10_000)
+        supervisor.checkpoint()
+        for sink in (ref, supervisor):
+            sink.open("p", query="repeat(b within 2)")
+            sink.ingest("p", "b", 2)
+            sink.ingest("p", "b", 4)
+        mux = self._recovered(supervisor)
+        assert mux.verdicts()["p"] is StreamVerdict.ACCEPTING
+        self._same(mux, ref)
+
+    def test_drained_eviction_reports_stay_drained(self, factory):
+        supervisor = MuxSupervisor(factory, checkpoint_every=10_000)
+        supervisor.ingest("x", "a", 1)
+        supervisor.checkpoint()
+        supervisor.evict_idle(now=30, idle_ttl=5)
+        assert [r.name for r in supervisor.drain_evictions()] == ["x"]
+        mux = self._recovered(supervisor)
+        assert mux.eviction_reports == []
+        assert supervisor.drain_evictions() == []
+
+    def test_batches_with_crashes_mid_feed_equal_one_mux(self, factory):
+        events = traffic(events=400)
+        ref = factory()
+        ref.ingest_batch(events)
+        supervisor = MuxSupervisor(factory, checkpoint_every=45)
+        for k, lo in enumerate(range(0, len(events), 17)):
+            if k in (5, 13, 19):
+                supervisor.crash()
+            supervisor.ingest_batch(events[lo:lo + 17])
+        assert supervisor.failovers == 3
+        self._same(supervisor.mux, ref)
+
+    def test_batch_refused_part_way_recovers_to_the_live_state(self, tba):
+        def factory():
+            return SessionMux(tba, lateness=5, buffer_limit=3, drop_policy="reject")
+
+        supervisor = MuxSupervisor(factory, checkpoint_every=10_000)
+        supervisor.ingest_batch([("y", "a", 1), ("y", "a", 2)])
+        supervisor.checkpoint()
+        with pytest.raises(BackpressureError):
+            supervisor.ingest_batch([("x", "a", t) for t in range(1, 9)] + [("y", "a", 3)])
+        live = checkpoint_mux(supervisor.mux)
+        assert live["sessions"]["x"]["snapshot"]["state"]["events_ingested"] == 3
+        assert checkpoint_mux(self._recovered(supervisor)) == live
