@@ -10,10 +10,9 @@ request:
   absorbing-verdict discipline: run until s_f/s_r is declared or the
   horizon passes.  Exact on the lasso words every Section 4/5
   construction produces, and O(decision point) regardless of horizon.
-  A machine compiled from a deterministic TBA judges a lasso word on
-  its on-demand successor table
-  (:class:`~repro.machine.from_tba.SuccessorTable`) instead of a
-  kernel replay, with the same report field for field.
+  A machine compiled from a TBA judges a lasso word on its on-demand
+  successor table (:func:`~repro.machine.from_tba.decide_on_table`)
+  instead of a kernel replay, with the same report field for field.
 * :class:`LongPrefixEmpirical` (``"long-prefix-empirical"``) — run a
   long prefix, count f's, and decide empirically (f_count > 0 ⟺
   accept).  Linear in the horizon and only horizon-confident, but
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Union
 
+from ..machine.tape import zeno_event_cap
 from ..obs import hooks as _obs
 from .verdict import DecisionReport, Verdict
 
@@ -79,9 +79,11 @@ def resolve_zeno(report: DecisionReport, acceptor: Any, word: Any) -> DecisionRe
     region mathematics, which is what the ``lasso-exact`` contract
     promises.  This rewrites such an UNDECIDED report in place: verdict
     from ``accepts_lasso``, ``decided_at`` pinned to the stall instant,
-    and ``evidence["zeno"] = "region-exact"``.  An acceptor with a
-    successor table answers ``accepts_lasso`` with the deterministic
-    walk over its cells; any other reads the interpreted automaton.
+    and ``evidence["zeno"] = "region-exact"``.  A successor table of a
+    syntactically deterministic source answers ``accepts_lasso`` with
+    its walk over rows; any other acceptor reads the interpreted
+    automaton (a walk over configuration *sets* does not preserve
+    Büchi acceptance).
 
     Reports that already carry an absorbing verdict, and acceptors with
     no source automaton, pass through untouched (the latter gain
@@ -94,7 +96,7 @@ def resolve_zeno(report: DecisionReport, acceptor: Any, word: Any) -> DecisionRe
         report.evidence["zeno"] = "cutoff"
         return report
     table = getattr(acceptor, "successor_table", None)
-    judge = tba if table is None else table
+    judge = table if table is not None and table.deterministic else tba
     report.verdict = Verdict.ACCEPT if judge.accepts_lasso(word) else Verdict.REJECT
     report.decided_at = word.time_at(len(word.prefix))
     report.evidence["zeno"] = "region-exact"
@@ -124,17 +126,17 @@ class LassoExact(DecisionStrategy):
     name = "lasso-exact"
 
     def run(self, acceptor: Any, word: Any, horizon: int) -> DecisionReport:
-        from ..machine.tape import zeno_event_cap
+        # The machine package imports this one: import on first use.
+        from ..machine.from_tba import decide_on_table
 
-        table = getattr(acceptor, "successor_table", None)
         if (
-            table is not None
+            getattr(acceptor, "successor_table", None) is not None
             # The kernel meters working storage against a space limit.
             and acceptor.space_limit is None
             and getattr(word, "fn", None) is None
             and getattr(word, "loop", ())
         ):
-            report = table.decide(acceptor, word, horizon)
+            report = decide_on_table(acceptor, word, horizon)
         else:
             report = acceptor.decide(word, horizon=horizon)
         if zeno_event_cap(word) is not None:

@@ -25,14 +25,17 @@ after which its run has died or shown every configuration it ever
 will, and the compiled machine carries that count for the tape's
 :func:`~repro.machine.tape.zeno_event_cap`.
 
-A deterministic TBA's machine holds a single configuration and steps
-it once per input symbol, so its whole computation on a word is a
-walk over successor cells.  The compiled machine carries those cells
-as a :class:`SuccessorTable`, filled on demand from the same
+The machine's working storage holds one configuration set and the
+previous input instant, so its whole computation on a word is a walk
+over successor cells.  Every compiled machine carries those cells as
+its ``successor_table``, a :class:`~repro.stream.compiled.CompiledTBA`
+built without a liveness analysis: one row per configuration set the
+machine has reached, each cell filled on demand from the same
 ``_step_configs`` call the program makes.  The ``lasso-exact``
-strategy judges lasso words on it (:meth:`SuccessorTable.decide`)
-and settles frozen-time lassos with the shared deterministic walk of
-:func:`repro.stream.compiled.deterministic_accepts_lasso`, without
+strategy judges lasso words on it (:func:`decide_on_table`),
+deterministic source or not, and settles a deterministic source's
+frozen-time lassos with the table's walk over rows
+(:meth:`~repro.stream.compiled.CompiledTBA.accepts_lasso`), without
 building a simulator.  The kernel replay of
 :meth:`~repro.machine.rtalgorithm.RealTimeAlgorithm.decide` stays the
 Definition 3.3 oracle the table is checked against
@@ -42,7 +45,7 @@ Definition 3.3 oracle the table is checked against
 from __future__ import annotations
 
 from itertools import chain, count, islice
-from typing import Any, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Generator, Set, Tuple
 
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.verdict import DecisionReport, Verdict
@@ -54,14 +57,9 @@ from .tape import DEFAULT_FEEDER_CAP, ZENO_UNROLL, TapeProtocolError, zeno_event
 __all__ = [
     "tba_to_algorithm",
     "zeno_unroll",
+    "decide_on_table",
     "NondeterministicTBAError",
-    "SuccessorTable",
 ]
-
-Config = Tuple[Any, Tuple[int, ...]]
-#: A filled cell: the successor configuration and whether it is
-#: accepting, or ``None`` when the run dies.
-Cell = Optional[Tuple[Config, bool]]
 
 
 class NondeterministicTBAError(ValueError):
@@ -119,11 +117,14 @@ def tba_to_algorithm(
     the inter-arrival gap and applies the enabled transitions.  An f is
     written whenever some reachable configuration is accepting (and the
     output-rate rule permits).  If every configuration dies, the
-    machine enters s_r.  A syntactically deterministic ``tba`` also
-    gives the machine a :class:`SuccessorTable` as ``successor_table``
-    (``None`` otherwise), whatever ``allow_nondeterministic`` says.
+    machine enters s_r.  The machine carries the automaton's successor
+    table as ``successor_table``.
     """
-    if not allow_nondeterministic and not _is_deterministic(tba):
+    # The stream package imports this module: import it on first use.
+    from ..stream.compiled import CompiledTBA
+
+    table = CompiledTBA(tba)
+    if not allow_nondeterministic and not table.deterministic:
         raise NondeterministicTBAError(
             "pass allow_nondeterministic=True to use the f-count proxy"
         )
@@ -154,111 +155,61 @@ def tba_to_algorithm(
     # and bound how much of such a lasso the tape feeds.
     algo.source_tba = tba
     algo.zeno_unroll = zeno_unroll(tba)
-    algo.successor_table = SuccessorTable(tba) if _is_deterministic(tba) else None
+    algo.successor_table = table
     return algo
 
 
-_UNFILLED = object()
+def decide_on_table(machine: RealTimeAlgorithm, word: Any, horizon: int) -> DecisionReport:
+    """``machine.decide(word, horizon)``'s report, read off the rows of
+    the machine's ``successor_table``.
 
-
-class SuccessorTable:
-    """The compiled machine's steps as cells filled on demand.
-
-    A cell is keyed by value: ``(configuration, symbol, gap class)``,
-    the configuration being ``(state, clock valuation)`` and gap
-    classes capped at cmax+1 as in :mod:`repro.automata.timed`.  It
-    holds what ``tba._step_configs({configuration}, symbol, gap)``
-    returns, which is what the program stores after reading that
-    symbol: the one successor and whether it is accepting, or ``None``
-    when the run dies.  Filling a cell is idempotent, so threads that
-    share the cached machine need no lock.  A symbol outside the
-    alphabet kills the run without creating a cell, so the cells stay
-    within reachable configurations × |Σ| × (cmax+2).
+    ``word`` must be a lasso.  The run is published through the
+    machine's hooks as ``machine.runs{mode="table"}``, under a
+    ``machine.table_replay`` span.
     """
+    h = _obs.HOOKS
+    if h is None:
+        return _replay(machine, word, horizon)
+    with h.span("machine.table_replay", algorithm=machine.name, horizon=horizon):
+        return machine._report_run("table", _replay(machine, word, horizon))
 
-    def __init__(self, tba: TimedBuchiAutomaton):
-        self.tba = tba
-        self.gap_cap = tba._cmax + 1
-        self.initial: Config = tba._initial_config()
-        self.cells: Dict[Tuple[Config, Any, int], Cell] = {}
 
-    def step(self, config: Config, symbol: Any, gap: int) -> Cell:
-        """The cell ``config`` reaches on ``symbol`` after ``gap``."""
-        if gap > self.gap_cap:
-            gap = self.gap_cap
-        key = (config, symbol, gap)
-        cell = self.cells.get(key, _UNFILLED)
-        if cell is not _UNFILLED:
-            return cell
-        tba = self.tba
-        if symbol not in tba.alphabet:
-            return None
-        nxt = tba._step_configs({config}, symbol, gap)
-        cell = None
-        if nxt:
-            (succ,) = nxt
-            cell = (succ, succ[0] in tba.accepting)
-        if gap >= 0:
-            # Only a word whose time starts below 0 steps a negative
-            # gap, and the tape refuses such a word whenever it runs.
-            self.cells[key] = cell
-        return cell
-
-    def accepts_lasso(self, word: Any) -> bool:
-        """Büchi acceptance of a lasso word, walked over the cells."""
-        from ..stream.compiled import deterministic_accepts_lasso
-
-        return deterministic_accepts_lasso(word, self.initial, self.step)
-
-    def decide(self, machine: RealTimeAlgorithm, word: Any, horizon: int) -> DecisionReport:
-        """``machine.decide(word, horizon)``'s report, read off the cells.
-
-        ``word`` must be a lasso.  The run is published through the
-        machine's hooks as ``machine.runs{mode="table"}``, under a
-        ``machine.table_replay`` span.
-        """
-        h = _obs.HOOKS
-        if h is None:
-            return self._replay(machine, word, horizon)
-        with h.span("machine.table_replay", algorithm=machine.name, horizon=horizon):
-            return machine._report_run("table", self._replay(machine, word, horizon))
-
-    def _replay(self, machine: RealTimeAlgorithm, word: Any, horizon: int) -> DecisionReport:
-        report = DecisionReport(Verdict.UNDECIDED, horizon=horizon)
-        if horizon < 0:
-            return report  # the kernel never starts the program
-        # The program's working storage: the configuration and the
-        # previous input instant.
-        report.space_peak = 2
-        cap = zeno_event_cap(word, machine)
-        shift = word.shift
-        pairs = chain(
-            word.prefix, ((s, t + k * shift) for k in count() for s, t in word.loop)
-        )
-        step = self.step
-        config = self.initial
-        prev = 0
-        f_at = -1
-        f_count = 0
-        for i, (symbol, t) in enumerate(
-            islice(pairs, DEFAULT_FEEDER_CAP if cap is None else cap)
-        ):
-            if t > horizon:
-                break
-            if t < prev:
-                raise TapeProtocolError(
-                    f"input word time went backwards at index {i} (t={t}, now={prev})"
-                )
-            cell = step(config, symbol, t - prev)
-            prev = t
-            if cell is None:
-                report.verdict = Verdict.REJECT
-                report.decided_at = t
-                break
-            config, accepting = cell
-            # The output tape takes at most one f per instant.
-            if accepting and t != f_at:
-                f_count += 1
-                f_at = t
-        report.f_count = f_count
-        return report
+def _replay(machine: RealTimeAlgorithm, word: Any, horizon: int) -> DecisionReport:
+    report = DecisionReport(Verdict.UNDECIDED, horizon=horizon)
+    if horizon < 0:
+        return report  # the kernel never starts the program
+    # The program's working storage: the configuration set and the
+    # previous input instant.
+    report.space_peak = 2
+    cap = zeno_event_cap(word, machine)
+    shift = word.shift
+    pairs = chain(
+        word.prefix, ((s, t + k * shift) for k in count() for s, t in word.loop)
+    )
+    table = machine.successor_table
+    step, trap, accepting = table.step, table.trap, table.accepting_list
+    row = table.initial_index
+    prev = 0
+    f_at = -1
+    f_count = 0
+    for i, (symbol, t) in enumerate(
+        islice(pairs, DEFAULT_FEEDER_CAP if cap is None else cap)
+    ):
+        if t > horizon:
+            break
+        if t < prev:
+            raise TapeProtocolError(
+                f"input word time went backwards at index {i} (t={t}, now={prev})"
+            )
+        row = step(row, symbol, t - prev)
+        prev = t
+        if row == trap:
+            report.verdict = Verdict.REJECT
+            report.decided_at = t
+            break
+        # The output tape takes at most one f per instant.
+        if accepting[row] and t != f_at:
+            f_count += 1
+            f_at = t
+    report.f_count = f_count
+    return report

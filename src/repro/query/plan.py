@@ -19,8 +19,9 @@ Per-query verdicts come from *projections*, not extra stepping: the
 product run's channel-q projection is exactly component q's run, so
 :meth:`TBAAnalysis.live_for` / ``green_for`` re-derive each channel's
 liveness/guarantee sets over the one shared configuration universe and
-:meth:`~repro.stream.compiled.CompiledTBA.flag_view` turns them into
-flag rows over the one shared table.  Crucially the per-event cost of
+:meth:`QueryPlan.flags` projects each configuration set a monitor
+reads (a row of the one shared table, or off it the monitor's own set)
+onto every channel, once per set.  Crucially the per-event cost of
 a channel is *zero*: channel REJECTED (out of ``live_q``) and the
 green guarantee are both **forward-closed** — the current state alone
 decides them — and accept recency derives from per-state visit
@@ -289,13 +290,11 @@ class QueryPlan:
             self.compiled = compiled_for(self.analysis)
             if compiled is True and self.compiled is None:
                 raise ValueError(
-                    "compiled stepping unavailable for this plan "
-                    "(REPRO_STREAM_COMPILED=0, or the product exceeds "
-                    "the table bounds) — drop queries or split the plan"
+                    "compiled stepping disabled for this plan (REPRO_STREAM_COMPILED=0)"
                 )
-        #: Lazily-built per-channel flag views for :attr:`compiled`
-        #: (shared read-only by every :class:`PlanMonitor`).
-        self._views: Optional[Tuple[List[Any], List[List[int]]]] = None
+        #: The channel flags of each configuration set read so far
+        #: (shared by every :class:`PlanMonitor`).
+        self._flags: Dict[FrozenSet[Any], List[Tuple[bool, bool, bool]]] = {}
         h = _obs.HOOKS
         if h is not None:
             h.count("query.plans")
@@ -304,20 +303,23 @@ class QueryPlan:
     def __len__(self) -> int:
         return len(self.names)
 
-    def channel_views(self, comp: Any) -> Tuple[List[Any], List[List[int]]]:
-        """Per-channel ``(acc, live, green)`` flag lists and accepting
-        state indices against one compiled artifact — plan-level
-        constants, built once and shared by every monitor (building
-        them per session would dominate session setup)."""
-        if comp is self.compiled and self._views is not None:
-            return self._views
-        flags = [comp.flag_view(*self.channels[name]) for name in self.names]
-        acc_idx = [
-            [i for i, f in enumerate(acc) if f] for acc, _lv, _gr in flags
-        ]
-        if comp is self.compiled:
-            self._views = (flags, acc_idx)
-        return flags, acc_idx
+    def flags(self, members: FrozenSet[Any]) -> List[Tuple[bool, bool, bool]]:
+        """Each channel's ``(accepting, live, green)`` flags of one
+        configuration set: accepting or live if a member is, green if
+        it is non-empty and inside the channel's green set.  Computed
+        once per set and shared by every monitor, so the views grow
+        with the sets the traffic reaches."""
+        got = self._flags.get(members)
+        if got is None:
+            got = self._flags[members] = [
+                (
+                    not members.isdisjoint(acc),
+                    not members.isdisjoint(live),
+                    bool(members) and members <= green,
+                )
+                for acc, live, green in map(self.channels.__getitem__, self.names)
+            ]
+        return got
 
     def monitor(self, **kwargs: Any) -> "PlanMonitor":
         """A per-session :class:`PlanMonitor` over the shared plan
@@ -411,54 +413,39 @@ class PlanMonitor(TBAMonitor):
         )
 
     # -- occupancy ledger ----------------------------------------------------
-    @property
-    def _svc(self) -> Any:
-        """Visit counts per compiled state index (or configuration)."""
-        return self._tab.svc[self._slot]
-
-    @property
-    def _slt(self) -> Any:
-        """Last visit times, keyed like :attr:`_svc`."""
-        return self._tab.slt[self._slot]
-
     def _advance(self, symbol: Any, t: int) -> None:
         record = self._tab.comp is None and self.verdict is not StreamVerdict.REJECTED
         super()._advance(symbol, t)
         if record:
-            svc, slt = self._svc, self._slt
+            svc, slt = self._tab.svc[self._slot], self._tab.slt[self._slot]
             for c in self.configs:
                 svc[c] = svc.get(c, 0) + 1
                 slt[c] = t
 
+    def _visits(self) -> List[Tuple[FrozenSet[Any], int, int]]:
+        """``(configuration set, visit count, last visit time)`` per
+        ledger entry: per row on the table (a row the slot never
+        visited may lie past its ledger), per configuration off it."""
+        svc, slt = self._tab.svc[self._slot], self._tab.slt[self._slot]
+        comp = self._tab.comp
+        if comp is None:
+            return [(frozenset({c}), n, slt[c]) for c, n in svc.items()]
+        return [(comp.sets[i], n, slt[i]) for i, n in enumerate(svc) if n]
+
     # -- channel judgement (derived at read time) --------------------------
     def _channel_verdict(self, q: int) -> StreamVerdict:
-        now = self.prev_t
+        flags = self.plan.flags
+        _acc, live, green = flags(self.configs)[q]
+        if not live:
+            return StreamVerdict.REJECTED
+        if green:
+            return StreamVerdict.ACCEPTING
+        lat = max(
+            (ts for members, _n, ts in self._visits() if flags(members)[q][0]),
+            default=None,
+        )
         fw = self.f_window
-        slt = self._slt
-        lat: Optional[int] = None
-        if self._tab.comp is not None:
-            flags, acc_idx = self.plan.channel_views(self._compiled)
-            ci = self._ci
-            _acc, lv, gr = flags[q]
-            if not lv[ci]:
-                return StreamVerdict.REJECTED
-            if gr[ci]:
-                return StreamVerdict.ACCEPTING
-            for i in acc_idx[q]:
-                ts = slt[i]
-                if ts is not None and (lat is None or ts > lat):
-                    lat = ts
-        else:
-            acc_s, lv_s, gr_s = self.plan.channels[self.plan.names[q]]
-            cs = self.configs
-            if not (cs & lv_s):
-                return StreamVerdict.REJECTED
-            if gr_s and cs <= gr_s:
-                return StreamVerdict.ACCEPTING
-            for c, ts in slt.items():
-                if c in acc_s and (lat is None or ts > lat):
-                    lat = ts
-        if lat is not None and (fw is None or now - lat <= fw):
+        if lat is not None and (fw is None or self.prev_t - lat <= fw):
             return StreamVerdict.ACCEPTING
         return StreamVerdict.INCONCLUSIVE
 
@@ -482,16 +469,10 @@ class PlanMonitor(TBAMonitor):
     def channel_accept_visits(self) -> Dict[str, int]:
         """Applied events per channel that landed in an accepting
         configuration (the per-channel mirror of ``accept_visits``)."""
-        svc = self._svc
-        if self._tab.comp is not None:
-            acc_idx = self.plan.channel_views(self._compiled)[1]
-            return {
-                name: sum(svc[i] for i in acc_idx[q])
-                for q, name in enumerate(self.plan.names)
-            }
+        visits, flags = self._visits(), self.plan.flags
         return {
-            name: sum(n for c, n in svc.items() if c in self.plan.channels[name][0])
-            for name in self.plan.names
+            name: sum(n for members, n, _ts in visits if flags(members)[q][0])
+            for q, name in enumerate(self.plan.names)
         }
 
     @property
@@ -501,12 +482,4 @@ class PlanMonitor(TBAMonitor):
             return True  # base live is the union: every channel is dead
         if not self._green_locked:
             return False
-        if self._tab.comp is not None:
-            ci = self._ci
-            flags = self.plan.channel_views(self._compiled)[0]
-            return all(not lv[ci] or gr[ci] for _acc, lv, gr in flags)
-        cs = self.configs
-        return all(
-            not (cs & lv_s) or (gr_s and cs <= gr_s)
-            for _acc_s, lv_s, gr_s in self.plan.channels.values()
-        )
+        return all(not live or green for _acc, live, green in self.plan.flags(self.configs))

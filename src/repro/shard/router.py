@@ -63,6 +63,7 @@ import signal
 import time
 from collections import Counter
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional
 
 import multiprocessing as mp
@@ -70,7 +71,7 @@ import multiprocessing as mp
 import numpy as np
 
 from ..obs import hooks as _obs
-from ..stream.checkpoint import CLOSE, EVENTS, EVICT, Journal
+from ..stream.checkpoint import CLOSE, DRAIN, EVENTS, EVICT, REPORTS, Journal
 from .placement import DEFAULT_REPLICAS, HashRing
 from .wire import (
     DEFAULT_CHUNK_EVENTS,
@@ -558,6 +559,13 @@ class ShardRouter:
             victims.extend(evicted)
         return victims
 
+    def drain_evictions(self) -> List[Any]:
+        """Hand over (and clear) every shard's eviction reports: the
+        reports one mux would, shard by shard.  Each comes back from one
+        drain, through ``recover``, ``fail_over`` and ``rebalance``."""
+        self.sync()
+        return [r for s in list(self._shards.values()) for r in self._apply(s, DRAIN, None)]
+
     # -- durability --------------------------------------------------------
     def _checkpoint_shard(self, shard: _Shard) -> None:
         self._drain_acks(shard)
@@ -622,7 +630,7 @@ class ShardRouter:
         shard.journal = Journal(old.journal.snapshot)
         if shard.journal.snapshot is not None:
             self._request(shard, OP_RESTORE, shard.journal.snapshot)
-        self._replay(old)
+        self._replay(old, shard)
         self._flush_shard(shard)
         self._drain_acks(shard)
         latency = time.perf_counter() - t0
@@ -632,12 +640,12 @@ class ShardRouter:
             h.observe("shard.recovery_latency", latency)
         return latency
 
-    def _replay(self, dead: _Shard) -> None:
+    def _replay(self, dead: _Shard, into: Optional[_Shard] = None) -> None:
         """Re-apply a dead shard's journal the way live traffic arrives;
         routing adds only the shard each record goes to: event columns
-        through :meth:`_route`, a close or each victim of an eviction on
-        the ring's shard through :meth:`_apply` (both re-journal them on
-        the shard that now holds the sessions).
+        through :meth:`_route`, other records through :meth:`_apply` on
+        ``into`` (a respawn) or on the ring's shard for a close, each
+        victim of an eviction, and each report drained or filed.
 
         The dead shard's retired ids are handed to the shards now placing
         them only afterwards: a checkpoint the replay itself triggers
@@ -647,18 +655,37 @@ class ShardRouter:
             if op == EVENTS:
                 self._route(payload)
                 continue
-            if op == CLOSE:
+            if into is not None:
+                parts = {into.id: payload}
+            elif op == CLOSE:
                 parts = {self._ring.place(payload[0]): payload}
-            else:
+            elif op == EVICT:
                 now, idle_ttl, names = payload
-                groups: Dict[str, List[str]] = {}
-                for name in names:
-                    groups.setdefault(self._ring.place(name), []).append(name)
-                parts = {k: (now, idle_ttl, g) for k, g in groups.items()}
+                parts = {k: (now, idle_ttl, g) for k, g in self._by_place(names).items()}
+            else:  # DRAIN, REPORTS
+                parts = self._by_place(payload, itemgetter("name"))
             for target_id, part in sorted(parts.items()):
                 self._apply(self._shards[target_id], op, part)
         for sid in dead.retired:
             self._shards[self._shard_of_num[self._place[sid]]].retired.append(sid)
+
+    def _by_place(self, items: Any, name: Callable[[Any], str] = str) -> Dict[str, List[Any]]:
+        """``items`` grouped by the shard the ring places each name on."""
+        groups: Dict[str, List[Any]] = {}
+        for item in items:
+            groups.setdefault(self._ring.place(name(item)), []).append(item)
+        return groups
+
+    def _leave(self, snapshot: Dict[str, Any]) -> None:
+        """Keep the lifetime counters of a shard leaving the pool, from
+        its last snapshot, and file its eviction reports on the shards
+        the ring now places their names on."""
+        counts = snapshot["counters"].items()
+        self._left.update({k.removeprefix("sessions_"): v for k, v in counts})
+        for target_id, part in sorted(
+            self._by_place(snapshot["eviction_reports"], itemgetter("name")).items()
+        ):
+            self._apply(self._shards[target_id], REPORTS, part)
 
     def fail_over(self, shard_id: str) -> List[str]:
         """Retire a dead shard by re-placing its sessions on survivors.
@@ -687,8 +714,7 @@ class ShardRouter:
         snapshot = dead.journal.snapshot
         if snapshot is not None:
             # The replay counts what happened since, where it lands.
-            counts = snapshot["counters"].items()
-            self._left.update({k.removeprefix("sessions_"): v for k, v in counts})
+            self._leave(snapshot)
             for name, entry in snapshot["sessions"].items():
                 groups.setdefault(self._ring.place(name), {})[name] = entry
         moved: List[str] = []
@@ -761,15 +787,18 @@ class ShardRouter:
             for sid in shard.retired:
                 self._names[sid] = None
             self._free.extend(shard.retired)
+            snapshot = None
             try:
                 if self._mux_factory is not None:  # its sessions moved away
-                    self._left.update(self._request(shard, OP_STATS, None))
+                    snapshot = self._request(shard, OP_CHECKPOINT, None)
                 delta = self._request(shard, OP_SHUTDOWN, None)
             except ShardError:
                 pass
             else:
                 self._merge_delta_result(delta)
             self._reap(shard)
+            if snapshot is not None:
+                self._leave(snapshot)
         # Re-checkpoint every shard so its journal/snapshot pair describes
         # the new layout: besides the moved sessions, the ring now sends a
         # reopened name where an older close or eviction in an untouched

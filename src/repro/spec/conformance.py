@@ -12,7 +12,7 @@ output needed:
     denotational semantics (:func:`repro.spec.semantics.holds`).
 ``monitor``
     :class:`~repro.stream.monitor.TBAMonitor` on the compiled
-    dense-table path vs the interpreted ``_step_configs`` path —
+    successor-table path vs the interpreted ``_step_configs`` path —
     per-event verdict streams, accept-visit counters, and the
     ``ingest_many`` bulk scan vs the event-at-a-time loop.
 ``strategy``
@@ -21,8 +21,9 @@ output needed:
     compilation — report-identical, not just verdict-identical.  On a
     frozen-time lasso the machine's report, cut at its derived unroll
     bound, must also equal its report on ``ZENO_UNROLL`` unrollings.
-    On a deterministic case ``lasso-exact`` judges on the machine's
-    successor table, and its report must equal :func:`kernel_report`'s
+    On every case, deterministic or not, ``lasso-exact`` judges on the
+    machine's successor table, and its report must equal
+    :func:`kernel_report`'s
     (``machine.decide``, then ``resolve_zeno`` on the interpreted
     automaton) on every field, at the pair's horizon, at −1, at 0 and
     at an instant inside the word.
@@ -625,9 +626,7 @@ def _check_strategy(
         # Machine rejection means every tracked run died — sound for
         # any TBA, so it can never contradict the language answer.
         return "lasso-exact reports REJECT but accepts_lasso says True"
-    if _case_deterministic(spec):
-        return _check_table(machine, word, horizon)
-    return None
+    return _check_table(machine, word, horizon)
 
 
 def kernel_report(machine: Any, word: TimedWord, horizon: int) -> DecisionReport:
@@ -657,7 +656,7 @@ def _report_fields(report: DecisionReport) -> Tuple[Any, ...]:
 def _check_table(machine: Any, word: TimedWord, horizon: int) -> Optional[str]:
     """``lasso-exact`` on the successor table vs the kernel oracle."""
     if machine.successor_table is None:
-        return "a deterministic case compiled to a machine without a successor table"
+        return "a case compiled to a machine without a successor table"
     inside = word.time_at(_replay_len(word) // 2)
     for h in (horizon, -1, 0, inside):
         table = _report_fields(decide(machine, word, strategy="lasso-exact", horizon=h))
@@ -986,6 +985,11 @@ def _recovery_router(tba, steps, rng) -> Optional[str]:
                     getattr(router, op)(victim)
                 elif op == "rebalance":
                     router.rebalance(arg)
+                elif op == "drain":
+                    got, want = router.drain_evictions(), ref.drain_evictions()
+                    # The shards interleave: compare as multisets.
+                    if sorted(got, key=repr) != sorted(want, key=repr):
+                        return f"{where}: drains {got} but one mux {want}"
                 else:
                     detail = _lifecycle(router, ref, op, arg)
                     if detail is not None:

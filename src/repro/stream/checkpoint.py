@@ -32,8 +32,11 @@ encoding in this repo qualifies).
 A :class:`Journal` is a snapshot plus the ``(op, payload)`` records
 since: ``EVENT``/``EVENTS`` in the front's own encoding, ``OPEN``
 ``(name, query)``, ``CLOSE`` ``(name, horizon)``, ``EVICT`` ``(now,
-idle_ttl, victims)``, ``DRAIN``.  Both recovering fronts (supervisor,
-shard router) apply lifecycle records with :func:`apply_record`.
+idle_ttl, victims)``, ``DRAIN`` with the reports it handed over, and
+``REPORTS``, eviction reports filed from a shard that left the pool
+(reports in their snapshot encoding).  Both recovering fronts
+(supervisor, shard router) apply lifecycle records with
+:func:`apply_record`.
 
 Observability: ``stream.checkpoints`` counted with ``op=save|restore``.
 """
@@ -386,8 +389,8 @@ def load_json(path: str) -> Dict[str, Any]:
 
 
 #: Journal record ops (payloads in the module docstring).
-EVENT, EVENTS, OPEN, CLOSE, EVICT, DRAIN = (
-    "event", "events", "open", "close", "evict", "drain",
+EVENT, EVENTS, OPEN, CLOSE, EVICT, DRAIN, REPORTS = (
+    "event", "events", "open", "close", "evict", "drain", "reports",
 )
 
 
@@ -408,16 +411,20 @@ class Journal:
 
     def applied(self, op: str, payload: Any, result: Any) -> Any:
         """Journal a lifecycle record the mux accepted with ``result``;
-        an eviction keeps its victims.  Returns ``result``."""
+        an eviction keeps its victims, a drain the reports it handed
+        over.  Returns ``result``."""
         if op == EVICT:
             payload = (payload[0], payload[1], result)
+        elif op == DRAIN:
+            payload = [_report_state(r) for r in result]
         self.records.append((op, payload))
         return result
 
 
 def apply_record(mux: SessionMux, op: str, payload: Any) -> Any:
     """Apply one journal record to ``mux`` through the call that made
-    it live; returns that call's result (an eviction's victims)."""
+    it live; returns that call's result (an eviction's victims, a
+    drain's reports)."""
     if op == EVENT:
         return mux.ingest(*payload)
     if op == EVENTS:
@@ -433,5 +440,9 @@ def apply_record(mux: SessionMux, op: str, payload: Any) -> Any:
         mux._evict(victims, now)
         return victims
     if op == DRAIN:
-        return mux.drain_evictions()
+        return mux.drain_evictions(
+            None if payload is None else [_restore_report(r) for r in payload]
+        )
+    if op == REPORTS:
+        return mux._file([_restore_report(r) for r in payload])
     raise ValueError(f"unknown journal record {op!r}")

@@ -1,64 +1,66 @@
-"""Compiled TBA stepping: one dense transition table over configuration sets.
+"""Compiled TBA stepping: one successor table over configuration sets,
+grown on demand.
 
 The interpreted hot path (:meth:`TimedBuchiAutomaton._step_configs`)
 rebuilds a clock-valuation dict and re-evaluates every guard AST per
 event — Python-sized constants on an O(state) algorithm.  This module
-compiles a :class:`~repro.stream.monitor.TBAAnalysis` once into dense
-numpy artifacts so that stepping becomes array lookups:
+keeps what those calls return in a table, so that stepping becomes
+array lookups:
 
-* **Rows** — a monitor carries the *set* of configurations its runs
-  can be in (Grez et al., PAPERS.md).  Time is discrete and clocks are
-  capped, so only finitely many sets are reachable from ``{initial}``;
-  they are enumerated once from the analysis' successor cells (a set's
-  successor is the union of its members'), and each non-empty one is a
-  row, in ``repr`` order of its members.  A deterministic automaton
-  only reaches singletons, so its rows are its configurations.  Row
-  ``n`` is the *trap*, the empty set (every run died): absorbing by
-  construction, its row maps every (symbol, gap) back to the trap.
+* **Rows** — a run carries the *set* of configurations the
+  automaton's runs can be in (Grez et al., PAPERS.md).  Time is
+  discrete and clocks are capped, so only finitely many sets are
+  reachable; each set becomes a row when traffic first reaches it, in
+  discovery order (the lazy subset construction RE2 builds its DFA
+  with).  A deterministic automaton only reaches singletons, so its
+  rows are its configurations.  Row 0 is the *trap*, the empty set
+  (every run died): every cell it fills leads back to it.
 * **Transition table** — ``table[row, symbol, gap_class]`` → successor
-  row, shape ``(n+1, |Σ|+1, cmax+2)`` int32.  Column ``|Σ|`` is the
-  *unknown-symbol* column (a symbol outside the alphabet kills every
-  run, exactly as the interpreter's empty transition list does) and
-  gap classes are capped at ``cmax+1`` (capped valuations make larger
-  gaps indistinguishable — the discrete region argument of
+  row, int32, ``-1`` while the cell is unfilled.  A missed cell is
+  filled by :meth:`CompiledTBA.fill`: one ``_step_configs`` call on the
+  row's set.  Column ``|Σ|`` is the *unknown-symbol* column, filled
+  with the trap when the row is made (a symbol outside the alphabet
+  kills every run, exactly as the interpreter's empty transition list
+  does), and gap classes are capped at ``cmax+1`` (capped valuations
+  make larger gaps indistinguishable — the discrete region argument of
   :mod:`repro.automata.timed`).
-* **Flags** — a set is accepting or live if any member is, and green
-  if it is non-empty and inside the analysis' green set: what the
-  interpreter's judge reads off the same set, so the three-valued
-  judgement is two boolean lookups.
+* **Flags** — a row is accepting if a member's state is.  With a
+  :class:`~repro.stream.monitor.TBAAnalysis` attached it is also live
+  if a member is, and green if it is non-empty and inside the
+  analysis' green set: what the interpreter's judge reads off the same
+  set, so the three-valued judgement is two boolean lookups.
 
-:func:`compiled_for` is the gated entry point: it returns ``None`` —
-and the monitors fall back to the interpreter, verdict-identically —
-when ``REPRO_STREAM_COMPILED=0`` disables the path or when the
-enumeration passes the table bounds.  Outcomes are counted under
-``stream.compile`` / ``stream.compile_fallbacks`` (see
-``docs/observability.md``); the cost model and measured speedups are
-documented in ``docs/performance.md``.
+One table serves every stepping layout: the monitors' scan and wave
+kernel (:mod:`repro.stream.monitor`) and the compiled machine of
+:mod:`repro.machine.from_tba`, which carries a table without an
+analysis.  Row creation takes a lock, because threads share cached
+machines and muxes; reads take none.
+
+:func:`compiled_for` is the gated entry point for the monitors: it
+returns ``None`` — and they fall back to the interpreter,
+verdict-identically — when ``REPRO_STREAM_COMPILED=0`` disables the
+path.  Outcomes are counted under ``stream.compile`` /
+``stream.compile_fallbacks`` (see ``docs/observability.md``); the cost
+model and measured speedups are documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+import threading
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..machine.from_tba import _is_deterministic
 from ..obs import hooks as _obs
 
 __all__ = [
     "CompiledTBA",
     "compiled_for",
-    "deterministic_accepts_lasso",
     "compilation_enabled",
-    "MAX_CONFIGS",
-    "MAX_TABLE_CELLS",
     "ENV_TOGGLE",
 ]
-
-#: Compilation bounds: automata reaching more configuration sets (table
-#: rows, trap excluded) or table cells fall back to the interpreter.
-MAX_CONFIGS = 4096
-MAX_TABLE_CELLS = 1 << 22
 
 #: Environment toggle: set to ``0`` to force the interpreted path
 #: (the CI stream-smoke job runs the suite both ways).
@@ -79,171 +81,191 @@ def compilation_enabled() -> bool:
     )
 
 
-def _reachable_sets(analysis: Any) -> Optional[Tuple[List[ConfigSet], List[List[int]]]]:
-    """The non-empty configuration sets reachable from ``{initial}``, in
-    discovery order, each with its successor per analysis cell as a
-    position in that order (``-1``: the empty set); or ``None`` as soon
-    as they pass the table bounds."""
-    cells = analysis.cells
-    per_row = (len(analysis.symbols) + 1) * (analysis.tba._cmax + 2)
-    limit = min(MAX_CONFIGS, MAX_TABLE_CELLS // per_row - 1)
-    first = frozenset({analysis.tba._initial_config()})
-    sets = [first]
-    ids: Dict[ConfigSet, int] = {first: 0, frozenset(): -1}
-    rows: List[List[int]] = []
-    for members in sets:  # breadth first: the loop reaches what it appends
-        if len(sets) > limit:
-            return None
-        if len(members) == 1:
-            succ = cells[next(iter(members))]
-        else:
-            cols = zip(*map(cells.__getitem__, members))
-            succ = tuple(frozenset().union(*col) for col in cols)
-        row = []
-        for s in succ:
-            i = ids.get(s)
-            if i is None:
-                i = ids[s] = len(sets)
-                sets.append(s)
-            row.append(i)
-        rows.append(row)
-    return sets, rows
-
-
 class CompiledTBA:
-    """Dense-table compilation of one :class:`TBAAnalysis`.
+    """The successor table of one automaton, rows made on demand.
 
-    Attributes (``n`` reachable non-empty configuration sets, ``S``
-    symbols, ``G = cmax+2`` gap classes, ``trap = n``):
+    Attributes (``S`` symbols, ``G = cmax+2`` gap classes):
 
-    ``sets``
-        the configuration set of each row, the empty set last (trap).
-    ``table`` / ``table_list``
-        int32 ``(n+1, S+1, G)`` successor table (numpy array and its
-        nested-list mirror for the scalar hot loop).
-    ``accepting_flags`` / ``live_flags`` / ``green_flags``
-        bool ``(n+1,)`` flag arrays (trap row False) with nested-list
-        mirrors ``*_list``.
+    ``sets`` / ``set_index``
+        the configuration set of each row (row 0: the empty set, the
+        trap), and each set's row.
+    ``table_list`` / ``table``
+        the ``(rows, S+1, G)`` successor table as nested lists for the
+        scalar loops, and its int32 numpy mirror with spare rows, made
+        by the first :meth:`step_many` (``None`` before: a table only
+        stepped one run at a time never pays for numpy arrays); ``-1``
+        marks an unfilled cell.
+    ``accepting_list`` / ``live_list`` / ``green_list``
+        the flags of each row (live and green only when an
+        ``analysis`` is attached); :meth:`flag_arrays` as numpy arrays.
+    ``deterministic``
+        the source is syntactically deterministic, so every row holds
+        at most one configuration and a walk over rows is its run.
+
+    Every list grows in place as rows are added, so a reader may keep
+    a reference to it.
     """
 
-    def __init__(self, analysis: Any, sets: List[ConfigSet], rows: List[List[int]]):
-        tba = analysis.tba
-        self.analysis = analysis
+    def __init__(self, tba: Any, analysis: Any = None):
         self.tba = tba
-        n = len(sets)
-        order = sorted(range(n), key=lambda i: sorted(map(repr, sets[i])))
-        self.sets: Tuple[ConfigSet, ...] = (*(sets[i] for i in order), frozenset())
-        self.set_index: Dict[ConfigSet, int] = {s: i for i, s in enumerate(self.sets)}
-        self.symbols: List[Any] = analysis.symbols
+        self.analysis = analysis
+        self.deterministic = _is_deterministic(tba)
+        self.symbols: List[Any] = sorted(tba.alphabet, key=repr)
         self.sym_index: Dict[Any, int] = {s: i for i, s in enumerate(self.symbols)}
+        self.n_symbols = len(self.symbols)
         self.gap_cap = tba._cmax + 1
-        S = len(self.symbols)
-        self.n_symbols = S
-        self.trap = n
-        # The row of each discovered set; position -1 (the empty set)
-        # reads the trap.
-        rank = np.full(n + 1, n, dtype=np.int32)
-        rank[order] = np.arange(n, dtype=np.int32)
-        table = np.full((n + 1, S + 1, self.gap_cap + 1), n, dtype=np.int32)
-        table[:n, :S] = rank[np.array(rows, dtype=np.intp)[order]].reshape(
-            n, S, self.gap_cap + 1
-        )
-        self.table = table
-        self.table_list = table.tolist()
-        flags = self.flag_view(analysis.accepting, analysis.live, analysis.green)
-        self.accepting_list, self.live_list, self.green_list = flags
-        self.accepting_flags, self.live_flags, self.green_flags = (
-            np.array(f, dtype=bool) for f in flags
-        )
-        self.initial_index = self.set_index[frozenset({tba._initial_config()})]
+        self.sets: List[ConfigSet] = []
+        self.set_index: Dict[ConfigSet, int] = {}
+        self.table_list: List[List[List[int]]] = []
+        self.table: Any = None
+        self.accepting_list: List[bool] = []
+        if analysis is not None:
+            self.live_list: List[bool] = []
+            self.green_list: List[bool] = []
+        self._arrays: Optional[Tuple[Any, ...]] = None
+        self._lock = threading.RLock()
+        self.trap = self.row(())
+        self.initial_index = self.row((tba._initial_config(),))
 
-    def flag_view(
-        self, accepting: Any, live: Any, green: Any
-    ) -> Tuple[List[bool], List[bool], List[bool]]:
-        """Flag lists for an accepting projection over the *same*
-        configuration universe (trap row False), memoized per
-        projection: a row is accepting or live if any member is, green
-        if it is non-empty and inside ``green``.
+    def row(self, members: Iterable[Any]) -> int:
+        """The row of a configuration set, made if it is new."""
+        members = frozenset(members)
+        r = self.set_index.get(members)
+        if r is None:
+            with self._lock:
+                r = self.set_index.get(members)
+                if r is None:
+                    r = self._add_row(members)
+        return r
 
-        This is how one compiled table serves many queries at once: a
-        :class:`~repro.query.plan.QueryPlan` registers one view per
-        query channel (accepting/live/green sets from
-        :meth:`TBAAnalysis.live_for` / ``green_for``), every view
-        indexes the shared ``table``, and stepping stays one gather per
-        event regardless of how many queries are being judged.
-        """
-        key = (frozenset(accepting), frozenset(live), frozenset(green))
-        cache: Dict[Any, Any] = self.__dict__.setdefault("_flag_views", {})
-        got = cache.get(key)
-        if got is None:
-            acc, lv, gr = key
-            got = cache[key] = (
-                [not s.isdisjoint(acc) for s in self.sets],
-                [not s.isdisjoint(lv) for s in self.sets],
-                [bool(s) and s <= gr for s in self.sets],
-            )
-        return got
+    def _add_row(self, members: ConfigSet) -> int:
+        """Append a row for ``members`` (the lock is held).  The set's
+        index is written last: a row is readable once it is found."""
+        r = len(self.sets)
+        width = self.gap_cap + 1
+        cells = [[-1] * width for _ in range(self.n_symbols)]
+        cells.append([0] * width)  # unknown symbols: the trap
+        if self.table is not None:
+            if r == len(self.table):
+                # Twice the spare rows, in place before any row past
+                # the old array is readable.
+                grown = np.zeros((2 * r,) + self.table.shape[1:], dtype=np.int32)
+                grown[:r] = self.table[:r]
+                self.table = grown
+            self.table[r] = -1
+            self.table[r, self.n_symbols] = 0
+        self.accepting_list.append(any(state in self.tba.accepting for state, _v in members))
+        an = self.analysis
+        if an is not None:
+            self.live_list.append(not members.isdisjoint(an.live))
+            self.green_list.append(bool(members) and members <= an.green)
+        self.table_list.append(cells)
+        self.sets.append(members)
+        self.set_index[members] = r
+        return r
+
+    def fill(self, row: int, sym: int, gap: int) -> int:
+        """Fill the cell of ``row`` on symbol column ``sym`` at gap
+        class ``gap`` from one ``_step_configs`` call on the row's set;
+        returns the successor row.  Every missed cell comes here."""
+        with self._lock:
+            nxt = self.table_list[row][sym][gap]
+            if nxt < 0:
+                nxt = self.row(
+                    self.tba._step_configs(self.sets[row], self.symbols[sym], gap)
+                )
+                if self.table is not None:
+                    self.table[row, sym, gap] = nxt
+                self.table_list[row][sym][gap] = nxt
+        return nxt
+
+    def step(self, row: int, symbol: Any, gap: int) -> int:
+        """The row ``row`` reaches on ``symbol`` after ``gap`` chronons."""
+        if gap < 0:
+            # Only a word whose time starts below 0 steps back; no
+            # cell holds such a step.
+            return self.row(self.tba._step_configs(self.sets[row], symbol, gap))
+        sym = self.sym_index.get(symbol, self.n_symbols)
+        if gap > self.gap_cap:
+            gap = self.gap_cap
+        nxt = self.table_list[row][sym][gap]
+        return nxt if nxt >= 0 else self.fill(row, sym, gap)
 
     def step_many(self, states: Any, sym_indices: Any, gaps: Any) -> Any:
         """Vectorized step: one table gather advances a whole array of
-        sessions (`states` may include the trap)."""
-        return self.table[states, sym_indices, np.minimum(gaps, self.gap_cap)]
+        sessions (``states`` may include the trap).  Cells the gather
+        finds unfilled are filled and gathered again."""
+        if self.table is None:
+            with self._lock:
+                if self.table is None:
+                    self.table = np.array(self.table_list, dtype=np.int32)
+        gaps = np.minimum(gaps, self.gap_cap)
+        out = self.table[states, sym_indices, gaps]
+        miss = np.flatnonzero(out < 0)
+        if len(miss):
+            rows, syms, gs = states[miss], sym_indices[miss], gaps[miss]
+            for cell in set(zip(rows.tolist(), syms.tolist(), gs.tolist())):
+                self.fill(*cell)
+            out[miss] = self.table[rows, syms, gs]
+        return out
 
+    def flag_arrays(self) -> Tuple[Any, ...]:
+        """The accepting, live and green flags as numpy bool arrays over
+        the rows, made again when rows were added since the last call."""
+        arrays, n = self._arrays, len(self.sets)
+        if arrays is None or len(arrays[0]) < n:
+            # Rows below len(sets) are complete in every list.
+            flags = (self.accepting_list, self.live_list, self.green_list)
+            arrays = self._arrays = tuple(np.array(f[:n], dtype=bool) for f in flags)
+        return arrays
 
-def deterministic_accepts_lasso(
-    word: Any, start: Any, step: Callable[[Any, Any, int], Optional[Tuple[Any, bool]]]
-) -> bool:
-    """Büchi acceptance of a lasso word by a deterministic run.
+    def accepts_lasso(self, word: Any) -> bool:
+        """Büchi acceptance of a lasso word, walked over the rows.
 
-    ``step(node, symbol, gap)`` is the run's successor of ``node`` and
-    whether it is accepting, or ``None`` when the run dies.  Step the
-    prefix plus one loop iteration; from there every step reads the
-    periodic gap pattern, so the (node, loop position) trajectory
-    eventually repeats, and the word is accepted iff that cycle visits
-    an accepting node.  The on-demand successor table of
-    :mod:`repro.machine.from_tba` walks its cells with it.
-    """
-    if word.fn is not None or word.is_finite:
-        raise ValueError("accepts_lasso needs a lasso TimedWord")
-    # The gap entering each loop position, read from the second
-    # iteration (so the previous pair exists), and the symbol read there.
-    times = [t for _s, t in word.loop]
-    gaps = [times[0] + word.shift - times[-1]]
-    gaps += [b - a for a, b in zip(times, times[1:])]
-    loop_syms = [s for s, _t in word.loop]
-    k = len(times)
-    node, accepting = start, False
-    prev_t = 0
-    for s, t in word.prefix + word.loop:
-        cell = step(node, s, t - prev_t)
-        if cell is None:
-            return False
-        node, accepting = cell
-        prev_t = t
-    seen: Dict[Tuple[Any, int], int] = {}
-    trail: List[bool] = []
-    pos = 0
-    while (node, pos) not in seen:
-        seen[(node, pos)] = len(trail)
-        trail.append(accepting)
-        cell = step(node, loop_syms[pos], gaps[pos])
-        if cell is None:
-            return False
-        node, accepting = cell
-        pos = (pos + 1) % k
-    return any(trail[seen[(node, pos)]:])
+        Exact for a :attr:`deterministic` source, whose rows are its
+        one run's configurations.  Step the prefix plus one loop
+        iteration; from there every step reads the periodic gap
+        pattern, so the (row, loop position) trajectory eventually
+        repeats, and the word is accepted iff that cycle visits an
+        accepting row.
+        """
+        if word.fn is not None or word.is_finite:
+            raise ValueError("accepts_lasso needs a lasso TimedWord")
+        # The gap entering each loop position, read from the second
+        # iteration (so the previous pair exists), and the symbol read there.
+        times = [t for _s, t in word.loop]
+        gaps = [times[0] + word.shift - times[-1]]
+        gaps += [b - a for a, b in zip(times, times[1:])]
+        loop_syms = [s for s, _t in word.loop]
+        k = len(times)
+        step, trap, accepting = self.step, self.trap, self.accepting_list
+        row = self.initial_index
+        prev_t = 0
+        for s, t in word.prefix + word.loop:
+            row = step(row, s, t - prev_t)
+            if row == trap:
+                return False
+            prev_t = t
+        seen: Dict[Tuple[int, int], int] = {}
+        trail: List[bool] = []
+        pos = 0
+        while (row, pos) not in seen:
+            seen[(row, pos)] = len(trail)
+            trail.append(accepting[row])
+            row = step(row, loop_syms[pos], gaps[pos])
+            if row == trap:
+                return False
+            pos = (pos + 1) % k
+        return any(trail[seen[(row, pos)]:])
 
 
 def compiled_for(analysis: Any) -> Optional[CompiledTBA]:
     """The cached :class:`CompiledTBA` for one analysis, or ``None``.
 
-    Fallback (returns ``None``, counted under
-    ``stream.compile_fallbacks``) when ``REPRO_STREAM_COMPILED=0``, or
-    when the automaton reaches more than :data:`MAX_CONFIGS`
-    configuration sets or its table would pass :data:`MAX_TABLE_CELLS`
-    (the enumeration stops there).  The compiled artifact is memoized
-    *on the analysis object*, so every session sharing the analysis
-    shares one compilation (the one-build-per-language invariant of
+    ``None`` (counted under ``stream.compile_fallbacks``) when
+    ``REPRO_STREAM_COMPILED=0``.  The table is memoized *on the
+    analysis object*, so every session sharing the analysis shares one
+    table (the one-build-per-language invariant of
     ``tests/test_stream_compiled.py``).
     """
     h = _obs.HOOKS
@@ -252,28 +274,12 @@ def compiled_for(analysis: Any) -> Optional[CompiledTBA]:
             h.count("stream.compile", outcome="fallback")
             h.count("stream.compile_fallbacks", reason="disabled")
         return None
-    cached = analysis.__dict__.get(_CACHE_ATTR, _MISSING)
-    if cached is not _MISSING:
-        if h is not None:
-            h.count(
-                "stream.compile",
-                outcome="cached" if cached is not None else "fallback",
-            )
-            if cached is None:
-                h.count("stream.compile_fallbacks", reason="bounds")
-        return cached
-    reached = _reachable_sets(analysis)
-    comp = None if reached is None else CompiledTBA(analysis, *reached)
-    setattr(analysis, _CACHE_ATTR, comp)
+    comp = analysis.__dict__.get(_CACHE_ATTR)
+    outcome = "cached"
+    if comp is None:
+        comp = CompiledTBA(analysis.tba, analysis)
+        setattr(analysis, _CACHE_ATTR, comp)
+        outcome = "built"
     if h is not None:
-        h.count("stream.compile", outcome="built" if comp is not None else "fallback")
-        if comp is None:
-            h.count("stream.compile_fallbacks", reason="bounds")
+        h.count("stream.compile", outcome=outcome)
     return comp
-
-
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()

@@ -43,15 +43,14 @@ Two monitors share the ingestion machinery:
     *interpreted* path calls ``TimedBuchiAutomaton._step_configs`` per
     event (dict-built valuations, guard ASTs re-evaluated).  The
     *compiled* path (:mod:`repro.stream.compiled`, the default) steps a
-    dense transition table over the reachable configuration sets,
-    compiled once per analysis, so an event costs a couple of array
-    lookups.  There the monitor is a view onto one slot of a
+    successor table over configuration sets, one per analysis, whose
+    rows are made as traffic reaches them, so an event costs a couple
+    of array lookups.  There the monitor is a view onto one slot of a
     :class:`SlotTable` (private, or a mux's shared one), whose scan and
     vectorized wave kernel own the judge rule.  ``compiled=False`` (or
-    ``REPRO_STREAM_COMPILED=0``, or an automaton past the table bounds)
-    falls back to the interpreter; ``tests/test_stream_compiled.py``
-    pins the paths verdict-stream-identical.  Cost model:
-    ``docs/performance.md``.
+    ``REPRO_STREAM_COMPILED=0``) runs the interpreter;
+    ``tests/test_stream_compiled.py`` pins the paths
+    verdict-stream-identical.  Cost model: ``docs/performance.md``.
 
 Out-of-order tolerance: events are buffered in a small reorder heap
 and applied only once the *watermark* (``max_seen − lateness``) passes
@@ -406,12 +405,13 @@ class SlotTable:
     configuration set).  A table over a compiled artifact owns the
     judge rule in two layouts:
     :meth:`scan` (one slot, an event slice) and :meth:`step_wave` (many
-    slots, one event each).  Only a ``columnar`` table — a mux's shared
-    one — runs the kernel: its columns are numpy arrays, read per slot
-    through memoryviews.  Other tables keep plain lists.  ``ledger``
-    tables also carry :class:`~repro.query.plan.PlanMonitor`'s per-slot
-    occupancy ledger (visit counts and last visit times per row),
-    Python lists the scan writes directly.
+    slots, one event each).  Both fill the successor cells they miss.
+    Only a ``columnar`` table — a mux's shared one — runs the kernel:
+    its columns are numpy arrays, read per slot through memoryviews.
+    Other tables keep plain lists.  ``ledger`` tables also carry
+    :class:`~repro.query.plan.PlanMonitor`'s per-slot occupancy ledger
+    (visit counts and last visit times per row), Python lists the scan
+    writes directly and widens in place as rows are added.
     """
 
     COLUMNS = (
@@ -437,10 +437,11 @@ class SlotTable:
             ci = comp.initial_index
             glock = comp.live_list[ci] and comp.green_list[ci]
             v = REJ if not comp.live_list[ci] else ACC if glock else INC
-            #: What :meth:`scan` reads of the compiled artifact.
+            #: What :meth:`scan` reads of the compiled artifact (the
+            #: lists grow in place as rows are added).
             self._rule = (
                 comp.table_list, comp.sym_index.get, comp.n_symbols, comp.gap_cap,
-                comp.accepting_list, comp.live_list, comp.green_list,
+                comp.fill, comp.accepting_list, comp.live_list, comp.green_list,
             )
         #: What a new monitor starts from: the judged initial state.
         self._fresh = (ci, 0, -1, -1, glock, v, 0, 0, int(v != INC))
@@ -482,8 +483,7 @@ class SlotTable:
         slot = self._put(self._fresh)
         if self.svc is not None:
             if self.comp is not None:
-                n = len(self.comp.sets)
-                self.svc[slot], self.slt[slot] = [0] * n, [None] * n
+                self.svc[slot], self.slt[slot] = [], []
             else:
                 self.svc[slot], self.slt[slot] = {}, {}
         v = self._fresh[5]
@@ -515,7 +515,7 @@ class SlotTable:
         Rejection is absorbing: a rejected slot keeps counting events
         while its run state and ``prev_t`` stay frozen.
         """
-        table, get, unknown, cap, acc, live, green = self._rule
+        table, get, unknown, cap, fill, acc, live, green = self._rule
         fw = self.f_window
         CI, PT, MS, LAT, GL, VC, EV, VI, FL = self.cols
         ci = CI[slot]
@@ -529,6 +529,7 @@ class SlotTable:
         if self.svc is not None:
             svc = self.svc[slot]
             slt = self.slt[slot]
+            rows = self.comp.sets
         wm = MS[slot] if counted else -1
         h = _obs.HOOKS
         R, A, I = REJ, ACC, INC
@@ -543,9 +544,16 @@ class SlotTable:
             gap = t - pt
             pt = t
             row = table[ci][get(symbol, unknown)]
-            ci = row[gap] if gap <= cap else row[cap]
+            if gap > cap:
+                gap = cap
+            nxt = row[gap]
+            ci = nxt if nxt >= 0 else fill(ci, get(symbol, unknown), gap)
             if svc is not None:
-                svc[ci] += 1
+                try:
+                    svc[ci] += 1
+                except IndexError:  # a row made since the slot last grew
+                    _widen(svc, slt, len(rows))
+                    svc[ci] += 1
                 slt[ci] = t
             if acc[ci]:
                 visits += 1
@@ -604,12 +612,13 @@ class SlotTable:
             ci = comp.step_many(a["ci"][idx], sym, t - a["prev_t"][idx])
             a["ci"][idx] = ci
             a["prev_t"][idx] = t
-            hit = comp.accepting_flags[ci]
+            accepting, live, green = comp.flag_arrays()
+            hit = accepting[ci]
             a["visits"][idx] += hit
             lat = np.where(hit, t, a["lat"][idx])
             a["lat"][idx] = lat
-            alive = comp.live_flags[ci]
-            glock = a["glock"][idx] | (alive & comp.green_flags[ci])
+            alive = live[ci]
+            glock = a["glock"][idx] | (alive & green[ci])
             a["glock"][idx] = glock
             recent = lat >= 0
             if self.f_window is not None:
@@ -619,10 +628,13 @@ class SlotTable:
             a["vcode"][idx] = nv
             a["flips"][idx] += changed
             if self.svc is not None:
-                svc, slt = self.svc, self.slt
+                rows = len(comp.sets)
                 for s, c, tt in zip(idx.tolist(), ci.tolist(), t.tolist()):
-                    svc[s][c] += 1
-                    slt[s][c] = tt
+                    svc, slt = self.svc[s], self.slt[s]
+                    if c >= len(svc):
+                        _widen(svc, slt, rows)
+                    svc[c] += 1
+                    slt[c] = tt
         h = _obs.HOOKS
         if h is not None:
             h.count("stream.events_ingested", total, outcome="ok")
@@ -638,6 +650,13 @@ class SlotTable:
 
 
 _VCODE = SlotTable.INDEX["vcode"]
+
+
+def _widen(svc: List[int], slt: List[Optional[int]], rows: int) -> None:
+    """Grow one slot's ledger in place to cover ``rows`` rows."""
+    if len(svc) < rows:
+        svc.extend([0] * (rows - len(svc)))
+        slt.extend([None] * (rows - len(slt)))
 
 
 def _slot_column(name: str, none: bool = False) -> property:
@@ -679,9 +698,8 @@ class TBAAnalysis:
     during the BFS.  Guard-disjoint multi-edges (the multi-query plan's
     completed product automata are full of them) therefore still
     qualify for green guarantees.  The BFS keeps every successor set it
-    computes in :attr:`cells`, which the totality fixpoint and
-    :class:`~repro.stream.compiled.CompiledTBA`'s enumeration of
-    configuration sets read instead of stepping again.
+    computes in :attr:`cells`, which the totality fixpoint reads
+    instead of stepping again.
 
     Both liveness sets are *parameterized* over the accepting set:
     :meth:`live_for` / :meth:`green_for` recompute them for any
@@ -848,17 +866,15 @@ class TBAMonitor(_BaseMonitor):
     construction:
 
     * **compiled** (the default) — the
-      :class:`~repro.stream.compiled.CompiledTBA` artifact shared
+      :class:`~repro.stream.compiled.CompiledTBA` table shared
       through the analysis: an event is one lookup in its table over
       configuration sets, deterministic or not, plus two flag reads
       for the judgement.  :meth:`ingest_many` additionally scans whole
       event slices in one tight loop when no reorder buffering is in
       play.
     * **interpreted** — ``_step_configs`` over the frozen configuration
-      set, the oracle the compiled path is tested against, and the
-      fallback when the automaton reaches more configuration sets than
-      the table bounds allow, ``REPRO_STREAM_COMPILED=0``, or
-      ``compiled=False``.
+      set, the oracle the compiled path is tested against, run under
+      ``REPRO_STREAM_COMPILED=0`` or ``compiled=False``.
 
     The monitor is a thin view onto its slot of a :class:`SlotTable`
     (a private list-backed one, or the shared table of the
@@ -910,10 +926,7 @@ class TBAMonitor(_BaseMonitor):
         else:
             comp = compiled_for(self.analysis)
             if compiled is True and comp is None:
-                raise ValueError(
-                    "compiled stepping unavailable (REPRO_STREAM_COMPILED=0, "
-                    "or automaton exceeds the table bounds)"
-                )
+                raise ValueError("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
         self._compiled = comp
         self._configs: Optional[FrozenSet[Config]] = None
         self._tab = SlotTable(comp, f_window, self._ledger)
@@ -946,19 +959,12 @@ class TBAMonitor(_BaseMonitor):
 
     @configs.setter
     def configs(self, value) -> None:
-        value = frozenset(value)
+        # On the compiled path a set that is not yet a row becomes one.
         comp = self._compiled
-        if comp is not None:
-            ci = comp.set_index.get(value)
-            if ci is not None:
-                self._ci = ci
-                return
-            # A set no run of this automaton reaches only comes from a
-            # foreign snapshot: drop to the interpreter, off the table.
-            self._compiled = None
-            own = SlotTable(None, self.f_window, self._ledger)
-            self._slot, self._tab = own.take(self._tab, self._slot), own
-        self._configs = value
+        if comp is None:
+            self._configs = frozenset(value)
+        else:
+            self._ci = comp.row(value)
 
     @property
     def absorbed(self) -> bool:

@@ -209,9 +209,8 @@ class SessionMux:
             f_window=f_window,
             compiled=compiled,
         )
-        #: The shared compiled artifact for batch stepping (None when
-        #: the language is not a TBA, compilation is off, or the
-        #: automaton fell back to the interpreter).
+        #: The shared compiled table for batch stepping (None when the
+        #: language is not a TBA or compilation is off).
         self._tba_compiled = None
         #: The columnar session table over ``_tba_compiled`` (on-time
         #: muxes only).
@@ -668,28 +667,46 @@ class SessionMux:
                 },
                 strategy="evicted",
             )
-            self.eviction_reports.append(self._report(name, monitor, decision))
-            cap = self.max_eviction_reports
-            if cap is not None and len(self.eviction_reports) > cap:
-                # Drop-oldest: the backlog is a courtesy to callers who
-                # drain it; an undrained mux must not grow without
-                # bound (the same discipline as every other buffer
-                # here).
-                excess = len(self.eviction_reports) - cap
-                del self.eviction_reports[:excess]
-                self.eviction_reports_dropped += excess
-                if h is not None:
-                    h.count("stream.eviction_reports_dropped", excess)
+            self._file([self._report(name, monitor, decision)])
             self.sessions_evicted += 1
             if h is not None:
                 h.count("stream.sessions", op="evicted")
         if victims and h is not None:
             h.gauge("stream.sessions_active", len(self._sessions))
 
-    def drain_evictions(self) -> List[SessionReport]:
-        """Hand over (and clear) the accumulated eviction summaries."""
-        out = self.eviction_reports
-        self.eviction_reports = []
+    def _file(self, reports: List[SessionReport]) -> None:
+        """Add eviction summaries to the backlog (a journal files a
+        departed shard's summaries through here)."""
+        self.eviction_reports.extend(reports)
+        cap = self.max_eviction_reports
+        if cap is not None and len(self.eviction_reports) > cap:
+            # Drop-oldest: the backlog is a courtesy to callers who
+            # drain it; an undrained mux must not grow without
+            # bound (the same discipline as every other buffer
+            # here).
+            excess = len(self.eviction_reports) - cap
+            del self.eviction_reports[:excess]
+            self.eviction_reports_dropped += excess
+            h = _obs.HOOKS
+            if h is not None:
+                h.count("stream.eviction_reports_dropped", excess)
+
+    def drain_evictions(
+        self, reports: Optional[List[SessionReport]] = None
+    ) -> List[SessionReport]:
+        """Hand over (and clear) the accumulated eviction summaries.
+
+        ``reports`` hands over only the summaries equal to those listed,
+        one each: how a journal replays a drain on a mux that may hold
+        summaries the live drain never saw."""
+        if reports is None:
+            out, self.eviction_reports = self.eviction_reports, []
+            return out
+        out = []
+        for report in reports:
+            if report in self.eviction_reports:
+                self.eviction_reports.remove(report)
+                out.append(report)
         return out
 
     def stats(self) -> Dict[str, int]:

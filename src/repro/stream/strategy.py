@@ -6,9 +6,9 @@ monitor one event at a time (exactly the events the batch tape would
 deliver — timestamps ≤ horizon, at most the tape's feeder cap) and the
 final report comes from :meth:`Monitor.finish`.  The monitor pumps
 the kernel's simulator loop, which ``"lasso-exact"`` also runs except
-when a machine compiled from a deterministic TBA judges a lasso word:
-that machine reads the same steps off its successor table
-(:class:`~repro.machine.from_tba.SuccessorTable`), held to the kernel
+when a machine compiled from a TBA judges a lasso word: that machine
+reads the same steps off its successor table
+(:func:`~repro.machine.from_tba.decide_on_table`), held to the kernel
 report field for field by the conformance ``strategy`` pair.  Either
 way this strategy is *verdict-identical* to ``"lasso-exact"`` on every
 machine acceptor — the stream-vs-batch agreement invariant the

@@ -12,15 +12,16 @@ that must agree verdict-for-verdict:
 * **offline-batched** — :func:`repro.engine.decide_many` over the raw
   compiled TBA, ``backend="serial"`` or ``backend="shards"``, on
   *frozen*-tail words: the compiled machine judges each word on its
-  successor table (:class:`~repro.machine.from_tba.SuccessorTable`,
+  successor table (:func:`~repro.machine.from_tba.decide_on_table`,
   the kernel replay's report without a kernel run), the zeno shape is
   cut off at :func:`~repro.machine.tape.zeno_event_cap` and settled
   exactly by :func:`~repro.engine.strategies.resolve_zeno`, so the
   machine path is decisive too (deterministic specs only —
   ``commit``/``abort``/``handshake``);
 * **online** — :class:`repro.stream.SessionMux` monitors on the
-  compiled-TBA path, one session per (transaction, process) per
-  property, fed the live events plus a few post-horizon ticks so every
+  compiled-TBA path, every property on its mux's successor table, one
+  session per (transaction, process) per property, fed the live
+  events plus a few post-horizon ticks so every
   monitor absorbs (REJECTED when a budget lapses, green-locked
   ACCEPTING when a chain completes).
 

@@ -23,6 +23,7 @@ from repro.obs import instrumented
 from repro.spec.combinators import loop, rt_bound, seq
 from repro.spec.compile import to_tba
 from repro.spec.conformance import gen_word, kernel_report
+from repro.stream import SessionMux
 from repro.words import TimedWord
 
 
@@ -230,31 +231,74 @@ def phase_chain_tba():
     return to_tba(spec, ("a", "b", "c"))
 
 
+def nondeterministic_tba():
+    """``two_phase_tba`` plus a second ``a`` edge out of ``fast``."""
+    tba = two_phase_tba()
+    return TimedBuchiAutomaton(
+        tba.alphabet,
+        tba.states,
+        tba.initial,
+        tba.transitions + [TimedTransition.make("fast", "slow", "a")],
+        tba.clocks,
+        tba.accepting,
+    )
+
+
+def assert_cells_consistent(table):
+    """Every filled cell holds the row of what ``_step_configs`` makes
+    of its row's set, in both layouts (the numpy one once a gather made
+    it); unknown symbols lead to the trap."""
+    tba, width = table.tba, table.gap_cap + 1
+    filled = 0
+    for r, members in enumerate(table.sets):
+        assert table.set_index[members] == r
+        cells = table.table_list[r]
+        assert cells[-1] == [table.trap] * width
+        if table.table is not None:
+            assert table.table[r].tolist() == cells
+        for s, symbol in enumerate(table.symbols):
+            for gap, nxt in enumerate(cells[s]):
+                if nxt >= 0:
+                    filled += 1
+                    assert table.sets[nxt] == frozenset(
+                        tba._step_configs(members, symbol, gap)
+                    )
+    return filled
+
+
 class TestSuccessorTable:
     """``lasso-exact`` on the on-demand successor table reports what the
     kernel replay does, and only judges what it may."""
 
-    def test_only_deterministic_sources_carry_a_table(self):
-        assert tba_to_algorithm(bounded_gap_tba()).successor_table is not None
-        nondeterministic = TimedBuchiAutomaton(
-            "a",
-            ["s", "t"],
-            "s",
-            [TimedTransition.make("s", "s", "a"), TimedTransition.make("s", "t", "a")],
-            [],
-            ["t"],
-        )
-        machine = tba_to_algorithm(nondeterministic, allow_nondeterministic=True)
-        assert machine.successor_table is None
+    def test_every_source_carries_a_table(self):
+        machine = tba_to_algorithm(bounded_gap_tba())
+        table = machine.successor_table
+        assert table.analysis is None and table.deterministic
+        machine = tba_to_algorithm(nondeterministic_tba(), allow_nondeterministic=True)
+        table = machine.successor_table
+        assert table.analysis is None and not table.deterministic
 
     def test_symbol_outside_the_alphabet_rejects_without_a_cell(self):
         machine = tba_to_algorithm(bounded_gap_tba(2))
+        table = machine.successor_table
         word = TimedWord.lasso([("a", 1), ("z", 2)], [("a", 3)], shift=1)
         report = decide(machine, word, strategy="lasso-exact", horizon=50)
         assert report.verdict is Verdict.REJECT and report.decided_at == 2
         assert report == kernel_report(machine, word, 50)
-        cells = machine.successor_table.cells
-        assert cells and all(symbol != "z" for _c, symbol, _g in cells)
+        # The a-step filled a cell; the z-step read the unknown-symbol
+        # column into the trap and made no row.
+        assert table.sets == [frozenset(), frozenset({("s", (0,))})]
+        assert table.table_list[table.initial_index][table.sym_index["a"]][1] >= 0
+        assert assert_cells_consistent(table) == 1
+
+    def test_nondeterministic_source_replays_on_the_table(self):
+        machine = tba_to_algorithm(nondeterministic_tba(), allow_nondeterministic=True)
+        word = TimedWord.lasso([("a", 1), ("b", 3)], [("a", 7)], shift=4)
+        with instrumented() as inst:
+            report = decide(machine, word, strategy="lasso-exact", horizon=40)
+        assert runs_by_mode(inst) == {"table": 1, "decide": 0, "count_f": 0}
+        assert report == kernel_report(machine, word, 40)
+        assert any(len(members) > 1 for members in machine.successor_table.sets)
 
     def test_time_before_zero_raises_on_both_paths(self):
         machine = tba_to_algorithm(bounded_gap_tba(2))
@@ -294,16 +338,8 @@ class TestSuccessorTable:
         elif case == "functional":
             word = TimedWord.functional(lambda i: ("a", i))
         elif case == "nondeterministic":
-            tba = two_phase_tba()
-            tba = TimedBuchiAutomaton(
-                tba.alphabet,
-                tba.states,
-                tba.initial,
-                tba.transitions + [TimedTransition.make("fast", "slow", "a")],
-                tba.clocks,
-                tba.accepting,
-            )
-            machine = tba_to_algorithm(tba, allow_nondeterministic=True)
+            want = "table"
+            machine = tba_to_algorithm(nondeterministic_tba(), allow_nondeterministic=True)
         elif case == "hand-written":
 
             def program(ctx):
@@ -337,11 +373,18 @@ class TestSuccessorTable:
         assert report == kernel_report(compiled_tba(tba), word, 40)
 
     def test_threads_sharing_one_machine_fill_consistent_cells(self):
+        """Four threads judge on one machine and feed four muxes over one
+        automaton while both tables are still making rows."""
         tba = phase_chain_tba()
         machine = tba_to_algorithm(tba)
         rng = random.Random(7)
         words = [gen_word(rng, tba, ("a", "b", "c")) for _ in range(120)]
         horizons = [rng.choice((-1, 0, 3, 9, 40)) for _ in words]
+        feed = [(f"w{i}", s, t) for i, w in enumerate(words) for s, t in w.take(12)]
+        muxes = [SessionMux(tba, late_policy="drop") for _ in range(4)]
+        table = muxes[0]._tba_compiled
+        assert all(mux._tba_compiled is table for mux in muxes)
+        assert len(table.sets) == 2  # the trap and the initial row
         results = [None] * 4
         errors = []
 
@@ -353,6 +396,9 @@ class TestSuccessorTable:
                     i: decide(machine, words[i], strategy="lasso-exact", horizon=horizons[i])
                     for i in order
                 }
+                step = 7 * (k + 1)
+                for lo in range(0, len(feed), step):
+                    muxes[k].ingest_batch(feed[lo : lo + step])
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -371,12 +417,13 @@ class TestSuccessorTable:
         for i, word in enumerate(words):
             kernel = kernel_report(machine, word, horizons[i])
             assert all(r[i] == kernel for r in results), (word, horizons[i])
-        cells = machine.successor_table.cells
-        assert cells
-        for (config, symbol, gap), cell in cells.items():
-            fresh = tba._step_configs({config}, symbol, gap)
-            want = None
-            if fresh:
-                (succ,) = fresh
-                want = (succ, succ[0] in tba.accepting)
-            assert cell == want
+        serial = SessionMux(tba, late_policy="drop", compiled=False)
+        for event in feed:
+            serial.ingest(*event)
+        for mux in muxes:
+            assert mux.verdicts() == serial.verdicts()
+            assert mux.stats() == serial.stats()
+        assert machine.successor_table.table is None  # never gathered
+        assert assert_cells_consistent(machine.successor_table) > 0
+        assert table.table is not None
+        assert assert_cells_consistent(table) > 0

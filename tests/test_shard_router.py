@@ -297,6 +297,59 @@ def test_evict_after_checkpoint_stays_evicted_through_healing(tba, how):
         _assert_like(router, ref)
 
 
+def test_eviction_reports_drain_once_through_healing(tba):
+    """Every eviction report comes back from exactly one drain, as from
+    one mux, through recover, fail_over and rebalance.  Before each step
+    a drain is journaled after the checkpoint and more reports wait
+    undrained: a replayed drain takes only what the live one took."""
+    ref = SessionMux(tba)
+    with ShardRouter(tba, n_shards=3) as router:
+        now = 0
+
+        def idle_round(tag):
+            nonlocal now
+            now += 20
+            events = [(f"{tag}-{i}", "a", now) for i in range(40)]
+            events += [("hot", "a", now + k) for k in range(12)]
+            router.ingest_batch(events)
+            for e in events:
+                ref.ingest(*e)
+            assert sorted(router.evict_idle(idle_ttl=10)) == sorted(ref.evict_idle(idle_ttl=10))
+
+        def drained():
+            got, want = router.drain_evictions(), ref.drain_evictions()
+            # The shards interleave: compare as multisets.
+            assert sorted(got, key=repr) == sorted(want, key=repr)
+            return len(got)
+
+        idle_round("first")
+        router.checkpoint()
+        assert drained() == 40
+        for step in ("recover", "fail_over", "rebalance"):
+            idle_round(f"{step}-drained")
+            assert drained() == 40
+            idle_round(f"{step}-kept")
+            if step == "rebalance":
+                router.rebalance(1)
+            else:
+                victim = router.shard_ids[0]
+                router.crash(victim)
+                getattr(router, step)(victim)
+            assert drained() == 40
+            assert drained() == 0
+        # Reports stay on the shard that filed them when the ring moves
+        # their names: a respawn replays its drains on itself.
+        idle_round("before-growth")
+        router.rebalance(3)
+        assert drained() == 40
+        idle_round("after-growth")
+        for victim in router.shard_ids:
+            router.crash(victim)
+            router.recover(victim)
+        assert drained() == 40
+        _assert_like(router, ref)
+
+
 def test_reopen_after_rebalance_survives_fail_over_of_the_old_shard(tba):
     # x closes on s0, a rebalance moves the ring so x's next session
     # lands on the new s2 while s0 keeps its sessions; failing s0 over

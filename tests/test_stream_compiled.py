@@ -6,9 +6,10 @@ tests pin that, adversarially: random timed words (including foreign
 symbols and guard violations) through both `TBAMonitor` paths event by
 event, checkpoints taken mid-stream and restored across paths, the
 bulk `ingest_many` scan against the scalar loop, the mux's vectorized
-`ingest_batch` against scalar mux ingestion, the deterministic lasso
-walk against `TimedBuchiAutomaton.accepts_lasso`, every fallback gate,
-and the one-analysis-build / one-compile-per-language cache invariants.
+`ingest_batch` against scalar mux ingestion, sets that become rows
+only when a snapshot names them, the deterministic lasso walk against
+`TimedBuchiAutomaton.accepts_lasso`, every fallback gate, and the
+one-analysis-build / one-compile-per-language cache invariants.
 
 The CI stream-smoke job runs this file twice — compiled path active
 and with ``REPRO_STREAM_COMPILED=0`` — so the fallback really is the
@@ -24,8 +25,8 @@ from repro.engine import clear_caches
 from repro.kernel import Le
 from repro.machine import tba_to_algorithm
 from repro.obs import install, uninstall
-from repro.query import as_query
 from repro.stream import (
+    CompiledTBA,
     SessionMux,
     StreamVerdict,
     TBAAnalysis,
@@ -40,7 +41,7 @@ from repro.stream import (
 )
 from repro.stream import compiled as compiled_mod
 
-from test_stream_monitor import TBA_FAMILY, bounded_gap_tba, random_lasso
+from test_stream_monitor import TBA_FAMILY, alternating_tba, bounded_gap_tba, random_lasso
 
 needs_compiled = pytest.mark.skipif(
     not compilation_enabled(),
@@ -168,21 +169,33 @@ class TestDifferentialStepping:
             assert monitor_state(r) == monitor_state(comp)
 
     @needs_compiled
-    def test_foreign_snapshot_drops_to_interpreter(self):
-        """Assigning configs outside the compiled universe falls back
-        gracefully instead of raising (checkpoint compatibility)."""
-        tba = bounded_gap_tba(2)
-        m = TBAMonitor(tba)
-        assert m.compiled
-        alien = frozenset({("no-such-state", (0,))})
-        m.configs = alien
-        assert not m.compiled
-        assert m.configs == alien
-        # It keeps stepping on the interpreter, like a monitor built there.
+    @pytest.mark.parametrize("kind", ["two-configurations", "foreign"])
+    def test_set_that_is_not_a_row_becomes_one(self, kind):
+        """Assigning configs a set no traffic has reached makes it a
+        row: the monitor stays compiled and on its mux's table, and
+        judges as an interpreted monitor given the same set."""
+        tba = alternating_tba()
+        if kind == "foreign":  # a snapshot of another automaton
+            value = frozenset({("no-such-state", (0,))})
+        else:  # two reachable configurations: no deterministic run's set
+            value = frozenset({("s", (0,)), ("t", (0,))})
+        mux = SessionMux(tba)
+        m = mux.open("s")
+        comp = mux._tba_compiled
+        assert value not in comp.set_index
+        m.configs = value
+        assert m.compiled and m._tab is mux._table
+        assert comp.sets[comp.set_index[value]] == m.configs == value
         twin = TBAMonitor(tba, compiled=False)
-        twin.configs = alien
-        assert m.ingest("a", 1) is twin.ingest("a", 1)
-        assert m.configs == twin.configs
+        twin.configs = value
+        events = [("a", 1), ("b", 2), ("a", 3), ("b", 6), ("a", 7)]
+        for symbol, t in events[:2]:
+            assert mux.ingest("s", symbol, t) is twin.ingest(symbol, t)
+            assert m.configs == twin.configs
+        mux.ingest_batch([("s", symbol, t) for symbol, t in events[2:]])
+        for symbol, t in events[2:]:
+            twin.ingest(symbol, t)
+        assert monitor_state(m) == monitor_state(twin)
 
 
 # -- bulk scan vs scalar loop ----------------------------------------------
@@ -389,12 +402,14 @@ class TestMuxBatch:
 # -- lasso acceptance ------------------------------------------------------
 
 class TestAcceptsLasso:
-    """The deterministic lasso walk, over the machine's successor table."""
+    """The deterministic lasso walk, over the rows of the machine's
+    successor table."""
 
     @pytest.mark.parametrize("ti", range(len(TBA_FAMILY)))
     def test_agrees_with_interpreter(self, ti):
         tba = TBA_FAMILY[ti]
         table = tba_to_algorithm(tba).successor_table
+        assert isinstance(table, CompiledTBA) and table.analysis is None
         rng = random.Random(880 + ti)
         for _ in range(40):
             word = random_lasso(rng, tba.alphabet)
@@ -474,48 +489,6 @@ class TestFallbacks:
         assert not TBAMonitor(tba, analysis=analysis).compiled
         with pytest.raises(ValueError):
             TBAMonitor(tba, analysis=analysis, compiled=True)
-
-    @needs_compiled
-    def test_bounds_fallback_is_cached_on_the_analysis(self, monkeypatch):
-        monkeypatch.setattr(compiled_mod, "MAX_CONFIGS", 0)
-        analysis = TBAAnalysis(bounded_gap_tba(1))  # fresh, not shared
-        inst = install()
-        try:
-            assert compiled_for(analysis) is None
-            assert compiled_for(analysis) is None  # cached None, no rebuild
-            reason = (
-                inst.registry.counter("stream.compile_fallbacks")
-                .labels(reason="bounds")
-                .value
-            )
-            assert reason == 2
-        finally:
-            uninstall()
-        assert not TBAMonitor(analysis.tba, analysis=analysis).compiled
-
-    @needs_compiled
-    def test_bounds_count_configuration_sets(self, monkeypatch):
-        """``MAX_CONFIGS`` bounds table rows, the reachable sets: 51
-        configurations fit, their 56 sets do not."""
-        tba = as_query(ALT_QUERY).tba()
-        analysis = TBAAnalysis(tba)  # fresh, not shared
-        assert len(analysis.universe) == 51
-        monkeypatch.setattr(compiled_mod, "MAX_CONFIGS", 51)
-        inst = install()
-        try:
-            assert compiled_for(analysis) is None
-            reason = (
-                inst.registry.counter("stream.compile_fallbacks")
-                .labels(reason="bounds")
-                .value
-            )
-            assert reason == 1
-        finally:
-            uninstall()
-        monkeypatch.setattr(compiled_mod, "MAX_CONFIGS", 56)
-        assert compiled_for(analysis) is None  # the cached None
-        comp = compiled_for(TBAAnalysis(tba))
-        assert comp is not None and comp.trap == 56
 
     def test_fallback_monitor_still_agrees(self, monkeypatch):
         """The point of the gates: fallback verdicts are the same."""

@@ -12,7 +12,9 @@ import pytest
 from repro.engine import Verdict
 from repro.engine.batch import compiled_tba, decide_many
 from repro.obs import instrumented
+from repro.spec.compile import to_tba
 from repro.spec.conformance import kernel_report
+from repro.stream import SessionMux, analysis_for
 from repro.txn import (
     TxnConfig,
     atomicity_ok,
@@ -26,6 +28,7 @@ from repro.txn import (
     run_workload,
     txn_verdicts,
 )
+from repro.txn.properties import properties_for
 from repro.txn.verify import _batched_buckets
 
 CRASHY = TxnConfig(
@@ -151,3 +154,34 @@ class TestWorkload:
         assert result["stream"]["sessions"] > 0
         assert result["offline"]["backend"] == "serial"
         assert result["offline"]["checks"] > 0
+
+
+#: The configuration of ``benchmarks/bench_txn.py``'s sweep at crash
+#: rate 0.4.
+SWEEP = TxnConfig(
+    n_participants=3,
+    d_lo=1,
+    d_hi=2,
+    abort_vote_rate=0.05,
+    participant_crash_rate=0.2,
+    coordinator_crash_rate=0.4,
+)
+
+
+@pytest.mark.parametrize("protocol", ["2pc", "3pc"])
+def test_decided_steps_on_a_mux_table(protocol):
+    """``decided`` reaches thousands of configurations, yet its mux
+    steps on a table holding only the rows the traffic reaches, with
+    the interpreter's verdicts."""
+    prop = properties_for(SWEEP, protocol)["decided"]
+    tba = to_tba(prop.spec, prop.alphabet)
+    assert len(analysis_for(tba).universe) > 2000
+    runs = corpus(protocol, SWEEP, 16)
+    table, _stats = online_verdicts(runs)
+    interpreted, _stats = online_verdicts(runs, mux_kwargs={"compiled": False})
+    assert table == interpreted
+    assert {key[1] for key in table} >= {"decided"}
+    # The mux shares the table through the analysis: the traffic above
+    # made its rows.
+    comp = SessionMux(tba)._tba_compiled
+    assert comp is not None and 2 < len(comp.sets) < 100
