@@ -6,13 +6,20 @@ optionally across worker processes, with three guarantees:
 
 * **Deterministic order** — reports come back in word order regardless
   of worker count or chunking;
-* **Bit-identical to serial** — every run builds a fresh
-  :class:`~repro.kernel.simulator.Simulator`, so a word's report is a
-  pure function of (acceptor, word, horizon, strategy, seed) and the
-  pooled path returns exactly what the serial path would;
+* **Bit-identical to serial** — a word's report is a pure function of
+  (acceptor, word, horizon, strategy, seed), however the words are
+  chunked: the serial loop, the shard fallback and every shard worker
+  judge a run of words through one chunk function
+  (:func:`_decide_chunk`, ``strategy.run_many``), so the pooled path
+  returns exactly what the serial path would;
 * **Seeded** — each word's report carries ``evidence["seed"] =
   seed + index``, so sampled strategies stay reproducible under any
   fan-out.
+
+``words`` may be a list or a :class:`~repro.words.batch.LassoBatch`
+of lasso words as columns, which stays one: the pool ships it in
+slices, and ``lasso-exact`` judges it in one pass over a compiled
+machine's successor table.
 
 There is one process backend: the warm shard pool of
 :mod:`repro.shard` (``backend="shards"``).  Its workers outlive the
@@ -41,6 +48,7 @@ from collections import OrderedDict
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import hooks as _obs
+from ..words.batch import LassoBatch
 from .strategies import DEFAULT_HORIZON, DecisionStrategy, get_strategy
 from .verdict import DecisionReport
 
@@ -53,6 +61,26 @@ __all__ = [
 ]
 
 
+def _decide_chunk(
+    acceptor: Any,
+    words: Sequence[Any],
+    horizon: int,
+    strategy: DecisionStrategy,
+    seed: int,
+    lo: int,
+) -> List[DecisionReport]:
+    """The seeded, index-stamped reports of a run of words whose first
+    has index ``lo``, judged together (shared by every backend)."""
+    h = _obs.HOOKS
+    if h is not None:
+        h.count("engine.words_judged", len(words), strategy=strategy.name)
+    reports = strategy.run_many(acceptor, words, horizon)
+    for index, report in enumerate(reports, lo):
+        report.evidence["seed"] = seed + index
+        report.evidence["index"] = index
+    return reports
+
+
 def _decide_one(
     acceptor: Any,
     word: Any,
@@ -61,14 +89,8 @@ def _decide_one(
     seed: int,
     index: int,
 ) -> DecisionReport:
-    """One seeded, index-stamped decision (shared by every backend)."""
-    h = _obs.HOOKS
-    if h is not None:
-        h.count("engine.words_judged", strategy=strategy.name)
-    report = strategy.run(acceptor, word, horizon)
-    report.evidence["seed"] = seed + index
-    report.evidence["index"] = index
-    return report
+    """One seeded, index-stamped decision: a chunk of one word."""
+    return _decide_chunk(acceptor, [word], horizon, strategy, seed, index)[0]
 
 
 BACKENDS = ("auto", "serial", "shards")
@@ -108,7 +130,8 @@ def _route(
         )
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    words = list(words)
+    if not isinstance(words, LassoBatch):
+        words = list(words)
     strat = get_strategy(strategy)
     h = _obs.HOOKS
     mode, specs = "serial", None
@@ -175,10 +198,7 @@ def decide_many(
     h = _obs.HOOKS
 
     def run_serial() -> List[DecisionReport]:
-        return [
-            _decide_one(acceptor, words[i], horizon, strat, seed, i)
-            for i in range(n)
-        ]
+        return _decide_chunk(acceptor, words, horizon, strat, seed, 0)
 
     def run_shards() -> List[DecisionReport]:
         from ..shard import pool as shard_pool
@@ -192,8 +212,8 @@ def decide_many(
         for lo, hi, reason, _detail in failures:
             if h is not None:
                 h.count("engine.backend_fallbacks", reason=f"shard-{reason}")
-            for i in range(lo, hi):
-                slots[i] = _decide_one(acceptor, words[i], horizon, strat, seed, i)
+            chunk = _decide_chunk(acceptor, words[lo:hi], horizon, strat, seed, lo)
+            slots.update(enumerate(chunk, lo))
         return [slots[i] for i in range(n)]
 
     run = run_shards if mode == "shards" else run_serial

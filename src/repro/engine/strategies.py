@@ -10,9 +10,11 @@ request:
   absorbing-verdict discipline: run until s_f/s_r is declared or the
   horizon passes.  Exact on the lasso words every Section 4/5
   construction produces, and O(decision point) regardless of horizon.
-  A machine compiled from a TBA judges a lasso word on its on-demand
-  successor table (:func:`~repro.machine.from_tba.decide_on_table`)
-  instead of a kernel replay, with the same report field for field.
+  A machine compiled from a TBA judges lasso words on its on-demand
+  successor table instead of a kernel replay, a whole run of them in
+  one pass (:meth:`LassoExact.run_many`,
+  :func:`~repro.machine.from_tba.decide_on_table`), with the same
+  reports field for field.
 * :class:`LongPrefixEmpirical` (``"long-prefix-empirical"``) — run a
   long prefix, count f's, and decide empirically (f_count > 0 ⟺
   accept).  Linear in the horizon and only horizon-confident, but
@@ -41,10 +43,11 @@ judgement itself runs on the vectorized tables of
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..machine.tape import zeno_event_cap
 from ..obs import hooks as _obs
+from ..words.batch import LassoBatch
 from .verdict import DecisionReport, Verdict
 
 __all__ = [
@@ -73,7 +76,9 @@ def resolve_zeno(report: DecisionReport, acceptor: Any, word: Any) -> DecisionRe
     machine compiled from a deterministic TBA, the count after which
     its run has died or repeated, so a run that reaches the cut alive
     never dies) and — unless an absorbing verdict fired inside that
-    window — comes back UNDECIDED.  When the acceptor carries its
+    window — comes back UNDECIDED (a successor table's pass stops
+    earlier, at the first repeated loop-boundary row, and settles a
+    deterministic source's run itself).  When the acceptor carries its
     source automaton (``source_tba``, attached by the §3.1.1
     compilation), the language question is still exactly decidable by
     region mathematics, which is what the ``lasso-exact`` contract
@@ -97,10 +102,7 @@ def resolve_zeno(report: DecisionReport, acceptor: Any, word: Any) -> DecisionRe
         return report
     table = getattr(acceptor, "successor_table", None)
     judge = table if table is not None and table.deterministic else tba
-    report.verdict = Verdict.ACCEPT if judge.accepts_lasso(word) else Verdict.REJECT
-    report.decided_at = word.time_at(len(word.prefix))
-    report.evidence["zeno"] = "region-exact"
-    return report
+    return report.settle_zeno(judge.accepts_lasso(word), word.time_at(len(word.prefix)))
 
 
 class DecisionStrategy:
@@ -111,6 +113,11 @@ class DecisionStrategy:
     def run(self, acceptor: Any, word: Any, horizon: int) -> DecisionReport:
         raise NotImplementedError
 
+    def run_many(self, acceptor: Any, words: Sequence[Any], horizon: int) -> List[DecisionReport]:
+        """One report per word, in word order (each word judged alone
+        unless a strategy judges a run of words together)."""
+        return [self.run(acceptor, word, horizon) for word in words]
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -118,32 +125,52 @@ class DecisionStrategy:
 class LassoExact(DecisionStrategy):
     """Absorbing-verdict judging (the paper's acceptors' own discipline).
 
-    A lasso word (no ``fn``, a non-empty ``loop``) goes to the
-    acceptor's own ``successor_table`` when it carries one and meters
-    no space limit; everything else is replayed by ``acceptor.decide``.
+    When the acceptor carries its own ``successor_table`` and meters no
+    space limit, its lasso words (no ``fn``, a non-empty ``loop``) are
+    judged together in one pass over the table
+    (:func:`~repro.machine.from_tba.decide_on_table`): a
+    :class:`~repro.words.batch.LassoBatch` as it is, a list of words
+    after encoding its lassos into one.  Every other word is replayed
+    by ``acceptor.decide``.  One word is a batch of one.
     """
 
     name = "lasso-exact"
 
     def run(self, acceptor: Any, word: Any, horizon: int) -> DecisionReport:
+        return self.run_many(acceptor, [word], horizon)[0]
+
+    def run_many(self, acceptor: Any, words: Sequence[Any], horizon: int) -> List[DecisionReport]:
         # The machine package imports this one: import on first use.
         from ..machine.from_tba import decide_on_table
 
-        if (
+        on_table = (
             getattr(acceptor, "successor_table", None) is not None
             # The kernel meters working storage against a space limit.
             and acceptor.space_limit is None
-            and getattr(word, "fn", None) is None
-            and getattr(word, "loop", ())
-        ):
-            report = decide_on_table(acceptor, word, horizon)
+        )
+        if on_table and isinstance(words, LassoBatch):
+            reports: List[Any] = decide_on_table(acceptor, words, horizon)
         else:
-            report = acceptor.decide(word, horizon=horizon)
-        if zeno_event_cap(word) is not None:
-            report = resolve_zeno(report, acceptor, word)
-        report.strategy = self.name
-        report.evidence.setdefault("discipline", "absorbing-verdict")
-        return report
+            reports = [None] * len(words)
+            lassos = on_table and [
+                i
+                for i, w in enumerate(words)
+                if getattr(w, "fn", None) is None and getattr(w, "loop", ())
+            ]
+            if lassos:
+                batch = LassoBatch.of(words[i] for i in lassos)
+                for i, report in zip(lassos, decide_on_table(acceptor, batch, horizon)):
+                    reports[i] = report
+        for i, report in enumerate(reports):
+            if report is None:
+                report = reports[i] = acceptor.decide(words[i], horizon=horizon)
+            if report.verdict is Verdict.UNDECIDED:
+                word = words[i]
+                if zeno_event_cap(word) is not None:
+                    report = reports[i] = resolve_zeno(report, acceptor, word)
+            report.strategy = self.name
+            report.evidence.setdefault("discipline", "absorbing-verdict")
+        return reports
 
 
 class LongPrefixEmpirical(DecisionStrategy):

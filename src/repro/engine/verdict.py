@@ -61,6 +61,16 @@ class DecisionReport:
     def accepted(self) -> bool:
         return self.verdict is Verdict.ACCEPT
 
+    def settle_zeno(self, accepted: bool, at: int) -> "DecisionReport":
+        """Settle the report of a frozen-time lasso by its exact
+        acceptance: the verdict, ``decided_at`` pinned to the instant
+        ``at`` where time stalls, and ``evidence["zeno"] =
+        "region-exact"`` (see :func:`repro.engine.strategies.resolve_zeno`)."""
+        self.verdict = Verdict.ACCEPT if accepted else Verdict.REJECT
+        self.decided_at = at
+        self.evidence["zeno"] = "region-exact"
+        return self
+
     def __repr__(self) -> str:  # pragma: no cover
         tag = f", strategy={self.strategy}" if self.strategy else ""
         return (

@@ -32,27 +32,30 @@ its ``successor_table``, a :class:`~repro.stream.compiled.CompiledTBA`
 built without a liveness analysis: one row per configuration set the
 machine has reached, each cell filled on demand from the same
 ``_step_configs`` call the program makes.  The ``lasso-exact``
-strategy judges lasso words on it (:func:`decide_on_table`),
-deterministic source or not, and settles a deterministic source's
-frozen-time lassos with the table's walk over rows
-(:meth:`~repro.stream.compiled.CompiledTBA.accepts_lasso`), without
-building a simulator.  The kernel replay of
-:meth:`~repro.machine.rtalgorithm.RealTimeAlgorithm.decide` stays the
-Definition 3.3 oracle the table is checked against
-(``docs/performance.md``, "Decide on the table").
+strategy judges a whole :class:`~repro.words.batch.LassoBatch` of
+lasso words on it in one pass (:func:`decide_on_table`), deterministic
+source or not, without building a simulator: a frozen-time lasso
+stops at its first repeated loop-boundary row, and a deterministic
+source's is settled on the same rows
+(:meth:`~repro.stream.compiled.CompiledTBA.accepts_from`).  The kernel
+replay of :meth:`~repro.machine.rtalgorithm.RealTimeAlgorithm.decide`
+stays the Definition 3.3 oracle the table is checked against
+(``docs/performance.md``, "Decide on the table" and "Decide in one
+pass").
 """
 
 from __future__ import annotations
 
-from itertools import chain, count, islice
-from typing import Any, Generator, Set, Tuple
+from contextlib import nullcontext
+from typing import Any, Generator, List, Set, Tuple
 
 from ..automata.timed import TimedBuchiAutomaton
 from ..engine.verdict import DecisionReport, Verdict
 from ..kernel.events import Event
 from ..obs import hooks as _obs
+from ..words.batch import LassoBatch
 from .rtalgorithm import Context, RealTimeAlgorithm
-from .tape import DEFAULT_FEEDER_CAP, ZENO_UNROLL, TapeProtocolError, zeno_event_cap
+from .tape import DEFAULT_FEEDER_CAP, ZENO_UNROLL, TapeProtocolError
 
 __all__ = [
     "tba_to_algorithm",
@@ -159,57 +162,116 @@ def tba_to_algorithm(
     return algo
 
 
-def decide_on_table(machine: RealTimeAlgorithm, word: Any, horizon: int) -> DecisionReport:
-    """``machine.decide(word, horizon)``'s report, read off the rows of
-    the machine's ``successor_table``.
+def decide_on_table(
+    machine: RealTimeAlgorithm, words: LassoBatch, horizon: int
+) -> List[DecisionReport]:
+    """``machine.decide(word, horizon)``'s report for every word of
+    ``words``, read in one pass over the rows of the machine's
+    ``successor_table``.
 
-    ``word`` must be a lasso.  The run is published through the
-    machine's hooks as ``machine.runs{mode="table"}``, under a
-    ``machine.table_replay`` span.
+    The pass encodes the symbol column to the table's ids once and
+    replays each word on row ids, filling a cell the first time a word
+    reaches it.  A frozen-time lasso (``shift == 0``) stops at the first
+    loop-boundary row that repeats, or at
+    :func:`~repro.machine.tape.zeno_event_cap`, whichever comes first.
+    All of its loop events sit at one instant, and the table is a
+    function of (row, symbol, gap), so after a repeat the rows cycle at
+    that instant: no later unrolling can kill the run, write another f,
+    move the decision instant or raise the space peak, for a
+    configuration set as for one configuration (the argument of
+    :func:`zeno_unroll`).
+
+    A deterministic source's frozen lasso that is still undecided there
+    is settled here, as :func:`~repro.engine.strategies.resolve_zeno`
+    would settle it: the table's walk over rows continues from the row
+    where the replay stopped
+    (:meth:`~repro.stream.compiled.CompiledTBA.accepts_from`).  A
+    nondeterministic source's stays UNDECIDED for the interpreted
+    automaton to settle.
+
+    Each run is published through the machine's hooks as
+    ``machine.runs{mode="table"}``, with its replay's verdict, under one
+    ``machine.table_replay`` span per call whose ``events`` arg counts
+    the table steps the replays took.
     """
     h = _obs.HOOKS
-    if h is None:
-        return _replay(machine, word, horizon)
-    with h.span("machine.table_replay", algorithm=machine.name, horizon=horizon):
-        return machine._report_run("table", _replay(machine, word, horizon))
-
-
-def _replay(machine: RealTimeAlgorithm, word: Any, horizon: int) -> DecisionReport:
-    report = DecisionReport(Verdict.UNDECIDED, horizon=horizon)
-    if horizon < 0:
-        return report  # the kernel never starts the program
-    # The program's working storage: the configuration set and the
-    # previous input instant.
-    report.space_peak = 2
-    cap = zeno_event_cap(word, machine)
-    shift = word.shift
-    pairs = chain(
-        word.prefix, ((s, t + k * shift) for k in count() for s, t in word.loop)
-    )
-    table = machine.successor_table
-    step, trap, accepting = table.step, table.trap, table.accepting_list
-    row = table.initial_index
-    prev = 0
-    f_at = -1
-    f_count = 0
-    for i, (symbol, t) in enumerate(
-        islice(pairs, DEFAULT_FEEDER_CAP if cap is None else cap)
-    ):
-        if t > horizon:
-            break
-        if t < prev:
-            raise TapeProtocolError(
-                f"input word time went backwards at index {i} (t={t}, now={prev})"
-            )
-        row = step(row, symbol, t - prev)
-        prev = t
-        if row == trap:
-            report.verdict = Verdict.REJECT
-            report.decided_at = t
-            break
-        # The output tape takes at most one f per instant.
-        if accepting[row] and t != f_at:
-            f_count += 1
-            f_at = t
-    report.f_count = f_count
-    return report
+    publish = None if h is None else machine._report_run
+    with nullcontext() if h is None else h.span(
+        "machine.table_replay", algorithm=machine.name, horizon=horizon, words=len(words)
+    ) as span:
+        table = machine.successor_table
+        cells, fill, trap = table.table_list, table.fill, table.trap
+        accepting, gap_cap, settle = table.accepting_list, table.gap_cap, table.deterministic
+        sym_index, unknown = table.sym_index, table.n_symbols
+        symbols, times = words.symbols, words.times
+        syms = [sym_index.get(s, unknown) for s in symbols]
+        initial, unroll, feeder_cap = table.initial_index, machine.zeno_unroll, DEFAULT_FEEDER_CAP
+        undecided, reject = Verdict.UNDECIDED, Verdict.REJECT
+        reports: List[DecisionReport] = []
+        steps = 0
+        for start, loop, end, shift in zip(words.starts, words.loops, words.ends, words.shifts):
+            row = initial
+            prev = 0
+            i = start
+            k = 0  # loop iterations begun after the first
+            frozen = shift == 0
+            verdict = undecided
+            decided_at = None
+            f_count = 0
+            # The program's working storage, the configuration set and the
+            # previous input instant, once the kernel would start it.
+            space = 2 if horizon >= 0 else 0
+            if space:
+                cap = loop - start + unroll * (end - loop) if frozen else feeder_cap
+                boundaries: Set[int] = set()
+                f_at = -1
+                n = 0
+                while n < cap:
+                    if i == end:
+                        k += 1
+                        if frozen:
+                            if row in boundaries:
+                                break
+                            boundaries.add(row)
+                        i = loop
+                    t = times[i] + k * shift
+                    if t > horizon:
+                        break
+                    if t < prev:
+                        raise TapeProtocolError(
+                            f"input word time went backwards at index {n} (t={t}, now={prev})"
+                        )
+                    gap = t - prev
+                    if gap > gap_cap:
+                        gap = gap_cap
+                    sym = syms[i]
+                    nxt = cells[row][sym][gap]
+                    row = nxt if nxt >= 0 else fill(row, sym, gap)
+                    prev = t
+                    i += 1
+                    n += 1
+                    if row == trap:
+                        verdict = reject
+                        decided_at = t
+                        break
+                    # The output tape takes at most one f per instant.
+                    if accepting[row] and t != f_at:
+                        f_count += 1
+                        f_at = t
+                steps += n
+            report = DecisionReport(verdict, f_count, horizon, space, decided_at)
+            if publish is not None:
+                publish("table", report)
+            if frozen and settle and verdict is undecided:
+                # Continue from the row where the replay stopped: inside the
+                # loop's first iteration, or at a loop boundary after it.
+                report.settle_zeno(
+                    table.accepts_from(
+                        row, prev, symbols, times, end if k else i, loop, end, 0
+                    ),
+                    times[loop],
+                )
+            reports.append(report)
+        if span is not None:
+            span.args["events"] = steps
+    return reports

@@ -12,7 +12,8 @@ pipe.  That is a real restriction: an acceptor that closes over a
 local function does not pickle.  :func:`language_spec` preflights this
 and raises :class:`LanguageUnshippable` so the engine can judge such a
 batch serially (and count why) instead of dying mid-batch.  TBAs,
-timed words, strategies, machines over module-level programs, and
+timed words (in lists or :class:`~repro.words.batch.LassoBatch` slices),
+strategies, machines over module-level programs, and
 :class:`~repro.engine.verdict.DecisionReport` lists are all plain data
 and travel fine.
 
@@ -230,7 +231,7 @@ def run_chunks(
                     shard.conn,
                     OP_DECIDE,
                     shard.seq,
-                    (key, lo, list(words[lo:hi]), horizon, strat_spec, seed),
+                    (key, lo, words[lo:hi], horizon, strat_spec, seed),
                 )
             except (ShardError, BrokenPipeError, OSError) as exc:
                 shard.alive = False

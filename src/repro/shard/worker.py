@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..engine.batch import _decide_one, compiled_tba
+from ..engine.batch import _decide_chunk, compiled_tba
 from ..engine.strategies import get_strategy
 from ..obs import DeltaDumper, Instrumentation
 from ..obs import hooks as _obs_hooks
@@ -219,10 +219,7 @@ class _Worker:
         lang_key, lo, words, horizon, strategy_spec, seed = payload
         acceptor = self.langs[lang_key]
         strat = get_strategy(strategy_spec)
-        reports = [
-            _decide_one(acceptor, word, horizon, strat, seed, lo + i)
-            for i, word in enumerate(words)
-        ]
+        reports = _decide_chunk(acceptor, words, horizon, strat, seed, lo)
         return reports, self.delta.delta()
 
     def on_metrics(self, _payload) -> Any:

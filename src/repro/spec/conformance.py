@@ -26,10 +26,19 @@ output needed:
     :func:`kernel_report`'s
     (``machine.decide``, then ``resolve_zeno`` on the interpreted
     automaton) on every field, at the pair's horizon, at −1, at 0 and
-    at an instant inside the word.
+    at an instant inside the word.  All of a case's words are also
+    judged in one ``decide_many`` call, one pass over the table, and
+    each report must equal the word's :func:`kernel_report` at the
+    case's horizon, at −1 and at 0.  Each advancing word's
+    frozen-time variant (its loop's events at the loop's first instant,
+    the shape the pass stops at a repeated loop-boundary row and
+    settles) is checked too, alone and in the batch.
 ``shards``
-    ``decide_many(backend="shards")`` (persistent worker pool, warm
-    compiled caches) vs ``backend="serial"`` on raw deterministic TBAs.
+    ``decide_many(backend="shards")`` on a
+    :class:`~repro.words.batch.LassoBatch` of a case's words
+    (persistent worker pool, warm compiled caches, the batch shipped in
+    slices) vs ``backend="serial"`` on the word list, every report
+    field, on raw deterministic TBAs.
 ``checkpoint``
     mid-stream :func:`repro.stream.checkpoint.checkpoint` / ``restore``
     across *both* stepping paths (compiled snapshot → interpreted
@@ -68,11 +77,13 @@ output needed:
 Words and specs come from a seeded generator (reproducible without any
 third-party dependency; ``tests/test_spec_conformance.py`` adds a
 hypothesis-driven layer when hypothesis is importable).  On a
-disagreement the harness *minimizes* the counterexample — greedily
-shrinking the word (drop events, tighten times) and then the spec
-(drop alternatives, phases, bounds) while the disagreement persists —
-and emits a ready-to-paste regression test via
-:func:`regression_source`.
+disagreement the harness checks the case again and *minimizes* the
+counterexample — greedily shrinking the word (drop events, tighten
+times) and then the spec (drop alternatives, phases, bounds) while the
+disagreement persists — and emits a ready-to-paste regression test via
+:func:`regression_source`.  A case that does not disagree again on its
+own (a fault that depends on table state the first check filled, or
+one only a batch of words shows) is reported unshrunk.
 
 Three generator modes share the oracle pairs and the minimizer.  The
 default fuzzes combinator *specs*; ``gen="tba"`` (CLI ``--gen tba``)
@@ -130,6 +141,7 @@ from ..engine.verdict import DecisionReport, Verdict
 from ..kernel.clock import And, Ge, Le, Not, TrueConstraint
 from ..machine.from_tba import _is_deterministic
 from ..machine.tape import ZENO_UNROLL, zeno_event_cap
+from ..words.batch import LassoBatch
 from ..words.timedword import TimedWord
 from .combinators import (
     Spec,
@@ -626,7 +638,21 @@ def _check_strategy(
         # Machine rejection means every tracked run died — sound for
         # any TBA, so it can never contradict the language answer.
         return "lasso-exact reports REJECT but accepts_lasso says True"
-    return _check_table(machine, word, horizon)
+    detail = _check_table(machine, word, horizon)
+    if detail is None and word.shift:
+        frozen = _frozen(word)
+        detail = _check_table(machine, frozen, _horizon(frozen))
+        if detail is not None:
+            detail = f"frozen variant {frozen!r}: {detail}"
+    return detail
+
+
+def _frozen(word: TimedWord) -> TimedWord:
+    """``word`` with its loop's events at the loop's first instant and
+    shift 0: the zeno shape a table pass stops at a repeated
+    loop-boundary row and settles (at a negative horizon, from the end
+    of the first loop iteration)."""
+    return TimedWord.lasso(word.prefix, [(s, word.loop[0][1]) for s, _t in word.loop], 0)
 
 
 def kernel_report(machine: Any, word: TimedWord, horizon: int) -> DecisionReport:
@@ -678,13 +704,43 @@ def _check_shards(
     # events (the default 10k-event horizon would dominate the sweep).
     horizon = max(_horizon(w) for w in words)
     serial = decide_many(tba, words, backend="serial", horizon=horizon)
-    sharded = decide_many(
-        tba, words, backend="shards", workers=2, horizon=horizon
-    )
-    sv = [r.verdict for r in serial]
-    shv = [r.verdict for r in sharded]
-    if sv != shv:
-        return f"serial verdicts {sv} != shards verdicts {shv}"
+    try:
+        # The pool ships the batch to its workers in slices.
+        sharded = decide_many(
+            tba, LassoBatch.of(words), backend="shards", workers=2, horizon=horizon
+        )
+    except Exception as exc:  # the serial side judged the same words
+        return f"shards raised {exc!r} where serial judged every word"
+    if len(serial) != len(sharded):
+        return f"serial returns {len(serial)} reports but shards {len(sharded)}"
+    for i, (a, b) in enumerate(zip(serial, sharded)):
+        if _report_fields(a) != _report_fields(b):
+            return (
+                f"word {i}: serial reports {_report_fields(a)} but shards "
+                f"{_report_fields(b)}"
+            )
+    return None
+
+
+def _check_strategy_batch(
+    spec: Case,
+    alphabet: Tuple[Any, ...],
+    words: Sequence[TimedWord],
+) -> Optional[str]:
+    """All of a case's words judged in one ``decide_many`` call on the
+    case's machine, deterministic or not, vs :func:`kernel_report`
+    word by word, at the case's horizon, at −1 and at 0."""
+    machine = compiled_tba(_case_tba(spec, alphabet), allow_nondeterministic=True)
+    words = list(words) + [_frozen(w) for w in words if w.shift]
+    for h in (max(_horizon(w) for w in words), -1, 0):
+        for i, (word, report) in enumerate(zip(words, decide_many(machine, words, horizon=h))):
+            kernel = kernel_report(machine, word, h)
+            kernel.evidence.update(seed=i, index=i)
+            if _report_fields(report) != _report_fields(kernel):
+                return (
+                    f"decide_many at horizon {h}: word {i} reports "
+                    f"{_report_fields(report)} but the kernel {_report_fields(kernel)}"
+                )
     return None
 
 
@@ -1239,6 +1295,48 @@ def _tba_shrinks(tba: TimedBuchiAutomaton) -> Iterator[TimedBuchiAutomaton]:
             yield rebuild(trs, tba.accepting - {s})
 
 
+def _disagrees(
+    pair: str,
+    spec: Case,
+    alphabet: Sequence[Any],
+    word: TimedWord,
+    query: Optional[str],
+) -> Optional[str]:
+    """:func:`check_pair`, with a check that crashes read as agreement
+    (a shrink that crashes is a different case)."""
+    try:
+        return check_pair(pair, spec, alphabet, word, query)
+    except Exception:
+        return None
+
+
+def _disagreement(
+    pair: str,
+    spec: Case,
+    alphabet: Tuple[Any, ...],
+    words: Sequence[TimedWord],
+    detail: str,
+    query: Optional[str] = None,
+) -> Disagreement:
+    """A disagreement, minimized from the first of ``words`` that still
+    disagrees when checked again on its own.
+
+    A case none of whose words disagrees again is recorded unshrunk,
+    with the first check's detail: a fault that depends on table rows
+    and cells the first check filled, or one that only a batch of words
+    shows, does not reproduce.
+    """
+    culprit = next(
+        (w for w in words if _disagrees(pair, spec, alphabet, w, query) is not None),
+        None,
+    )
+    if culprit is None:
+        note = "did not reproduce when checked again, so not minimized"
+        return Disagreement(pair, spec, alphabet, words[0], f"{detail} [{note}]", query)
+    mspec, mword, mdetail = minimize(pair, spec, alphabet, culprit, query)
+    return Disagreement(pair, mspec, alphabet, mword, mdetail, query)
+
+
 def minimize(
     pair: str,
     spec: Case,
@@ -1249,10 +1347,7 @@ def minimize(
     """Greedily shrink a disagreeing case while it still disagrees."""
 
     def fails(s: Case, w: TimedWord) -> Optional[str]:
-        try:
-            return check_pair(pair, s, alphabet, w, query)
-        except Exception:  # a shrink that crashes is a different case
-            return None
+        return _disagrees(pair, s, alphabet, w, query)
 
     case_shrinks = (
         _tba_shrinks if isinstance(spec, TimedBuchiAutomaton) else _spec_shrinks
@@ -1436,40 +1531,37 @@ def run(
                         )
                     )
         for pair in pairs:
-            if pair == "shards":
-                # One pooled batch per case (the pool is persistent, so
-                # this stays cheap across the sweep).
+            case_check = _CASE_CHECKS.get(pair)
+            if case_check is not None:
+                # One batch of every word per case (the shard pool is
+                # persistent, so this stays cheap across the sweep).
                 stats.checks[pair] = stats.checks.get(pair, 0) + 1
-                detail = _check_shards(spec, alphabet, words)
+                detail = case_check(spec, alphabet, words)
                 if detail is not None:
                     log(f"case {case}: DISAGREEMENT {pair}, minimizing…")
-                    # Minimize against whichever single word still
-                    # disagrees on its own; fall back to the raw case.
-                    culprit = next(
-                        (w for w in words if check_pair(pair, spec, alphabet, w)),
-                        None,
-                    )
-                    if culprit is not None:
-                        mspec, mword, mdetail = minimize(
-                            pair, spec, alphabet, culprit
-                        )
-                    else:
-                        mspec, mword, mdetail = spec, words[0], detail
                     stats.disagreements.append(
-                        Disagreement(pair, mspec, alphabet, mword, mdetail)
+                        _disagreement(pair, spec, alphabet, words, detail)
                     )
-                continue
+                    continue
+            if pair == "shards":
+                continue  # its one check is the batch
             for word in words:
                 stats.checks[pair] = stats.checks.get(pair, 0) + 1
                 detail = check_pair(pair, spec, alphabet, word, text)
                 if detail is not None:
                     log(f"case {case}: DISAGREEMENT {pair}, minimizing…")
-                    mspec, mword, mdetail = minimize(pair, spec, alphabet, word, text)
                     stats.disagreements.append(
-                        Disagreement(pair, mspec, alphabet, mword, mdetail, text)
+                        _disagreement(pair, spec, alphabet, [word], detail, text)
                     )
                     break
     return stats
+
+
+#: Pairs that also judge all of a case's words together.
+_CASE_CHECKS: Dict[str, Callable[..., Optional[str]]] = {
+    "strategy": _check_strategy_batch,
+    "shards": _check_shards,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -231,32 +231,63 @@ class CompiledTBA:
         """
         if word.fn is not None or word.is_finite:
             raise ValueError("accepts_lasso needs a lasso TimedWord")
-        # The gap entering each loop position, read from the second
-        # iteration (so the previous pair exists), and the symbol read there.
-        times = [t for _s, t in word.loop]
-        gaps = [times[0] + word.shift - times[-1]]
-        gaps += [b - a for a, b in zip(times, times[1:])]
-        loop_syms = [s for s, _t in word.loop]
-        k = len(times)
+        pairs = word.prefix + word.loop
+        return self.accepts_from(
+            self.initial_index,
+            0,
+            [s for s, _t in pairs],
+            [t for _s, t in pairs],
+            0,
+            len(word.prefix),
+            len(pairs),
+            word.shift,
+        )
+
+    def accepts_from(
+        self,
+        row: int,
+        prev_t: int,
+        symbols: Sequence[Any],
+        times: Sequence[int],
+        i: int,
+        loop: int,
+        end: int,
+        shift: int,
+    ) -> bool:
+        """:meth:`accepts_lasso` of the rest of a lasso, from ``row``
+        reached at instant ``prev_t``.
+
+        The lasso is given as columns (a
+        :class:`~repro.words.batch.LassoBatch` word's layout): its loop
+        is ``symbols[loop:end]`` and ``times[loop:end]``, each iteration
+        adding ``shift``, and the replay that reached ``row`` read up to
+        index ``i``.  A replay that stopped at a loop boundary after any
+        iteration continues with ``i = end``.
+        """
         step, trap, accepting = self.step, self.trap, self.accepting_list
-        row = self.initial_index
-        prev_t = 0
-        for s, t in word.prefix + word.loop:
-            row = step(row, s, t - prev_t)
+        for j in range(i, end):
+            t = times[j]
+            row = step(row, symbols[j], t - prev_t)
             if row == trap:
                 return False
             prev_t = t
-        seen: Dict[Tuple[int, int], int] = {}
+        # Walk (row, loop position) states, keyed row·k + position, until
+        # one repeats.  From the second iteration on, the gap entering
+        # position 0 comes from the previous iteration's last event.
+        k = end - loop
+        seen: Dict[int, int] = {}
         trail: List[bool] = []
         pos = 0
-        while (row, pos) not in seen:
-            seen[(row, pos)] = len(trail)
+        while row * k + pos not in seen:
+            seen[row * k + pos] = len(trail)
             trail.append(accepting[row])
-            row = step(row, loop_syms[pos], gaps[pos])
+            j = loop + pos
+            gap = times[j] - times[j - 1] if pos else times[loop] + shift - times[end - 1]
+            row = step(row, symbols[j], gap)
             if row == trap:
                 return False
             pos = (pos + 1) % k
-        return any(trail[seen[(row, pos)]:])
+        return any(trail[seen[row * k + pos]:])
 
 
 def compiled_for(analysis: Any) -> Optional[CompiledTBA]:

@@ -36,7 +36,7 @@ online paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..spec.combinators import (
     Spec,
@@ -46,6 +46,7 @@ from ..spec.combinators import (
     rt_bound,
     seq,
 )
+from ..words.timedword import TimedWord
 from .protocol import TransactionRun, TxnConfig
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "decision_spec",
     "handshake_spec",
     "properties_for",
+    "channel_prefixes",
     "words_for",
 ]
 
@@ -146,10 +148,21 @@ def properties_for(cfg: TxnConfig, protocol: str) -> Dict[str, Property]:
     }
 
 
+def channel_prefixes(run: TransactionRun, channel: str) -> Dict[str, List[Tuple[str, int]]]:
+    """Each judged process's word on ``channel`` before its tick tail,
+    keyed by process: every process on ``"decision"``, C on
+    ``"handshake"``."""
+    if channel == "handshake":
+        return {"C": run.handshake_prefix()}
+    return {p: run.decision_prefix(p) for p in run.processes}
+
+
 def words_for(
     run: TransactionRun, prop: Property, tail: str = "advancing"
 ) -> Dict[str, Any]:
     """The channel words this property judges, keyed by process."""
-    if prop.channel == "handshake":
-        return {"C": run.handshake_word(tail)}
-    return {p: run.decision_word(p, tail) for p in run.processes}
+    loop, shift = run.tail(tail)
+    return {
+        p: TimedWord.lasso(prefix, loop, shift)
+        for p, prefix in channel_prefixes(run, prop.channel).items()
+    }

@@ -223,43 +223,53 @@ class TransactionRun:
 
     def process_word(self, proc: str) -> TimedWord:
         """The full recorded per-process word, closed by a tick tail."""
-        return self._with_tail(self.events[proc], "advancing")
+        return TimedWord.lasso(self.events[proc], *self.tail("advancing"))
 
-    def decision_word(self, proc: str, tail: str = "advancing") -> TimedWord:
-        """The decision channel: what (if anything) ``proc`` decided.
-
-        One event — ``("commit"|"abort", t)`` at the decision instant,
-        or ``("none", report_at)`` for a process still undecided at the
-        horizon — then ticks.  ``tail="advancing"`` appends ticks at
-        ``report_at+1, report_at+2, …`` (time passes the deadline, so
-        online monitors and region acceptance both absorb);
-        ``tail="frozen"`` repeats one tick at ``report_at`` with
-        ``shift=0``, the zeno shape the machine-replay judges cut off
-        and :func:`repro.engine.strategies.resolve_zeno` settles
-        exactly — the same language verdict either way for the
-        deadline specs of :mod:`repro.txn.properties`.
-        """
+    def decision_prefix(self, proc: str) -> List[Tuple[str, int]]:
+        """The decision channel before its tail: what (if anything)
+        ``proc`` decided.  One event — ``("commit"|"abort", t)`` at the
+        decision instant, or ``("none", report_at)`` for a process still
+        undecided at the horizon."""
         dec = self.decisions[proc]
-        prefix = [dec] if dec else [("none", self.report_at)]
-        return self._with_tail(prefix, tail)
+        return [dec] if dec else [("none", self.report_at)]
 
-    def handshake_word(self, tail: str = "advancing") -> TimedWord:
-        """The coordinator's message round-trip channel (see
-        ``_HANDSHAKE_PROJECTION``), closed by a tick tail."""
-        prefix = [
+    def handshake_prefix(self) -> List[Tuple[str, int]]:
+        """The coordinator's message round-trip channel before its tail
+        (see ``_HANDSHAKE_PROJECTION``)."""
+        return [
             (_HANDSHAKE_PROJECTION[s], t)
             for s, t in self.events["C"]
             if s in _HANDSHAKE_PROJECTION
         ]
-        return self._with_tail(prefix, tail)
 
-    def _with_tail(self, prefix: List[Tuple[str, int]], tail: str) -> TimedWord:
+    def tail(self, tail: str) -> Tuple[Tuple[Tuple[str, int], ...], int]:
+        """The ``(loop, shift)`` of a channel word's tick tail.
+
+        ``tail="advancing"`` appends ticks at ``report_at+1,
+        report_at+2, …`` (time passes the deadline, so online monitors
+        and region acceptance both absorb); ``tail="frozen"`` repeats
+        one tick at ``report_at`` with ``shift=0``, the zeno shape the
+        machine-replay judges cut off and settle exactly
+        (:func:`repro.engine.strategies.resolve_zeno`) — the same
+        language verdict either way for the deadline specs of
+        :mod:`repro.txn.properties`.
+        """
         T = self.report_at
         if tail == "frozen":
-            return TimedWord.lasso(tuple(prefix), (("tick", T),), 0)
+            return (("tick", T),), 0
         if tail == "advancing":
-            return TimedWord.lasso(tuple(prefix), (("tick", T + 1),), 1)
+            return (("tick", T + 1),), 1
         raise ValueError(f"tail must be 'advancing' or 'frozen', got {tail!r}")
+
+    def decision_word(self, proc: str, tail: str = "advancing") -> TimedWord:
+        """The decision channel (:meth:`decision_prefix`) closed by a
+        tick tail (:meth:`tail`)."""
+        return TimedWord.lasso(self.decision_prefix(proc), *self.tail(tail))
+
+    def handshake_word(self, tail: str = "advancing") -> TimedWord:
+        """The handshake channel (:meth:`handshake_prefix`) closed by a
+        tick tail (:meth:`tail`)."""
+        return TimedWord.lasso(self.handshake_prefix(), *self.tail(tail))
 
 
 # -- ground truth (plain-Python oracles for the spec layer) ------------

@@ -11,13 +11,16 @@ that must agree verdict-for-verdict:
   advancing-tick lasso words;
 * **offline-batched** — :func:`repro.engine.decide_many` over the raw
   compiled TBA, ``backend="serial"`` or ``backend="shards"``, on
-  *frozen*-tail words: the compiled machine judges each word on its
-  successor table (:func:`~repro.machine.from_tba.decide_on_table`,
-  the kernel replay's report without a kernel run), the zeno shape is
-  cut off at :func:`~repro.machine.tape.zeno_event_cap` and settled
-  exactly by :func:`~repro.engine.strategies.resolve_zeno`, so the
-  machine path is decisive too (deterministic specs only —
-  ``commit``/``abort``/``handshake``);
+  *frozen*-tail words: each run's channel prefixes plus the frozen
+  tick are encoded once per channel into one
+  :class:`~repro.words.batch.LassoBatch` of columns, with no
+  ``TimedWord`` built, and each property automaton's batch is judged
+  in one pass over the compiled machine's successor table
+  (:func:`~repro.machine.from_tba.decide_on_table`, the kernel
+  replay's reports without a kernel run); the zeno shape stops at its
+  first repeated loop-boundary row and is settled exactly on the same
+  rows, so the machine path is decisive too (deterministic specs only
+  — ``commit``/``abort``/``handshake``);
 * **online** — :class:`repro.stream.SessionMux` monitors on the
   compiled-TBA path, every property on its mux's successor table, one
   session per (transaction, process) per property, fed the live
@@ -26,7 +29,8 @@ that must agree verdict-for-verdict:
   ACCEPTING when a chain completes).
 
 Each call builds a run's property suite once per (config, protocol)
-pair it meets, not once per run.
+pair it meets, not once per run; the batched path also resolves that
+suite's deterministic automata and horizon once.
 
 Per-transaction judgements then *combine* per-process verdicts:
 atomicity is "no process ACCEPTs ``commit`` while another ACCEPTs
@@ -41,14 +45,15 @@ pins zero across ≥200 seeded runs with injected crashes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..engine.batch import decide_many
 from ..engine.strategies import decide
 from ..engine.verdict import Verdict
 from ..obs import hooks as _obs
 from ..spec.compile import spec_acceptor, to_tba
-from .properties import Property, properties_for, words_for
+from ..words.batch import LassoBatch
+from .properties import Property, channel_prefixes, properties_for, words_for
 from .protocol import TransactionRun
 
 __all__ = [
@@ -71,19 +76,28 @@ CheckKey = Tuple[int, str, str]
 ONLINE_TICKS = 3
 
 
+def _per_suite(
+    runs: List[TransactionRun], build: Callable[[TransactionRun], Any]
+) -> Iterator[Tuple[int, TransactionRun, Any]]:
+    """Each run with its index and ``build(run)``, built once per
+    (config, protocol) pair in one call; the memo is not kept across
+    calls, because what ``build`` returns may be mutable.  Configs are
+    told apart by identity (a corpus shares one; hashing the frozen
+    dataclass costs microseconds per run), which every run in ``runs``
+    keeps alive for the call."""
+    built: Dict[Tuple[int, str], Any] = {}
+    for i, run in enumerate(runs):
+        key = (id(run.cfg), run.protocol)
+        if key not in built:
+            built[key] = build(run)
+        yield i, run, built[key]
+
+
 def _suites(
     runs: List[TransactionRun],
 ) -> Iterator[Tuple[int, TransactionRun, Dict[str, Property]]]:
-    """Each run with its index and property suite.  A suite is built
-    once per (config, protocol) pair in one call; the memo is not kept
-    across calls, because the returned ``Property`` dicts are mutable."""
-    built: Dict[Tuple[Any, str], Dict[str, Property]] = {}
-    for i, run in enumerate(runs):
-        key = (run.cfg, run.protocol)
-        suite = built.get(key)
-        if suite is None:
-            suite = built[key] = properties_for(run.cfg, run.protocol)
-        yield i, run, suite
+    """Each run with its index and property suite."""
+    return _per_suite(runs, lambda run: properties_for(run.cfg, run.protocol))
 
 
 def offline_exact(runs: List[TransactionRun]) -> Dict[CheckKey, Verdict]:
@@ -102,24 +116,44 @@ def offline_exact(runs: List[TransactionRun]) -> Dict[CheckKey, Verdict]:
     return out
 
 
+def _batched_suite(run: TransactionRun) -> Tuple[int, Any, List[Tuple[str, Any]]]:
+    """What a run's suite gives :func:`_batched_buckets`: the horizon,
+    the frozen tail, and each channel that deterministic properties
+    read, with the ``(name, compiled automaton)`` of each such property."""
+    channels: Dict[str, List[Tuple[str, Any]]] = {}
+    for name, prop in properties_for(run.cfg, run.protocol).items():
+        if prop.deterministic:
+            channels.setdefault(prop.channel, []).append(
+                (name, to_tba(prop.spec, prop.alphabet))
+            )
+    return run.report_at + 2, run.tail("frozen"), [(c, tuple(j)) for c, j in channels.items()]
+
+
 def _batched_buckets(
     runs: List[TransactionRun],
-) -> List[Tuple[Any, int, List[Tuple[CheckKey, Any]]]]:
-    """The ``(tba, horizon, [(key, frozen word)])`` batches that
+) -> List[Tuple[Any, int, List[CheckKey], LassoBatch]]:
+    """The ``(tba, horizon, keys, words)`` batches that
     :func:`offline_batched` judges: one per compiled deterministic
-    property automaton, at the horizon of the first run that uses it."""
-    buckets: Dict[int, Tuple[Any, int, List[Tuple[CheckKey, Any]]]] = {}
-    for i, run, suite in _suites(runs):
-        for name, prop in suite.items():
-            if not prop.deterministic:
-                continue
-            tba = to_tba(prop.spec, prop.alphabet)
-            bucket = buckets.get(id(tba))
-            if bucket is None:
-                bucket = buckets[id(tba)] = (tba, run.report_at + 2, [])
-            for proc, word in words_for(run, prop, tail="frozen").items():
-                bucket[2].append(((i, name, proc), word))
-    return list(buckets.values())
+    property automaton, at the horizon of the first run that uses it.
+    ``words`` holds the keys' frozen-tail channel words as one
+    :class:`~repro.words.batch.LassoBatch`, encoded once per channel:
+    the automata that read a channel share its batch (``commit`` and
+    ``abort`` the decision channel)."""
+    shared: Dict[Tuple[Any, ...], Tuple[int, List[Tuple[int, str]], LassoBatch]] = {}
+    for i, run, (horizon, (loop, shift), channels) in _per_suite(runs, _batched_suite):
+        for channel, judges in channels:
+            entry = shared.get(judges)
+            if entry is None:
+                entry = shared[judges] = (horizon, [], LassoBatch())
+            procs, batch = entry[1], entry[2]
+            for proc, prefix in channel_prefixes(run, channel).items():
+                procs.append((i, proc))
+                batch.append(prefix, loop, shift)
+    return [
+        (tba, horizon, [(i, name, proc) for i, proc in procs], batch)
+        for judges, (horizon, procs, batch) in shared.items()
+        for name, tba in judges
+    ]
 
 
 def offline_batched(
@@ -132,10 +166,11 @@ def offline_batched(
     """Machine-replay verdicts via ``decide_many`` (deterministic
     properties only), batched per compiled automaton so the serial and
     shard backends both judge through one warm compiled acceptor."""
+    h = _obs.HOOKS
+    with h.span("txn.encode", runs=len(runs)) if h is not None else _null():
+        buckets = _batched_buckets(runs)
     out: Dict[CheckKey, Verdict] = {}
-    for tba, horizon, entries in _batched_buckets(runs):
-        keys = [k for k, _w in entries]
-        words = [w for _k, w in entries]
+    for tba, horizon, keys, words in buckets:
         kwargs: Dict[str, Any] = dict(horizon=horizon, backend=backend)
         if backend != "serial":
             kwargs.update(workers=workers)
@@ -228,8 +263,7 @@ def cross_check(
     """Judge a corpus offline-exact, offline-batched (per backend), and
     online; every path must agree wherever it is applicable."""
     h = _obs.HOOKS
-    span = h.span("txn.verify", runs=len(runs)) if h is not None else None
-    with span if span is not None else _null():
+    with h.span("txn.verify", runs=len(runs)) if h is not None else _null():
         exact = offline_exact(runs)
         online, _stats = online_verdicts(runs)
         result = CrossCheck(runs=len(runs), checks=0)

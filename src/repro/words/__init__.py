@@ -1,5 +1,6 @@
 """Timed ω-words and timed ω-languages (Sections 2–3 of the paper)."""
 
+from .batch import LassoBatch
 from .concat import ConcatUndefined, concat, concat_many, naive_concat
 from .language import (
     ComplementLanguage,
@@ -20,6 +21,7 @@ from .transform import delay, filter_symbols, iterate_omega, relabel, stretch
 __all__ = [
     "TimeSequence",
     "TimedWord",
+    "LassoBatch",
     "Pair",
     "OMEGA",
     "Trilean",

@@ -29,9 +29,36 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .timeseq import OMEGA, TimeSequence, Trilean
 
-__all__ = ["TimedWord", "Pair"]
+__all__ = ["TimedWord", "Pair", "check_lasso_times"]
 
 Pair = Tuple[Any, int]
+
+
+def check_lasso_times(times: Sequence[int], loop_start: int, shift: int) -> None:
+    """Refuse a lasso whose time goes backwards.
+
+    ``times`` are the prefix's and then the loop's instants, and the
+    loop starts at index ``loop_start``.  Time may not go backwards
+    anywhere: within the prefix, from the prefix into the loop, within
+    the loop, or from one iteration into the next (the last loop time
+    may not exceed the first plus ``shift``, which also refuses
+    ``shift < 0``).  Such a word is not a timed word at all, and the
+    judges would disagree on it, so it raises :class:`ValueError`.
+    :meth:`TimedWord.lasso` and
+    :meth:`~repro.words.batch.LassoBatch.append` both check here.
+    """
+    if loop_start >= len(times):
+        raise ValueError("lasso loop must be non-empty")
+    prev = times[0]
+    for i, t in enumerate(times):
+        if t < prev:
+            raise ValueError(f"lasso time goes backwards at index {i}: {prev} then {t}")
+        prev = t
+    if prev > times[loop_start] + shift:
+        raise ValueError(
+            f"lasso time goes backwards across loop iterations: last "
+            f"loop time {prev} > first loop time {times[loop_start]} + shift {shift}"
+        )
 
 
 @dataclass(frozen=True)
@@ -58,30 +85,13 @@ class TimedWord:
     def lasso(prefix: Sequence[Pair], loop: Sequence[Pair], shift: int) -> "TimedWord":
         """Eventually periodic word; loop iteration k adds k·shift to times.
 
-        Time may not go backwards anywhere in the word: within the
-        prefix, from the prefix into the loop, within the loop, or from
-        one iteration into the next (the last loop time may not exceed
-        the first plus ``shift``, which also refuses ``shift < 0``).
-        Such a word is not a timed word at all, and the judges would
-        disagree on it, so it raises :class:`ValueError`.
+        Time may not go backwards anywhere in the word
+        (:func:`check_lasso_times` raises :class:`ValueError`).
         """
-        if not loop:
-            raise ValueError("lasso loop must be non-empty")
         prefix = tuple((s, int(t)) for s, t in prefix)
         loop = tuple((s, int(t)) for s, t in loop)
         shift = int(shift)
-        prev = None
-        for i, (_s, t) in enumerate(prefix + loop):
-            if prev is not None and t < prev:
-                raise ValueError(
-                    f"lasso time goes backwards at index {i}: {prev} then {t}"
-                )
-            prev = t
-        if prev > loop[0][1] + shift:
-            raise ValueError(
-                f"lasso time goes backwards across loop iterations: last "
-                f"loop time {prev} > first loop time {loop[0][1]} + shift {shift}"
-            )
+        check_lasso_times([t for _s, t in prefix + loop], len(prefix), shift)
         return TimedWord(prefix=prefix, loop=loop, shift=shift)
 
     @staticmethod

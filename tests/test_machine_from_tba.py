@@ -300,6 +300,40 @@ class TestSuccessorTable:
         assert report == kernel_report(machine, word, 40)
         assert any(len(members) > 1 for members in machine.successor_table.sets)
 
+    def test_frozen_lasso_stops_at_its_repeated_boundary_row(self):
+        # 3 clocks: the derived bound is 1·2³ + 1 = 9 unrollings, but the
+        # boundary row after the second unrolling is the first's.
+        tba = TimedBuchiAutomaton(
+            "a",
+            ["s"],
+            "s",
+            [TimedTransition.make("s", "s", "a", resets=["x"], guard=Le("x", 2))],
+            ["x", "y", "z"],
+            ["s"],
+        )
+        machine = tba_to_algorithm(tba)
+        assert machine.zeno_unroll == 9
+        word = TimedWord.lasso([("a", 1)], [("a", 2)], shift=0)
+        with instrumented() as inst:
+            report = decide(machine, word, strategy="lasso-exact", horizon=50)
+        (span,) = inst.spans.by_name("machine.table_replay")
+        assert span.args["words"] == 1
+        assert span.args["events"] == 1 + 2  # the prefix plus 2 loop iterations
+        assert report.verdict is Verdict.ACCEPT and report.evidence["zeno"] == "region-exact"
+        assert report == kernel_report(machine, word, 50)
+
+    def test_nondeterministic_frozen_lasso_stops_at_its_repeat(self):
+        machine = tba_to_algorithm(nondeterministic_tba(), allow_nondeterministic=True)
+        assert machine.zeno_unroll == ZENO_UNROLL
+        # Sets after each loop event: {fast 0, slow 2, slow 0}, then
+        # {fast 0, slow 0} twice.
+        word = TimedWord.lasso([("a", 1)], [("a", 3)], shift=0)
+        with instrumented() as inst:
+            report = decide(machine, word, strategy="lasso-exact", horizon=50)
+        (span,) = inst.spans.by_name("machine.table_replay")
+        assert span.args["events"] == 1 + 3
+        assert report == kernel_report(machine, word, 50)
+
     def test_time_before_zero_raises_on_both_paths(self):
         machine = tba_to_algorithm(bounded_gap_tba(2))
         word = TimedWord.lasso([("a", -3)], [("a", -1)], 1)

@@ -19,7 +19,7 @@ from repro.obs import instrumented
 from repro.shard import pool as shard_pool
 from repro.shard import shared_pool, shutdown_pool
 from repro.shard.pool import pool_is_warm
-from repro.words import TimedWord
+from repro.words import LassoBatch, TimedWord
 
 
 @pytest.fixture(autouse=True)
@@ -73,6 +73,23 @@ def test_shards_backend_is_bit_identical_to_serial():
     serial = decide_many(tba, words, horizon=300, backend="serial")
     sharded = decide_many(tba, words, horizon=300, workers=2, backend="shards")
     assert fingerprint(sharded) == fingerprint(serial)
+
+
+def test_a_lasso_batch_judges_as_its_word_list():
+    tba = bounded_gap_tba()
+    words = make_words(40) + [
+        TimedWord.lasso([("a", 1)], [("a", 2)], shift=0),  # frozen, accepted
+        TimedWord.lasso([("a", 1)], [("a", 9)], shift=0),  # frozen, dies
+        TimedWord.lasso([("a", 8)], [("a", 9)], shift=1),  # past the horizon
+    ] * 4
+    batch = LassoBatch.of(words)
+    listed = [batch[i] for i in range(len(batch))]
+    for kwargs in (dict(backend="serial"), dict(backend="shards", workers=2)):
+        want = decide_many(tba, listed, horizon=7, **kwargs)
+        assert decide_many(tba, batch, horizon=7, **kwargs) == want
+        assert [r.evidence["index"] for r in want] == list(range(len(words)))
+        resilient = decide_many_resilient(tba, batch, horizon=7, **kwargs)
+        assert resilient.reports == want and resilient.clean
 
 
 def test_second_call_reuses_the_warm_pool():

@@ -78,6 +78,28 @@ def test_minimize_rejects_agreeing_case():
         minimize("semantics", spec, ("a",), word)
 
 
+def test_a_disagreement_that_does_not_reproduce_is_reported_unshrunk(
+    monkeypatch, capsys
+):
+    # A fault on table state the first check filled agrees when checked
+    # again; the sweep reports the case instead of dying in minimize().
+    from repro.spec import conformance
+
+    calls = []
+
+    def first_call_disagrees(spec, alphabet, word):
+        calls.append(word)
+        return "injected" if len(calls) == 1 else None
+
+    monkeypatch.setattr(conformance, "_check_semantics", first_call_disagrees)
+    argv = ["--cases", "1", "--pairs", "semantics", "--words-per-case", "1"]
+    assert conformance.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "semantics             1 checks  1 disagreement(s)" in out
+    assert "[semantics] injected [did not reproduce when checked again" in out
+    assert len(calls) == 2
+
+
 if HAVE_HYPOTHESIS:
 
     @settings(

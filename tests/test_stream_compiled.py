@@ -403,7 +403,8 @@ class TestMuxBatch:
 
 class TestAcceptsLasso:
     """The deterministic lasso walk, over the rows of the machine's
-    successor table."""
+    successor table: from the start of the word (``accepts_lasso``) or
+    from wherever a replay stopped (``accepts_from``)."""
 
     @pytest.mark.parametrize("ti", range(len(TBA_FAMILY)))
     def test_agrees_with_interpreter(self, ti):
@@ -413,7 +414,23 @@ class TestAcceptsLasso:
         rng = random.Random(880 + ti)
         for _ in range(40):
             word = random_lasso(rng, tba.alphabet)
-            assert table.accepts_lasso(word) == tba.accepts_lasso(word)
+            truth = tba.accepts_lasso(word)
+            assert table.accepts_lasso(word) == truth
+            # Continue from every point of the prefix and first loop
+            # iteration, and from the boundary after the second.
+            first = word.prefix + word.loop
+            symbols, times = [s for s, _t in first], [t for _s, t in first]
+            loop, end = len(word.prefix), len(first)
+            for j in list(range(end + 1)) + [end + len(word.loop)]:
+                row, prev = table.initial_index, 0
+                for s, t in word.take(j):
+                    row, prev = table.step(row, s, t - prev), t
+                if row == table.trap:
+                    assert not truth
+                    continue
+                i = min(j, end)
+                got = table.accepts_from(row, prev, symbols, times, i, loop, end, word.shift)
+                assert got == truth
 
     def test_rejects_non_lasso_words(self):
         from repro.words import TimedWord

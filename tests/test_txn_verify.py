@@ -7,6 +7,10 @@ serial and shards backends, and online through compiled
 :class:`SessionMux` monitors — verdict-identical everywhere.
 """
 
+import importlib.util
+import os
+import sys
+
 import pytest
 
 from repro.engine import Verdict
@@ -28,8 +32,9 @@ from repro.txn import (
     run_workload,
     txn_verdicts,
 )
-from repro.txn.properties import properties_for
+from repro.txn.properties import properties_for, words_for
 from repro.txn.verify import _batched_buckets
+from repro.words import LassoBatch
 
 CRASHY = TxnConfig(
     n_participants=2,
@@ -40,6 +45,20 @@ CRASHY = TxnConfig(
     coordinator_crash_rate=0.3,
     loss_rate=0.05,
 )
+
+
+def decide_corpus(seed):
+    """The perfbench ``decide`` corpus of one seed: batches of 32 runs,
+    one (protocol, crash rate) cell each."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.txn_corpus(seed)
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +109,14 @@ class TestAcceptanceCorpus:
         with instrumented() as inst:
             buckets = _batched_buckets(acceptance_corpus)
             reports = [
-                decide_many(tba, [w for _k, w in entries], horizon=horizon)
-                for tba, horizon, entries in buckets
+                decide_many(tba, words, horizon=horizon)
+                for tba, horizon, _keys, words in buckets
             ]
         runs = inst.registry.counter("machine.runs")
-        for (tba, horizon, entries), got in zip(buckets, reports):
+        for (tba, horizon, _keys, words), got in zip(buckets, reports):
             machine = compiled_tba(tba)
-            for i, ((_key, word), report) in enumerate(zip(entries, got)):
+            for i, report in enumerate(got):
+                word = words[i]
                 kernel = kernel_report(machine, word, horizon)
                 kernel.evidence.update(seed=i, index=i)
                 assert report == kernel, (tba, word)
@@ -104,6 +124,39 @@ class TestAcceptanceCorpus:
         assert judged > 4 * len(acceptance_corpus)
         assert runs.labels(mode="table").value == judged
         assert runs.labels(mode="decide").value == 0
+        # One table pass per bucket, however many words it judges.
+        spans = inst.spans.by_name("machine.table_replay")
+        assert [s.args["words"] for s in spans] == [len(w) for _t, _h, _k, w in buckets]
+
+    def test_offline_batched_traces_the_encode_beside_the_judging(self, acceptance_corpus):
+        runs = acceptance_corpus[:20]
+        with instrumented() as inst:
+            offline_batched(runs)
+        (encode,) = inst.spans.by_name("txn.encode")
+        assert encode.args["runs"] == 20
+        judging = inst.spans.by_name("engine.decide_many")
+        assert judging and all(s.parent_seq == encode.parent_seq for s in judging)
+        assert all(s.start_ns >= encode.end_ns for s in judging)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_buckets_decode_to_the_channel_words(self, seed):
+        for batch in decide_corpus(seed):
+            want = {}
+            for i, run in enumerate(batch.runs):
+                for name, prop in properties_for(run.cfg, run.protocol).items():
+                    if prop.deterministic:
+                        tba = to_tba(prop.spec, prop.alphabet)
+                        bucket = want.setdefault(id(tba), (tba, run.report_at + 2, []))
+                        for proc, word in words_for(run, prop, tail="frozen").items():
+                            bucket[2].append(((i, name, proc), word))
+            got = _batched_buckets(batch.runs)
+            assert [(tba, h) for tba, h, _k, _w in got] == [
+                (tba, h) for tba, h, _e in want.values()
+            ]
+            for (_tba, _h, keys, words), (_t, _h2, entries) in zip(got, want.values()):
+                assert isinstance(words, LassoBatch)
+                assert keys == [k for k, _w in entries]
+                assert list(words) == [w for _k, w in entries]
 
     def test_every_verdict_is_decisive(self, exact):
         # Frozen/advancing tails close every word past its deadline, so

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.words import OMEGA, TimedWord, Trilean
+from repro.words import OMEGA, LassoBatch, TimedWord, Trilean
 
 
 def simple_lasso(shift=1):
@@ -57,6 +57,68 @@ class TestConstruction:
         assert simple_lasso().length == OMEGA
         with pytest.raises(TypeError):
             len(simple_lasso())
+
+
+REFUSED_LASSOS = [
+    ([("a", 0)], [], 1),  # empty loop
+    ([("a", 2), ("a", 1)], [("a", 3)], 1),  # within the prefix
+    ([("a", 5)], [("a", 1)], 3),  # prefix into the loop
+    ([], [("a", 4), ("a", 3)], 5),  # within the loop
+    ([], [("a", 0), ("a", 9)], 1),  # across iterations
+    ([], [("a", 2), ("a", 2)], -1),  # negative shift
+]
+
+
+class TestLassoBatch:
+    """Lasso words as columns: a sequence of the words appended."""
+
+    WORDS = [
+        ([("a", 0), ("b", 2)], [("c", 3)], 0),
+        ([], [("a", 1), ("b", 1)], 2),
+        ([("x", 4)], [("y", 4)], 1),
+        ([("a", 5), ("a", 5)], [("b", 6), ("c", 7)], 1),
+    ]
+
+    def batch(self):
+        batch = LassoBatch()
+        for prefix, loop, shift in self.WORDS:
+            batch.append(prefix, loop, shift)
+        return batch
+
+    def test_items_are_the_words_appended(self):
+        batch = self.batch()
+        want = [TimedWord.lasso(*w) for w in self.WORDS]
+        assert len(batch) == len(want)
+        for i, word in enumerate(want):
+            got = batch[i]
+            assert (got.prefix, got.loop, got.shift) == (word.prefix, word.loop, word.shift)
+        assert list(batch) == want
+        assert batch[-1] == want[-1]
+        assert LassoBatch.of(want) == batch
+        with pytest.raises(IndexError):
+            batch[len(want)]
+
+    @pytest.mark.parametrize("lo, hi", [(0, 4), (1, 3), (2, 2), (3, 9), (0, 1)])
+    def test_slices_and_pickles_round_trip(self, lo, hi):
+        import pickle
+
+        batch = self.batch()
+        part = batch[lo:hi]
+        assert isinstance(part, LassoBatch)
+        assert list(part) == list(batch)[lo:hi]
+        assert part == LassoBatch.of(list(batch)[lo:hi])
+        assert pickle.loads(pickle.dumps(part)) == part
+        assert pickle.loads(pickle.dumps(batch))[lo:hi] == part
+
+    @pytest.mark.parametrize("prefix, loop, shift", REFUSED_LASSOS)
+    def test_append_refuses_what_lasso_refuses(self, prefix, loop, shift):
+        with pytest.raises(ValueError) as refused:
+            TimedWord.lasso(prefix, loop, shift)
+        batch = self.batch()
+        with pytest.raises(ValueError) as appended:
+            batch.append(prefix, loop, shift)
+        assert str(appended.value) == str(refused.value)
+        assert batch == self.batch()  # nothing of the refused word stays
 
 
 class TestClassicEmbedding:
