@@ -2,7 +2,7 @@
 
 The tentpole claim behind :class:`repro.query.plan.QueryPlan` is a
 *stepping* one: k phase-chain queries over the same streams cost one
-shared product-table lookup per event instead of k separate automaton
+shared fused-table lookup per event instead of k separate automaton
 steps.  This bench measures exactly that, on the workload the plan
 exists for — a 500-session :class:`~repro.stream.session.SessionMux`
 under chunked batch ingestion, with five request/response queries that
@@ -18,9 +18,9 @@ Both paths run the identical event sequence and the recorded rows
 carry a cross-check (``mismatches`` must be 0: the fused per-channel
 verdicts equal the independent monitors' headline verdicts for every
 session).  The recorded ``speedup`` is the per-query/planned wall-time
-ratio; the plan's sharing ledger (``plan_configs`` vs
-``sum_per_query_configs``) rides along so the state-for-stepping trade
-is visible next to the win it buys.  Rows land in the ``--bench-json``
+ratio; the plan's sharing ledger (``plan_configs``, the fused rows the
+traffic made, vs ``sum_per_query_configs``, the components'
+configurations) rides along next to the win it buys.  Rows land in the ``--bench-json``
 capture (``BENCH_query.json`` in the repo root; the query-smoke CI job
 asserts a fresh quick-sized speedup).  Set ``REPRO_BENCH_QUICK=1`` for
 CI-sized parameters.
@@ -124,7 +124,7 @@ def test_per_query_baseline(benchmark, report, bench_record):
 
 
 def test_planned_fused(benchmark, report, bench_record):
-    """One fused product mux — one shared table lookup per event."""
+    """One fused plan mux — one shared table lookup per event."""
     if PLAN.compiled is None:
         pytest.skip("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
     mux = benchmark(run_planned)

@@ -13,8 +13,8 @@ Queries lower to :mod:`repro.spec` combinators
 (``query=`` / ``plan=``), the §4.1 oracle bridge — consumes them with
 no new machinery.  The text grammar (:func:`parse` / ``Query.to_text``)
 round-trips the same algebra; :class:`QueryPlan` fuses many phase-chain
-queries into one shared product automaton with per-channel verdicts
-(:class:`PlanMonitor`); :mod:`repro.query.adapters` gives the worked
+queries under one table built from their own, with per-channel
+verdicts (:class:`PlanMonitor`); :mod:`repro.query.adapters` gives the worked
 domains their one-liners.  Full tour: ``docs/queries.md``.
 """
 

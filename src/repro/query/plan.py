@@ -1,33 +1,26 @@
-"""Multi-query optimization: one shared automaton, many verdicts.
+"""Multi-query optimization: k queries, one stream, one table lookup.
 
 Grez et al.'s complexity results for timed-pattern monitoring (see
 PAPERS.md) locate the cost of CER evaluation in the per-event state
 update — which the mux already shares *per language*.  This module
-extends the sharing across *different* queries: a :class:`QueryPlan`
-takes k phase-chain queries, completes each compiled chain automaton
-(adding an explicit dead state so no component can block the others),
-and runs the synchronous product as **one** deterministic TBA with one
-:class:`~repro.stream.monitor.TBAAnalysis` and one
-:class:`~repro.stream.compiled.CompiledTBA`.  Stepping the plan is a
-single table lookup per event no matter how many queries are loaded;
-shared phase-chain prefixes (the common case in fleets of sessions
-watching variations of the same protocol) collapse into shared regions
-of the product's configuration graph — ``stats()`` reports the fused
-size against the sum of per-query universes.
+extends the sharing across *different* queries watching one stream
+(the multi-query setting of García & Riveros, PAPERS.md): a
+:class:`QueryPlan` takes k phase-chain queries, completes each
+compiled chain automaton (adding an explicit dead state, so no
+component can block), and keeps the completed *components* side by
+side, each with its own :class:`~repro.stream.monitor.TBAAnalysis`
+and lazy :class:`~repro.stream.compiled.CompiledTBA`.  Their product
+is never built.  The plan's one table is a
+:class:`~repro.stream.compiled.FusedTBA`: a row is the tuple of the
+component rows that traffic reached together, and a missed cell steps
+each component's own table once.  Stepping the plan stays a single
+table lookup per event however many queries are loaded, while its
+set-up grows with the components, not with their product.
 
-Per-query verdicts come from *projections*, not extra stepping: the
-product run's channel-q projection is exactly component q's run, so
-:meth:`TBAAnalysis.live_for` / ``green_for`` re-derive each channel's
-liveness/guarantee sets over the one shared configuration universe and
-:meth:`QueryPlan.flags` projects each configuration set a monitor
-reads (a row of the one shared table, or off it the monitor's own set)
-onto every channel, once per set.  Crucially the per-event cost of
-a channel is *zero*: channel REJECTED (out of ``live_q``) and the
-green guarantee are both **forward-closed** — the current state alone
-decides them — and accept recency derives from per-state visit
-bookkeeping (two O(1) writes per event), so :class:`PlanMonitor`
-judges channels lazily at read time; the slot table's scan and wave
-kernel write that ledger per slot.  The verdict streams are pinned
+Per-query verdicts need no extra stepping either: channel q's
+(accepting, live, green) flags of a fused row are component q's flags
+of its row, and :class:`PlanMonitor` judges channels lazily at read
+time from a per-slot visit ledger.  The verdict streams are pinned
 identical to k independent per-query monitors by the conformance
 harness (``--gen query``) and ``tests/test_query_plan.py``.
 
@@ -36,18 +29,32 @@ sequences — everything :class:`~repro.query.builder.ChainQuery`
 builds).  ``alt``/``both`` queries have their own product/union
 structure and monitor fine individually; passing one here raises.
 
-Correctness sketch (why projections are sound): every completed
-component is total and semantically deterministic, hence so is the
-product — each timed word has exactly one product run, whose channel-q
-projection is exactly component q's run.  Büchi acceptance, liveness
-and green therefore factor through the projection, and the any-channel
-accepting set makes base liveness the union of channel liveness (a
-lasso visiting the any-channel set infinitely often visits *some*
-channel's set infinitely often, by pigeonhole on the cycle).
+Correctness sketch (the component-wise construction behind the
+closure of timed ω-languages under ∩ and ∪, Theorem 3.3).  Every
+completed component is total over the shared alphabet, so none ever
+blocks another: a timed word's run of the plan is the tuple of the
+components' runs, and a fused row is the tuple of their rows.  A
+channel's acceptance, liveness and green therefore are its
+component's.  The headline reads the *any-component* accepting set:
+
+* accepting and live if some component is — a lasso visiting the
+  any-component set infinitely often visits *some* component's set
+  infinitely often, by pigeonhole on the cycle;
+* green if some component is green.  A green component is a satisfied
+  ``once`` in its accepting sink, and every continuation visits its
+  accepting set.  Conversely every phase has an integer ``max_delay``
+  (``rt_bound``) and completion sends any event past it to
+  :data:`DEAD`: if no component is green, one event after a gap above
+  every component's cmax sends every component to DEAD, a
+  non-accepting sink, so the headline has a rejecting continuation.
+
+Green needs a unique run: if some component's analysis is not
+deterministic, every green flag of the plan is false.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..automata.timed import TimedBuchiAutomaton, TimedTransition
@@ -62,8 +69,8 @@ from ..spec.combinators import (
     as_omega,
     to_source,
 )
-from ..spec.compile import _and_fold, _rename_clocks, to_tba
-from ..stream.compiled import compiled_for
+from ..spec.compile import _and_fold, to_tba
+from ..stream.compiled import FusedTBA, compiled_for
 from ..stream.monitor import StreamVerdict, TBAMonitor, analysis_for
 from .builder import Query
 
@@ -73,6 +80,9 @@ __all__ = ["QueryPlan", "PlanMonitor", "DEAD"]
 #: when a chain's timer bound fails, absorbing and non-accepting — the
 #: structural stand-in for the interpreter's empty configuration set.
 DEAD = ("dead",)
+
+#: One component's ``(accepting, live, green)`` flags.
+Flags = Tuple[bool, bool, bool]
 
 
 def _complete(tba: TimedBuchiAutomaton) -> TimedBuchiAutomaton:
@@ -84,7 +94,7 @@ def _complete(tba: TimedBuchiAutomaton) -> TimedBuchiAutomaton:
     instead.  DEAD self-loops unconditionally and is non-accepting:
     liveness, green and acceptance of the original configurations are
     untouched, but the automaton can no longer *block* — which is what
-    lets the product construction interleave components freely.
+    lets a plan step its components side by side.
     """
     states = list(tba.states) + [DEAD]
     transitions = list(tba.transitions)
@@ -112,65 +122,6 @@ def _complete(tba: TimedBuchiAutomaton) -> TimedBuchiAutomaton:
     )
 
 
-def _product(
-    components: List[TimedBuchiAutomaton], alphabet: Tuple[Any, ...]
-) -> TimedBuchiAutomaton:
-    """The synchronous product of *completed* components.
-
-    No fairness counter here (contrast ``_product_tba`` in
-    :mod:`repro.spec.compile`): the plan does not conjoin obligations,
-    it tracks every component at once and judges each through its own
-    accepting projection.  Base accepting is the *any-component* set —
-    the disjunction — which makes base liveness the union of the
-    channels' (the headline REJECTED = every query dead).
-    """
-    m = len(components)
-    initial = tuple(t.initial for t in components)
-    states: List[Any] = [initial]
-    seen = {initial}
-    transitions: List[TimedTransition] = []
-    frontier = [initial]
-    while frontier:
-        svec = frontier.pop()
-        for a in alphabet:
-            options = [
-                t._by_source.get((svec[i], a), ())
-                for i, t in enumerate(components)
-            ]
-            combos: List[Tuple[TimedTransition, ...]] = [()]
-            for opts in options:
-                combos = [c + (tr,) for c in combos for tr in opts]
-            for combo in combos:
-                tvec = tuple(tr.target for tr in combo)
-                if tvec not in seen:
-                    seen.add(tvec)
-                    states.append(tvec)
-                    frontier.append(tvec)
-                transitions.append(
-                    TimedTransition(
-                        svec,
-                        tvec,
-                        a,
-                        frozenset().union(*(tr.resets for tr in combo)),
-                        _and_fold(tr.guard for tr in combo),
-                    )
-                )
-    accepting = [
-        s
-        for s in states
-        if any(s[i] in components[i].accepting for i in range(m))
-    ]
-    clocks = [c for t in components for c in t.clocks]
-    return TimedBuchiAutomaton(
-        alphabet=alphabet,
-        states=states,
-        initial=initial,
-        transitions=transitions,
-        clocks=clocks,
-        accepting=accepting,
-    )
-
-
 def _as_omega_spec(query: Any) -> Spec:
     """Normalize a plan entry — query text, builder query, or spec —
     to its ω-layer spec."""
@@ -189,7 +140,7 @@ def _as_omega_spec(query: Any) -> Spec:
 
 
 class QueryPlan:
-    """k phase-chain queries fused into one shared product automaton.
+    """k phase-chain queries watched together over one stream.
 
     ``queries`` maps channel names to query text, builder queries, or
     phase-chain specs; identical lowered specs share one component.
@@ -197,12 +148,11 @@ class QueryPlan:
     queries must watch the same symbol stream — that is what makes the
     shared stepping sound).
 
-    Built artifacts: ``tba`` (the completed product), ``analysis``
-    (one :class:`~repro.stream.monitor.TBAAnalysis`), ``compiled``
-    (one :class:`~repro.stream.compiled.CompiledTBA`, or None when
-    gated off), and ``channels`` — per-name (accepting, live, green)
-    configuration sets over the shared universe.  :meth:`monitor`
-    makes a :class:`PlanMonitor`; handing the plan to
+    Built artifacts: ``components`` (the completed automata),
+    ``analyses`` (one :class:`~repro.stream.monitor.TBAAnalysis` each)
+    and ``compiled`` (one :class:`~repro.stream.compiled.FusedTBA`
+    over the components' tables, or None when gated off).
+    :meth:`monitor` makes a :class:`PlanMonitor`; handing the plan to
     :class:`~repro.stream.session.SessionMux` (``plan=...``) monitors
     it per session with all the batch fast paths intact.
     """
@@ -247,79 +197,31 @@ class QueryPlan:
             alpha = tuple(sorted(set(alphabet), key=repr))
         self.alphabet = alpha
 
-        # Dedup identical lowered specs into components.
-        comp_specs: List[Spec] = []
-        comp_index: Dict[Spec, int] = {}
-        self._comp_of: Dict[str, int] = {}
-        for name, omega in specs.items():
-            idx = comp_index.get(omega)
-            if idx is None:
-                idx = comp_index[omega] = len(comp_specs)
-                comp_specs.append(omega)
-            self._comp_of[name] = idx
-        self._comp_specs = comp_specs
+        # Identical lowered specs share one component.
+        comp_specs = list(dict.fromkeys(specs.values()))
+        #: Each channel's component, in ``names`` order.
+        self.comp_of = tuple(comp_specs.index(omega) for omega in specs.values())
+        self.components = [_complete(to_tba(omega, alpha)) for omega in comp_specs]
+        self.analyses = [analysis_for(tba) for tba in self.components]
+        #: Every component steps deterministically (else no green flag).
+        self.deterministic = all(an.deterministic for an in self.analyses)
 
-        components = [
-            _rename_clocks(_complete(to_tba(omega, alpha)), f"q{i}.")
-            for i, omega in enumerate(comp_specs)
-        ]
-        self.tba = _product(components, alpha)
-        self.analysis = analysis_for(self.tba)
-
-        # Per-channel verdict sets: project the shared universe onto
-        # each component's accepting states, then re-derive liveness
-        # and green against that projection.
-        self.channels: Dict[
-            str,
-            Tuple[FrozenSet[Any], FrozenSet[Any], FrozenSet[Any]],
-        ] = {}
-        for name, idx in self._comp_of.items():
-            acc_states = components[idx].accepting
-            acc = frozenset(
-                c for c in self.analysis.universe if c[0][idx] in acc_states
-            )
-            self.channels[name] = (
-                acc,
-                self.analysis.live_for(acc),
-                self.analysis.green_for(acc),
-            )
-
-        if compiled is False:
-            self.compiled = None
-        else:
-            self.compiled = compiled_for(self.analysis)
-            if compiled is True and self.compiled is None:
+        self.compiled: Optional[FusedTBA] = None
+        if compiled is not False:
+            tables = [compiled_for(an) for an in self.analyses]
+            if None not in tables:
+                self.compiled = FusedTBA(tables)
+            elif compiled is True:
                 raise ValueError(
                     "compiled stepping disabled for this plan (REPRO_STREAM_COMPILED=0)"
                 )
-        #: The channel flags of each configuration set read so far
-        #: (shared by every :class:`PlanMonitor`).
-        self._flags: Dict[FrozenSet[Any], List[Tuple[bool, bool, bool]]] = {}
         h = _obs.HOOKS
         if h is not None:
             h.count("query.plans")
-            h.observe("query.plan_configs", len(self.analysis.universe))
+            h.observe("query.plan_configs", sum(len(an.universe) for an in self.analyses))
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def flags(self, members: FrozenSet[Any]) -> List[Tuple[bool, bool, bool]]:
-        """Each channel's ``(accepting, live, green)`` flags of one
-        configuration set: accepting or live if a member is, green if
-        it is non-empty and inside the channel's green set.  Computed
-        once per set and shared by every monitor, so the views grow
-        with the sets the traffic reaches."""
-        got = self._flags.get(members)
-        if got is None:
-            got = self._flags[members] = [
-                (
-                    not members.isdisjoint(acc),
-                    not members.isdisjoint(live),
-                    bool(members) and members <= green,
-                )
-                for acc, live, green in map(self.channels.__getitem__, self.names)
-            ]
-        return got
 
     def monitor(self, **kwargs: Any) -> "PlanMonitor":
         """A per-session :class:`PlanMonitor` over the shared plan
@@ -327,29 +229,28 @@ class QueryPlan:
         return PlanMonitor(self, **kwargs)
 
     def stats(self) -> Dict[str, Any]:
-        """The sharing ledger: fused product size vs the per-query sum.
+        """The sharing ledger: fused rows made so far vs the
+        components' configurations.
 
-        ``per_query_configs`` builds (cached) stand-alone analyses for
-        each channel's own automaton — the exact monitors the plan
-        replaces.  A ``config_ratio`` below 1 means the fused graph is
-        outright smaller (heavily shared prefixes); above 1, the
-        product pays state for the stepping win — either way the
-        *per-event* cost is one table lookup instead of k, which is
-        what the BENCH_query ablation measures.
+        ``plan_configs`` counts the rows of the fused table that
+        traffic has reached (trap excluded; 0 without a table), and
+        ``per_query_configs`` each channel's component configurations.
+        The per-event cost is one table lookup instead of k either
+        way, which is what the BENCH_query ablation measures.
         """
         per_query = {
-            name: len(analysis_for(to_tba(omega, self.alphabet)).universe)
-            for name, omega in self.specs.items()
+            name: len(self.analyses[c].universe)
+            for name, c in zip(self.names, self.comp_of)
         }
-        fused = len(self.analysis.universe)
+        fused = 0 if self.compiled is None else len(self.compiled.sets) - 1
         return {
             "queries": len(self.names),
-            "components": len(self._comp_specs),
+            "components": len(self.components),
             "plan_configs": fused,
             "per_query_configs": per_query,
             "sum_per_query_configs": sum(per_query.values()),
             "config_ratio": fused / sum(per_query.values()),
-            "deterministic": self.analysis.deterministic,
+            "deterministic": self.deterministic,
             "compiled": self.compiled is not None,
             "sources": {
                 name: to_source(omega) for name, omega in self.specs.items()
@@ -361,26 +262,31 @@ class PlanMonitor(TBAMonitor):
     """One monitor, k verdict channels, O(1) extra work per event.
 
     The base-class machinery (watermark, reorder heap, slot-table
-    stepping, headline verdict) runs on the plan's product automaton;
-    the headline verdict is the disjunction — REJECTED only once every
+    stepping, headline verdict) runs on the plan's fused table; the
+    headline verdict is the disjunction — REJECTED only once every
     channel is dead — and :meth:`query_verdicts` is the real output.
+    Off the table (``compiled=False`` or ``REPRO_STREAM_COMPILED=0``)
+    the monitor steps each component's ``_step_configs`` on that
+    component's own configuration set and judges with the component
+    analyses: the oracle the table is tested against.
 
     Channels are judged *lazily*.  Per applied event the monitor
     records only per-state occupancy (visit count and last-visit time
-    for the state it landed in — two O(1) writes the slot table's scan
-    and wave kernel make into the slot's ledger).  At read time a
-    channel's LTL₃ verdict derives exactly:
+    for the fused state it landed in — two O(1) writes the slot
+    table's scan and wave kernel make into the slot's ledger).  At read
+    time a channel's LTL₃ verdict derives exactly:
 
-    * REJECTED iff the current state is outside ``live_q`` — sound to
-      read off the *current* state alone because the complement of a
-      backward-closed set is forward-closed (once a channel's language
-      dies it cannot revive, so no history is needed);
+    * REJECTED iff the channel's component is outside its ``live`` —
+      sound to read off the *current* state alone because the
+      complement of a backward-closed set is forward-closed (once a
+      channel's language dies it cannot revive, so no history is
+      needed);
     * the green guarantee likewise: ``green`` is closed under
       successors, so the lock *is* the current state's flag;
     * accept recency (the f-obligation outside green) is the latest
-      last-visit time over the channel's accepting states, compared
-      against ``f_window`` at the last applied timestamp — the same
-      instant the eager per-event judgement would have used.
+      last-visit time over the states where the component accepts,
+      compared against ``f_window`` at the last applied timestamp —
+      the same instant the eager per-event judgement would have used.
 
     This keeps the per-event cost independent of k, which is where the
     plan's throughput win over k separate monitors comes from.
@@ -402,15 +308,42 @@ class PlanMonitor(TBAMonitor):
         f_window: Optional[int] = None,
         compiled: Optional[bool] = None,
     ):
+        # The watermark machinery only: a plan has no automaton or
+        # analysis of its own for TBAMonitor's constructor to read.
+        super(TBAMonitor, self).__init__(lateness=lateness, late_policy=late_policy)
         self.plan = plan
-        super().__init__(
-            plan.tba,
-            analysis=plan.analysis,
-            lateness=lateness,
-            late_policy=late_policy,
-            f_window=f_window,
-            compiled=compiled,
+        self.f_window = f_window
+        self._start(None if compiled is False else plan.compiled, compiled)
+
+    @property
+    def configs(self) -> FrozenSet[Any]:
+        """The reachable configurations: tuples of component
+        configurations, the product of the components' sets (on the
+        table, its row's set)."""
+        if self._compiled is None:
+            return frozenset(product(*self._parts))
+        return self._compiled.sets[self._ci]
+
+    # -- the interpreter ---------------------------------------------------
+    def _interpret_start(self) -> Flags:
+        self._parts = tuple(
+            frozenset({tba._initial_config()}) for tba in self.plan.components
         )
+        return self._headline(self._parts)
+
+    def _interpret(self, symbol: Any, gap: int) -> Flags:
+        parts = tuple(
+            frozenset(tba._step_configs(configs, symbol, gap))
+            for tba, configs in zip(self.plan.components, self._parts)
+        )
+        if not all(parts):
+            parts = (frozenset(),) * len(parts)  # one component's trap is the plan's
+        self._parts = parts
+        return self._headline(parts)
+
+    def _headline(self, state: Any) -> Flags:
+        """The headline's flags: each true when some component's is."""
+        return tuple(map(any, zip(*self._flags(state))))  # type: ignore[return-value]
 
     # -- occupancy ledger ----------------------------------------------------
     def _advance(self, symbol: Any, t: int) -> None:
@@ -418,43 +351,67 @@ class PlanMonitor(TBAMonitor):
         super()._advance(symbol, t)
         if record:
             svc, slt = self._tab.svc[self._slot], self._tab.slt[self._slot]
-            for c in self.configs:
-                svc[c] = svc.get(c, 0) + 1
-                slt[c] = t
+            svc[self._parts] = svc.get(self._parts, 0) + 1
+            slt[self._parts] = t
 
-    def _visits(self) -> List[Tuple[FrozenSet[Any], int, int]]:
-        """``(configuration set, visit count, last visit time)`` per
-        ledger entry: per row on the table (a row the slot never
-        visited may lie past its ledger), per configuration off it."""
+    def _state(self) -> Any:
+        """The current fused state: the slot's row on the table, else
+        the tuple of the components' configuration sets."""
+        return self._parts if self._tab.comp is None else self._ci
+
+    def _visits(self) -> List[Tuple[Any, int, int]]:
+        """``(fused state, visit count, last visit time)`` per state the
+        slot visited."""
         svc, slt = self._tab.svc[self._slot], self._tab.slt[self._slot]
-        comp = self._tab.comp
+        if self._tab.comp is None:
+            return [(state, n, slt[state]) for state, n in svc.items()]
+        # A row the slot never visited may lie past its ledger.
+        return [(row, n, slt[row]) for row, n in enumerate(svc) if n]
+
+    def _flags(self, state: Any) -> List[Flags]:
+        """Each component's ``(accepting, live, green)`` flags in one
+        fused state: its row's flags on the table, else its analysis'
+        reading of its configuration set."""
+        plan, comp = self.plan, self._tab.comp
         if comp is None:
-            return [(frozenset({c}), n, slt[c]) for c, n in svc.items()]
-        return [(comp.sets[i], n, slt[i]) for i, n in enumerate(svc) if n]
+            flags = [an.flags(s) for an, s in zip(plan.analyses, state)]
+        else:
+            key = comp.keys[state]
+            if not key:
+                return [(False, False, False)] * len(comp.parts)
+            flags = [
+                (p.accepting_list[r], p.live_list[r], p.green_list[r])
+                for p, r in zip(comp.parts, key)
+            ]
+        if plan.deterministic:
+            return flags
+        return [(acc, live, False) for acc, live, _green in flags]
 
     # -- channel judgement (derived at read time) --------------------------
-    def _channel_verdict(self, q: int) -> StreamVerdict:
-        flags = self.plan.flags
-        _acc, live, green = flags(self.configs)[q]
-        if not live:
-            return StreamVerdict.REJECTED
-        if green:
-            return StreamVerdict.ACCEPTING
-        lat = max(
-            (ts for members, _n, ts in self._visits() if flags(members)[q][0]),
-            default=None,
-        )
+    def _verdicts(self) -> List[StreamVerdict]:
+        """Every channel's verdict-so-far, in ``plan.names`` order."""
+        now = self._flags(self._state())
+        newest: List[Optional[int]] = [None] * len(now)
+        for state, _n, ts in self._visits():
+            for c, (acc, _live, _green) in enumerate(self._flags(state)):
+                if acc and (newest[c] is None or ts > newest[c]):
+                    newest[c] = ts
         fw = self.f_window
-        if lat is not None and (fw is None or self.prev_t - lat <= fw):
-            return StreamVerdict.ACCEPTING
-        return StreamVerdict.INCONCLUSIVE
+        out = []
+        for c in self.plan.comp_of:
+            _acc, live, green = now[c]
+            lat = newest[c]
+            if not live:
+                out.append(StreamVerdict.REJECTED)
+            elif green or (lat is not None and (fw is None or self.prev_t - lat <= fw)):
+                out.append(StreamVerdict.ACCEPTING)
+            else:
+                out.append(StreamVerdict.INCONCLUSIVE)
+        return out
 
     def query_verdicts(self) -> Dict[str, StreamVerdict]:
         """Current verdict-so-far per query channel."""
-        return {
-            name: self._channel_verdict(q)
-            for q, name in enumerate(self.plan.names)
-        }
+        return dict(zip(self.plan.names, self._verdicts()))
 
     def channel_verdict(self, name: str) -> StreamVerdict:
         """One channel's verdict-so-far (ValueError if unknown)."""
@@ -464,16 +421,17 @@ class PlanMonitor(TBAMonitor):
             raise ValueError(
                 f"no channel {name!r} in plan {self.plan.names}"
             ) from None
-        return self._channel_verdict(q)
+        return self._verdicts()[q]
 
     def channel_accept_visits(self) -> Dict[str, int]:
         """Applied events per channel that landed in an accepting
         configuration (the per-channel mirror of ``accept_visits``)."""
-        visits, flags = self._visits(), self.plan.flags
-        return {
-            name: sum(n for members, n, _ts in visits if flags(members)[q][0])
-            for q, name in enumerate(self.plan.names)
-        }
+        visits = [0] * len(self.plan.components)
+        for state, n, _ts in self._visits():
+            for c, (acc, _live, _green) in enumerate(self._flags(state)):
+                if acc:
+                    visits[c] += n
+        return {name: visits[c] for name, c in zip(self.plan.names, self.plan.comp_of)}
 
     @property
     def absorbed(self) -> bool:
@@ -482,4 +440,4 @@ class PlanMonitor(TBAMonitor):
             return True  # base live is the union: every channel is dead
         if not self._green_locked:
             return False
-        return all(not live or green for _acc, live, green in self.plan.flags(self.configs))
+        return all(not live or green for _acc, live, green in self._flags(self._state()))

@@ -183,9 +183,10 @@ def run_chunks(
     report for every chunk that completed; ``failures`` lists
     ``(lo, hi, reason, detail)`` for chunks that did not (reasons:
     ``worker-death``, ``exception``, ``deadline``, ``unshippable``,
-    ``no-workers``).  A dead worker is respawned and its chunk retried
-    up to ``max_retries`` times before failing; no index appears in
-    both returns.
+    ``no-workers``, and ``protocol`` for a reply of another opcode or
+    with another number of reports than the chunk has words).  A dead
+    worker is respawned and its chunk retried up to ``max_retries``
+    times before failing; no index appears in both returns.
 
     The call holds the pool for the whole batch, growing it to
     ``workers`` shards first.  A caller with a ``deadline_at`` waits for
@@ -280,9 +281,13 @@ def run_chunks(
                     h = _obs.HOOKS
                     if h is not None and delta:
                         h.registry.merge(delta)
-                    for i, report in enumerate(reports):
-                        slots[chunk[0] + i] = report
                     idle.append(shard)
+                    lo, hi = chunk
+                    if len(reports) != hi - lo:
+                        give_up(chunk, "protocol", f"{len(reports)} reports for {hi - lo} words")
+                        continue
+                    for i, report in enumerate(reports):
+                        slots[lo + i] = report
                 elif frame.op == OP_ERR:
                     idle.append(shard)
                     give_up(chunk, "exception", frame.payload)

@@ -104,16 +104,17 @@ through every pair above, plus two query-layer differentials per case:
     ``parse(to_text(q))`` must lower to the identical spec — the text
     grammar and the fluent builder are the same algebra.
 ``query-plan``
-    a fused :class:`~repro.query.plan.QueryPlan` product over 2–3
-    random chain queries vs independent per-query
+    a fused :class:`~repro.query.plan.QueryPlan` over 2–3 random chain
+    queries vs independent per-query
     :class:`~repro.stream.monitor.TBAMonitor`\\ s — per-event
-    ``query_verdicts()`` streams must match on both stepping paths,
-    and the plan monitor's bulk scan must land where its scalar loop
-    does.
+    ``query_verdicts()`` streams, and the headline verdict, its flips
+    and the accepting visits derived from the independent monitors
+    (:class:`_Headline`), must match on both stepping paths, and the
+    plan monitor's bulk scan must land where its scalar loop does.
 ``query-mux`` (with the ``mux`` pair)
     the same plan as a ``SessionMux(plan=...)`` fed by ``ingest_batch``
     vs one scalar mux per query — every session's ``query_verdicts()``
-    after every batch, on both stepping paths.
+    and derived headline after every batch, on both stepping paths.
 
 CLI::
 
@@ -210,19 +211,30 @@ class Disagreement:
     detail: str
     #: The private query text the ``recovery`` pair ran (``--gen query``).
     query: Optional[str] = None
+    #: The words of a batch that disagrees only when judged together
+    #: (``word`` is the first of them).
+    words: Optional[List[TimedWord]] = None
 
     def describe(self) -> str:
         source = regression_source(
             self.pair, self.spec, self.alphabet, self.word, self.query
         )
+        batch = "".join(f"  batch: {_word_source(w)}\n" for w in self.words or ())
         return (
             f"[{self.pair}] {self.detail}\n"
             f"  spec:  {case_source(self.spec)}\n"
-            f"  word:  lasso(prefix={list(self.word.prefix)!r}, "
-            f"loop={list(self.word.loop)!r}, shift={self.word.shift})\n"
+            f"  word:  {_word_source(self.word)}\n"
+            f"{batch}"
             f"  alpha: {self.alphabet!r}\n"
             f"{source}"
         )
+
+
+def _word_source(word: TimedWord) -> str:
+    return (
+        f"lasso(prefix={list(word.prefix)!r}, loop={list(word.loop)!r}, "
+        f"shift={word.shift})"
+    )
 
 
 # -- seeded generators -------------------------------------------------
@@ -1078,11 +1090,86 @@ def _check_recovery(
     )
 
 
+class _Headline:
+    """A plan's headline, derived from its channels' independent
+    monitors: REJECTED iff every channel's monitor is; otherwise
+    ACCEPTING iff one is green-locked or the newest accepting visit of
+    any lies within ``f_window`` (any visit so far without one);
+    otherwise INCONCLUSIVE.  An event is an accepting visit iff some
+    channel's monitor visited an accepting state on it; flips count as
+    ``verdict_flips`` does, the initial judgement included.  The plan
+    is green-locked iff some channel's monitor is, and absorbed iff
+    every one is — a lock the verdict alone hides, since a green
+    channel sits in an accepting sink."""
+
+    def __init__(self, monitors: List[Any], f_window: Optional[int]):
+        from ..stream.monitor import StreamVerdict
+
+        self.monitors = monitors
+        self.f_window = f_window
+        self.verdict = StreamVerdict.INCONCLUSIVE
+        self.flips = 0
+        self.visits = 0
+        self._seen = 0
+        self.step(0)
+
+    def step(self, t: int) -> None:
+        """Account for the event at ``t`` every monitor just applied."""
+        from ..stream.monitor import StreamVerdict
+
+        ms = self.monitors
+        seen = sum(m.accept_visits for m in ms)
+        self.visits += seen > self._seen
+        self._seen = seen
+        lats = [m._last_accept_time for m in ms if m._last_accept_time is not None]
+        fw = self.f_window
+        if all(m.verdict is StreamVerdict.REJECTED for m in ms):
+            v = StreamVerdict.REJECTED
+        elif any(m._green_locked for m in ms) or (
+            lats and (fw is None or t - max(lats) <= fw)
+        ):
+            v = StreamVerdict.ACCEPTING
+        else:
+            v = StreamVerdict.INCONCLUSIVE
+        if v is not self.verdict:
+            self.verdict = v
+            self.flips += 1
+
+    def mismatch(self, plan_monitor: Any) -> Optional[str]:
+        """How ``plan_monitor``'s headline and visit counts differ from
+        the derived ones (``None`` if they agree)."""
+        ms = self.monitors
+        got = (
+            plan_monitor.verdict.value,
+            plan_monitor.verdict_flips,
+            plan_monitor.accept_visits,
+            plan_monitor.channel_accept_visits(),
+            bool(plan_monitor._green_locked),
+            plan_monitor.absorbed,
+        )
+        want = (
+            self.verdict.value,
+            self.flips,
+            self.visits,
+            dict(zip(plan_monitor.plan.names, (m.accept_visits for m in ms))),
+            any(m._green_locked for m in ms),
+            all(m.absorbed for m in ms),
+        )
+        if got == want:
+            return None
+        return (
+            f"(verdict, flips, accept_visits, channel_accept_visits, "
+            f"green lock, absorbed) is {got} but the independent monitors "
+            f"derive {want}"
+        )
+
+
 def _check_query_mux(
     queries: Dict[str, Any], alphabet: Tuple[Any, ...], word: TimedWord
 ) -> Optional[str]:
     """A fused plan mux fed by ``ingest_batch`` vs one scalar mux per
-    query: every session's ``query_verdicts()`` after every batch."""
+    query: every session's ``query_verdicts()`` and derived headline
+    (:class:`_Headline`) after every batch."""
     from ..query import QueryPlan
     from ..stream.session import SessionMux
 
@@ -1094,11 +1181,20 @@ def _check_query_mux(
             name: SessionMux(q.tba(alphabet), late_policy="drop", compiled=False)
             for name, q in queries.items()
         }
+        headlines: Dict[str, _Headline] = {}
         for k, batch in enumerate(batches):
             fused.ingest_batch(batch)
-            for mux in singles.values():
-                for name, s, t in batch:
+            for name, s, t in batch:
+                head = headlines.get(name)
+                if head is None:
+                    head = headlines[name] = _Headline(
+                        [mux.open(name) for mux in singles.values()], None
+                    )
+                released = head.monitors[0].events_released
+                for mux in singles.values():
                     mux.ingest(name, s, t)
+                if head.monitors[0].events_released > released:
+                    head.step(t)
             for name in fused.active:
                 got = fused.monitor(name).query_verdicts()
                 want = {q: mux.monitor(name).verdict for q, mux in singles.items()}
@@ -1110,6 +1206,9 @@ def _check_query_mux(
                         f"per-query muxes say "
                         f"{ {q: v.value for q, v in want.items()} }"
                     )
+                detail = headlines[name].mismatch(fused.monitor(name))
+                if detail is not None:
+                    return f"compiled={compiled}: after batch {k} session {name}'s {detail}"
     return None
 
 
@@ -1132,8 +1231,9 @@ def _check_query_plan(
     queries: Dict[str, Any], alphabet: Tuple[Any, ...], word: TimedWord
 ) -> Optional[str]:
     """Fused plan vs independent monitors: per-event ``query_verdicts``
-    streams must match on both stepping paths, and the plan monitor's
-    bulk scan must land where its scalar loop does."""
+    streams and the derived headline (:class:`_Headline`) must match on
+    both stepping paths, and the plan monitor's bulk scan must land
+    where its scalar loop does."""
     from ..query import QueryPlan
     from ..stream.monitor import TBAMonitor
 
@@ -1146,6 +1246,10 @@ def _check_query_plan(
             name: TBAMonitor(q.tba(alphabet), compiled=compiled)
             for name, q in queries.items()
         }
+        head = _Headline(list(singles.values()), pm.f_window)
+        detail = head.mismatch(pm)
+        if detail is not None:
+            return f"compiled={compiled}: before any event the plan's {detail}"
         for s, t in events:
             pm.ingest(s, t)
             got = pm.query_verdicts()
@@ -1157,6 +1261,10 @@ def _check_query_plan(
                     f"but independent monitors say "
                     f"{ {k: v.value for k, v in want.items()} }"
                 )
+            head.step(t)
+            detail = head.mismatch(pm)
+            if detail is not None:
+                return f"compiled={compiled}: after ({s!r}, {t}) the plan's {detail}"
         if scalar_final is None:
             scalar_final = pm.query_verdicts()
     bulk = plan.monitor()
@@ -1321,20 +1429,48 @@ def _disagreement(
     """A disagreement, minimized from the first of ``words`` that still
     disagrees when checked again on its own.
 
-    A case none of whose words disagrees again is recorded unshrunk,
-    with the first check's detail: a fault that depends on table rows
-    and cells the first check filled, or one that only a batch of words
-    shows, does not reproduce.
+    When none does, a pair that judges whole batches checks the batch
+    again and drops words while it keeps disagreeing: the words left
+    are recorded.  A case that does not disagree again at all is
+    recorded unshrunk, with the first check's detail: a fault that
+    depends on table rows and cells the first check filled does not
+    reproduce.
     """
     culprit = next(
         (w for w in words if _disagrees(pair, spec, alphabet, w, query) is not None),
         None,
     )
-    if culprit is None:
+    if culprit is not None:
+        mspec, mword, mdetail = minimize(pair, spec, alphabet, culprit, query)
+        return Disagreement(pair, mspec, alphabet, mword, mdetail, query)
+    check = _CASE_CHECKS.get(pair)
+    batch = list(words)
+    bdetail = None if check is None else _batch_disagrees(check, spec, alphabet, batch)
+    if bdetail is None:
         note = "did not reproduce when checked again, so not minimized"
         return Disagreement(pair, spec, alphabet, words[0], f"{detail} [{note}]", query)
-    mspec, mword, mdetail = minimize(pair, spec, alphabet, culprit, query)
-    return Disagreement(pair, mspec, alphabet, mword, mdetail, query)
+    i = 0
+    while i < len(batch) and len(batch) > 1:
+        rest = batch[:i] + batch[i + 1 :]
+        d = _batch_disagrees(check, spec, alphabet, rest)
+        if d is None:
+            i += 1
+        else:
+            batch, bdetail = rest, d
+    return Disagreement(pair, spec, alphabet, batch[0], bdetail, query, words=batch)
+
+
+def _batch_disagrees(
+    check: Callable[..., Optional[str]],
+    spec: Case,
+    alphabet: Tuple[Any, ...],
+    words: List[TimedWord],
+) -> Optional[str]:
+    """A pair's batch check, with a crash read as agreement."""
+    try:
+        return check(spec, alphabet, words)
+    except Exception:
+        return None
 
 
 def minimize(

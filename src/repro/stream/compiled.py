@@ -28,13 +28,18 @@ array lookups:
   :class:`~repro.stream.monitor.TBAAnalysis` attached it is also live
   if a member is, and green if it is non-empty and inside the
   analysis' green set: what the interpreter's judge reads off the same
-  set, so the three-valued judgement is two boolean lookups.
+  set (:meth:`TBAAnalysis.flags`), so the three-valued judgement is
+  two boolean lookups.
 
 One table serves every stepping layout: the monitors' scan and wave
 kernel (:mod:`repro.stream.monitor`) and the compiled machine of
 :mod:`repro.machine.from_tba`, which carries a table without an
-analysis.  Row creation takes a lock, because threads share cached
-machines and muxes; reads take none.
+analysis.  A table learns how its rows step and how their flags are
+read from two methods, ``_successor`` and ``_describe``;
+:class:`FusedTBA` overrides just those to read several automata side
+by side (a :class:`~repro.query.plan.QueryPlan`'s components) without
+building their product.  Row creation takes a lock, because threads
+share cached machines and muxes; reads take none.
 
 :func:`compiled_for` is the gated entry point for the monitors: it
 returns ``None`` — and they fall back to the interpreter,
@@ -48,7 +53,8 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +63,7 @@ from ..obs import hooks as _obs
 
 __all__ = [
     "CompiledTBA",
+    "FusedTBA",
     "compiled_for",
     "compilation_enabled",
     "ENV_TOGGLE",
@@ -88,7 +95,8 @@ class CompiledTBA:
 
     ``sets`` / ``set_index``
         the configuration set of each row (row 0: the empty set, the
-        trap), and each set's row.
+        trap), and the row of each row's key — its configuration set,
+        on an automaton's table.
     ``table_list`` / ``table``
         the ``(rows, S+1, G)`` successor table as nested lists for the
         scalar loops, and its int32 numpy mirror with spare rows, made
@@ -96,8 +104,8 @@ class CompiledTBA:
         stepped one run at a time never pays for numpy arrays); ``-1``
         marks an unfilled cell.
     ``accepting_list`` / ``live_list`` / ``green_list``
-        the flags of each row (live and green only when an
-        ``analysis`` is attached); :meth:`flag_arrays` as numpy arrays.
+        the flags of each row (live and green are false without an
+        ``analysis``); :meth:`flag_arrays` as numpy arrays.
     ``deterministic``
         the source is syntactically deterministic, so every row holds
         at most one configuration and a walk over rows is its run.
@@ -110,36 +118,41 @@ class CompiledTBA:
         self.tba = tba
         self.analysis = analysis
         self.deterministic = _is_deterministic(tba)
-        self.symbols: List[Any] = sorted(tba.alphabet, key=repr)
-        self.sym_index: Dict[Any, int] = {s: i for i, s in enumerate(self.symbols)}
-        self.n_symbols = len(self.symbols)
-        self.gap_cap = tba._cmax + 1
+        initial = frozenset((tba._initial_config(),))
+        self._start(sorted(tba.alphabet, key=repr), tba._cmax + 1, frozenset(), initial)
+
+    def _start(self, symbols: List[Any], gap_cap: int, trap: Any, initial: Any) -> None:
+        """An empty table over ``symbols``, then the rows of the trap's
+        and the initial state's keys."""
+        self.symbols = symbols
+        self.sym_index: Dict[Any, int] = {s: i for i, s in enumerate(symbols)}
+        self.n_symbols = len(symbols)
+        self.gap_cap = gap_cap
         self.sets: List[ConfigSet] = []
-        self.set_index: Dict[ConfigSet, int] = {}
+        self.set_index: Dict[Any, int] = {}
         self.table_list: List[List[List[int]]] = []
         self.table: Any = None
         self.accepting_list: List[bool] = []
-        if analysis is not None:
-            self.live_list: List[bool] = []
-            self.green_list: List[bool] = []
+        self.live_list: List[bool] = []
+        self.green_list: List[bool] = []
         self._arrays: Optional[Tuple[Any, ...]] = None
         self._lock = threading.RLock()
-        self.trap = self.row(())
-        self.initial_index = self.row((tba._initial_config(),))
+        self.trap = self.row(trap)
+        self.initial_index = self.row(initial)
 
-    def row(self, members: Iterable[Any]) -> int:
-        """The row of a configuration set, made if it is new."""
-        members = frozenset(members)
-        r = self.set_index.get(members)
+    def row(self, key: Any) -> int:
+        """The row of a key (a configuration set, on an automaton's
+        table), made if it is new."""
+        r = self.set_index.get(key)
         if r is None:
             with self._lock:
-                r = self.set_index.get(members)
+                r = self.set_index.get(key)
                 if r is None:
-                    r = self._add_row(members)
+                    r = self._add_row(key)
         return r
 
-    def _add_row(self, members: ConfigSet) -> int:
-        """Append a row for ``members`` (the lock is held).  The set's
+    def _add_row(self, key: Any) -> int:
+        """Append a row for ``key`` (the lock is held).  The key's
         index is written last: a row is readable once it is found."""
         r = len(self.sets)
         width = self.gap_cap + 1
@@ -154,26 +167,36 @@ class CompiledTBA:
                 self.table = grown
             self.table[r] = -1
             self.table[r, self.n_symbols] = 0
-        self.accepting_list.append(any(state in self.tba.accepting for state, _v in members))
-        an = self.analysis
-        if an is not None:
-            self.live_list.append(not members.isdisjoint(an.live))
-            self.green_list.append(bool(members) and members <= an.green)
+        members, accepting, live, green = self._describe(key)
+        self.accepting_list.append(accepting)
+        self.live_list.append(live)
+        self.green_list.append(green)
         self.table_list.append(cells)
         self.sets.append(members)
-        self.set_index[members] = r
+        self.set_index[key] = r
         return r
+
+    def _describe(self, members: ConfigSet) -> Tuple[ConfigSet, bool, bool, bool]:
+        """A new row's configuration set and its accepting, live and
+        green flags (live and green only with an analysis)."""
+        an = self.analysis
+        if an is None:
+            return members, any(s in self.tba.accepting for s, _v in members), False, False
+        return (members,) + an.flags(members)
+
+    def _successor(self, row: int, symbol: Any, gap: int) -> Any:
+        """The key of the row ``row`` reaches on ``symbol`` after
+        ``gap`` chronons: one ``_step_configs`` call on its set."""
+        return frozenset(self.tba._step_configs(self.sets[row], symbol, gap))
 
     def fill(self, row: int, sym: int, gap: int) -> int:
         """Fill the cell of ``row`` on symbol column ``sym`` at gap
-        class ``gap`` from one ``_step_configs`` call on the row's set;
-        returns the successor row.  Every missed cell comes here."""
+        class ``gap`` and return the successor row.  Every missed
+        cell comes here."""
         with self._lock:
             nxt = self.table_list[row][sym][gap]
             if nxt < 0:
-                nxt = self.row(
-                    self.tba._step_configs(self.sets[row], self.symbols[sym], gap)
-                )
+                nxt = self.row(self._successor(row, self.symbols[sym], gap))
                 if self.table is not None:
                     self.table[row, sym, gap] = nxt
                 self.table_list[row][sym][gap] = nxt
@@ -184,7 +207,7 @@ class CompiledTBA:
         if gap < 0:
             # Only a word whose time starts below 0 steps back; no
             # cell holds such a step.
-            return self.row(self.tba._step_configs(self.sets[row], symbol, gap))
+            return self.row(self._successor(row, symbol, gap))
         sym = self.sym_index.get(symbol, self.n_symbols)
         if gap > self.gap_cap:
             gap = self.gap_cap
@@ -288,6 +311,48 @@ class CompiledTBA:
                 return False
             pos = (pos + 1) % k
         return any(trail[seen[row * k + pos]:])
+
+
+class FusedTBA(CompiledTBA):
+    """The table of a :class:`~repro.query.plan.QueryPlan`'s components,
+    read side by side on one stream.
+
+    A row's key (``keys``) is the tuple of its component rows, and its
+    set the product of theirs; a tuple holding a component's trap is
+    the trap, key ``()``.  A cell steps each component's own table, at
+    the gap capped at that component's ``gap_cap``.  A row is
+    accepting, live or green if some component's row is — green only
+    while every component's analysis is deterministic.  A fill holds
+    this table's lock, then each component's: components belong to one
+    plan, so the order is fixed.
+    """
+
+    def __init__(self, parts: Sequence[CompiledTBA]):
+        self.parts = tuple(parts)
+        self.deterministic = all(p.deterministic for p in parts)
+        self._green = all(p.analysis.deterministic for p in parts)
+        self.keys: List[Tuple[int, ...]] = []
+        initial = tuple(p.initial_index for p in parts)
+        self._start(parts[0].symbols, max(p.gap_cap for p in parts), (), initial)
+
+    def _describe(self, key: Tuple[int, ...]) -> Tuple[ConfigSet, bool, bool, bool]:
+        self.keys.append(key)  # before the row is readable: the lock is held
+        rows = tuple(zip(self.parts, key))
+        return (
+            frozenset(product(*(p.sets[r] for p, r in rows))) if key else frozenset(),
+            any(p.accepting_list[r] for p, r in rows),
+            any(p.live_list[r] for p, r in rows),
+            self._green and any(p.green_list[r] for p, r in rows),
+        )
+
+    def _successor(self, row: int, symbol: Any, gap: int) -> Tuple[int, ...]:
+        key = []
+        for part, r in zip(self.parts, self.keys[row]):
+            nxt = part.step(r, symbol, gap)
+            if nxt == part.trap:
+                return ()
+            key.append(nxt)
+        return tuple(key)
 
 
 def compiled_for(analysis: Any) -> Optional[CompiledTBA]:

@@ -695,17 +695,12 @@ class TBAAnalysis:
 
     ``deterministic`` is *semantic*: at most one successor per
     (configuration, symbol, gap-class), measured on the reachable graph
-    during the BFS.  Guard-disjoint multi-edges (the multi-query plan's
-    completed product automata are full of them) therefore still
-    qualify for green guarantees.  The BFS keeps every successor set it
-    computes in :attr:`cells`, which the totality fixpoint reads
-    instead of stepping again.
-
-    Both liveness sets are *parameterized* over the accepting set:
-    :meth:`live_for` / :meth:`green_for` recompute them for any
-    alternative accepting projection over the same universe — how a
-    :class:`~repro.query.plan.QueryPlan` derives per-channel verdict
-    flags from one shared graph.
+    during the BFS.  Guard-disjoint multi-edges (completed query-plan
+    components are full of them) therefore still qualify for green
+    guarantees.  The BFS keeps every successor set it computes in
+    :attr:`cells`, which the totality fixpoint reads instead of
+    stepping again.  :meth:`flags` reads the three flags of any
+    configuration set.
     """
 
     def __init__(self, tba: TimedBuchiAutomaton):
@@ -743,95 +738,74 @@ class TBAAnalysis:
                     frontier.append(s)
         self.universe: FrozenSet[Config] = frozenset(universe)
         self.adjacency = adjacency
-        reverse: Dict[Config, Set[Config]] = {c: set() for c in universe}
-        for c, succs in adjacency.items():
-            for s in succs:
-                reverse[s].add(c)
-        self._reverse = reverse
         self.deterministic = deterministic
         self.accepting: FrozenSet[Config] = frozenset(
             c for c in universe if c[0] in tba.accepting
         )
-        self._cycle_cache: Dict[Config, bool] = {}
-        self._total: Optional[
-            Tuple[FrozenSet[Config], Dict[Config, Set[Config]], Dict[Config, Set[Config]]]
-        ] = None
-        self.live: FrozenSet[Config] = self.live_for(self.accepting)
-        self.green: FrozenSet[Config] = self.green_for(self.accepting)
+        self.live: FrozenSet[Config] = self._live()
+        self.green: FrozenSet[Config] = self._green() if deterministic else frozenset()
 
-    def live_for(self, accepting: FrozenSet[Config]) -> FrozenSet[Config]:
-        """Configurations with an accepting continuation w.r.t. an
-        alternative accepting set over the same universe (backward
-        closure of its recurrent members)."""
-        recurrent = {c for c in accepting if self._on_cycle(c)}
-        live: Set[Config] = set(recurrent)
-        queue = deque(recurrent)
+    def flags(self, members: FrozenSet[Config]) -> Tuple[bool, bool, bool]:
+        """A configuration set's ``(accepting, live, green)`` flags:
+        accepting or live if a member is, green if it is non-empty and
+        inside :attr:`green` — the judge's reading of a set, on a table
+        row or off it."""
+        return (
+            any(state in self.tba.accepting for state, _v in members),
+            not members.isdisjoint(self.live),
+            bool(members) and members <= self.green,
+        )
+
+    def _live(self) -> FrozenSet[Config]:
+        """Configurations with an accepting continuation: the backward
+        closure of the accepting configurations on a cycle."""
+        reverse: Dict[Config, Set[Config]] = {c: set() for c in self.universe}
+        for c, succs in self.adjacency.items():
+            for s in succs:
+                reverse[s].add(c)
+        live = {c for c in self.accepting if self._on_cycle(c)}
+        queue = deque(live)
         while queue:
             c = queue.popleft()
-            for p in self._reverse[c]:
+            for p in reverse[c]:
                 if p not in live:
                     live.add(p)
                     queue.append(p)
         return frozenset(live)
 
     def _on_cycle(self, c: Config) -> bool:
-        hit = self._cycle_cache.get(c)
-        if hit is not None:
-            return hit
         seen: Set[Config] = set()
         queue = deque(self.adjacency[c])
-        found = False
         while queue:
             d = queue.popleft()
             if d == c:
-                found = True
-                break
+                return True
             if d in seen:
                 continue
             seen.add(d)
             queue.extend(self.adjacency[d])
-        self._cycle_cache[c] = found
-        return found
+        return False
 
-    def _totality(self):
-        """The accepting-independent half of the green computation:
-        the greatest fixpoint of totality (every (symbol, gap-class)
-        has a successor that itself stays total), its induced
-        subgraph, and that subgraph's reverse — computed once and
-        shared by every :meth:`green_for` projection."""
-        if self._total is not None:
-            return self._total
+    def _green(self) -> FrozenSet[Config]:
+        """Configurations whose *every* continuation accepts (the
+        guarantee reading needs a unique run, so deterministic
+        stepping only)."""
+        # The greatest fixpoint of totality: every (symbol, gap class)
+        # has a successor that itself stays total.
         cells = self.cells
         total = set(self.universe)
         changed = True
         while changed:
             changed = False
             for c in list(total):
-                ok = all(any(s in total for s in cell) for cell in cells[c])
-                if not ok:
+                if not all(any(s in total for s in cell) for cell in cells[c]):
                     total.discard(c)
                     changed = True
         sub = {c: {s for s in self.adjacency[c] if s in total} for c in total}
-        reverse_sub: Dict[Config, Set[Config]] = {c: set() for c in total}
-        for c, succs in sub.items():
-            for s in succs:
-                reverse_sub[s].add(c)
-        self._total = (frozenset(total), sub, reverse_sub)
-        return self._total
-
-    def green_for(self, accepting: FrozenSet[Config]) -> FrozenSet[Config]:
-        """Configurations whose *every* continuation accepts w.r.t. an
-        alternative accepting set (empty unless stepping is
-        deterministic — the guarantee reading needs a unique run)."""
-        if not self.deterministic:
-            return frozenset()
-        total, sub, reverse_sub = self._totality()
-        if not total:
-            return frozenset()
         # Configurations with an infinite F-avoiding path: trim the
         # non-accepting induced subgraph down to nodes that still have a
         # non-accepting successor (leaves only paths into cycles).
-        bad = {c for c in total if c not in accepting}
+        bad = total - self.accepting
         changed = True
         while changed:
             changed = False
@@ -841,6 +815,10 @@ class TBAAnalysis:
                     changed = True
         # Anything that can reach such a path — through F or not — has a
         # rejecting continuation.
+        reverse_sub: Dict[Config, Set[Config]] = {c: set() for c in total}
+        for c, succs in sub.items():
+            for s in succs:
+                reverse_sub[s].add(c)
         unsafe = set(bad)
         queue = deque(bad)
         while queue:
@@ -921,19 +899,19 @@ class TBAMonitor(_BaseMonitor):
         self.tba = tba
         self.analysis = analysis if analysis is not None else analysis_for(tba)
         self.f_window = f_window
-        if compiled is False:
-            comp = None
-        else:
-            comp = compiled_for(self.analysis)
-            if compiled is True and comp is None:
-                raise ValueError("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
+        self._start(None if compiled is False else compiled_for(self.analysis), compiled)
+
+    def _start(self, comp: Any, compiled: Optional[bool]) -> None:
+        """Take a slot on ``comp``, or start the interpreter when it is
+        ``None``."""
+        if compiled is True and comp is None:
+            raise ValueError("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
         self._compiled = comp
-        self._configs: Optional[FrozenSet[Config]] = None
-        self._tab = SlotTable(comp, f_window, self._ledger)
+        self._tab = SlotTable(comp, self.f_window, self._ledger)
         self._slot = self._tab.alloc()
         if comp is None:
-            self._configs = frozenset({tba._initial_config()})
-            self._judge(0)
+            _acc, live, green = self._interpret_start()
+            self._judge(0, live, green)
 
     @property
     def verdict(self) -> StreamVerdict:
@@ -964,7 +942,7 @@ class TBAMonitor(_BaseMonitor):
         if comp is None:
             self._configs = frozenset(value)
         else:
-            self._ci = comp.row(value)
+            self._ci = comp.row(frozenset(value))
 
     @property
     def absorbed(self) -> bool:
@@ -989,13 +967,23 @@ class TBAMonitor(_BaseMonitor):
             return
         gap = t - self.prev_t
         self.prev_t = t
-        self._configs = frozenset(
-            self.tba._step_configs(set(self._configs), symbol, gap)
-        )
-        if any(c[0] in self.tba.accepting for c in self._configs):
+        accepting, live, green = self._interpret(symbol, gap)
+        if accepting:
             self.accept_visits += 1
             self._last_accept_time = t
-        self._judge(t)
+        self._judge(t, live, green)
+
+    def _interpret_start(self) -> Tuple[bool, bool, bool]:
+        """Start the interpreter at the initial configuration; returns
+        its flags."""
+        self._configs = frozenset({self.tba._initial_config()})
+        return self.analysis.flags(self._configs)
+
+    def _interpret(self, symbol: Any, gap: int) -> Tuple[bool, bool, bool]:
+        """The interpreter's step, one ``_step_configs`` call; returns
+        the new set's flags."""
+        self._configs = frozenset(self.tba._step_configs(self._configs, symbol, gap))
+        return self.analysis.flags(self._configs)
 
     def ingest_many(self, events) -> StreamVerdict:
         """Batched ingest: one :meth:`SlotTable.scan` over the slice.
@@ -1016,13 +1004,10 @@ class TBAMonitor(_BaseMonitor):
             self.ingest(symbol, t)
         return self.verdict
 
-    def _judge(self, t: int) -> None:
-        """The interpreter's judge (the compiled path judges in the
-        slot table)."""
-        an = self.analysis
-        alive = bool(self._configs & an.live)
-        green = bool(an.green) and self._configs <= an.green
-        if not alive:
+    def _judge(self, t: int, live: bool, green: bool) -> None:
+        """The interpreter's judge of the flags of its new set (the
+        compiled path judges in the slot table)."""
+        if not live:
             self._set_verdict(StreamVerdict.REJECTED)
             return
         if green:

@@ -60,7 +60,7 @@ Boundedness is explicit, not accidental:
 The front-end accepts :mod:`repro.query` directly: ``query=`` monitors
 every session against one declarative query (text or a ``Q`` builder
 query), ``plan=`` shares one fused :class:`~repro.query.plan.QueryPlan`
-product across all sessions (each session gets a
+table across all sessions (each session gets a
 :class:`~repro.query.plan.PlanMonitor` with per-query verdicts in its
 :class:`SessionReport`), and ``open(name, query=...)`` pins a
 session-private query.
@@ -130,10 +130,10 @@ class SessionMux:
     any zero-argument callable returning a monitor.  ``query`` (text or
     a ``Q`` builder query; ``alphabet`` optionally widens its symbol
     set) compiles to a TBA and proceeds like an automaton acceptor;
-    ``plan`` shares one :class:`~repro.query.plan.QueryPlan` product —
+    ``plan`` shares one :class:`~repro.query.plan.QueryPlan` —
     every session gets a :class:`~repro.query.plan.PlanMonitor` over
-    the plan's single analysis/compiled artifacts, and session reports
-    carry per-query verdicts.
+    the plan's one fused table, and session reports carry per-query
+    verdicts.
     """
 
     def __init__(
@@ -226,9 +226,9 @@ class SessionMux:
         if monitor_factory is not None:
             self._factory = monitor_factory
         elif plan is not None:
-            # One fused product per plan: the plan already owns the
-            # shared analysis and compiled table; every session's
-            # PlanMonitor wraps those same objects.
+            # One fused table per plan: the plan already owns it and
+            # its components' analyses; every session's PlanMonitor
+            # steps that same table.
             if compiled is not False:
                 self._tba_compiled = plan.compiled
             self._factory = lambda: plan.monitor(**self._monitor_kw)

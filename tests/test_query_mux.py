@@ -69,8 +69,8 @@ def test_plan_mux_sessions_share_the_fused_artifacts():
     mux = SessionMux(plan=plan)
     mux.open("a")
     mux.open("b")
-    assert mux.monitor("a").analysis is plan.analysis
-    assert mux.monitor("b").analysis is plan.analysis
+    assert mux.monitor("a")._compiled is plan.compiled
+    assert mux.monitor("b")._compiled is plan.compiled
     assert mux.monitor("a").plan is plan
 
 

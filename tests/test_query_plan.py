@@ -1,4 +1,4 @@
-"""Tests for repro.query.plan — the fused multi-query product.
+"""Tests for repro.query.plan — k queries fused over one stream.
 
 The load-bearing contract: a :class:`PlanMonitor`'s per-channel verdict
 *streams* must be indistinguishable from running each query through its
@@ -8,11 +8,18 @@ property (``--gen query``), these tests pin the named edges.
 """
 
 import random
+import sys
+import threading
+from itertools import product
 
 import pytest
 
+from repro.automata import TimedBuchiAutomaton, TimedTransition
+from repro.obs import instrumented
 from repro.query import PlanMonitor, Q, QueryPlan
-from repro.stream import StreamVerdict, TBAMonitor
+from repro.spec.compile import _and_fold, _rename_clocks
+from repro.stream import SessionMux, StreamVerdict, TBAMonitor
+from repro.stream.monitor import TBAAnalysis
 
 QUERIES = {
     "fast": Q.event("req").then("rsp").within(3).repeat(),
@@ -61,7 +68,10 @@ def test_plan_stats_ledger():
     plan = QueryPlan(QUERIES, ALPHA)
     stats = plan.stats()
     assert stats["queries"] == 3
-    assert stats["plan_configs"] == len(plan.analysis.universe)
+    assert stats["per_query_configs"] == {
+        name: len(plan.analyses[c].universe)
+        for name, c in zip(plan.names, plan.comp_of)
+    }
     assert stats["sum_per_query_configs"] == sum(
         stats["per_query_configs"].values()
     )
@@ -69,12 +79,21 @@ def test_plan_stats_ledger():
         stats["plan_configs"] / stats["sum_per_query_configs"]
     )
     assert set(stats["sources"]) == set(QUERIES)
+    # plan_configs counts the fused rows traffic made, trap excluded.
+    if plan.compiled is None:
+        assert stats["plan_configs"] == 0
+    else:
+        assert stats["plan_configs"] == 1  # the initial row
+        m = plan.monitor()
+        m.ingest("req", 0)
+        m.ingest("rsp", 2)
+        assert plan.stats()["plan_configs"] == len(plan.compiled.sets) - 1 == 3
 
 
 def test_plan_compiled_true_requires_tables():
     plan = QueryPlan(QUERIES, ALPHA)
     if plan.compiled is None:
-        with pytest.raises(ValueError, match="compiled stepping unavailable"):
+        with pytest.raises(ValueError, match="compiled stepping disabled for this plan"):
             QueryPlan(QUERIES, ALPHA, compiled=True)
     else:
         assert QueryPlan(QUERIES, ALPHA, compiled=True).compiled is not None
@@ -193,6 +212,208 @@ def test_monitor_is_a_tba_monitor_with_custom_waves():
         assert (m.verdict, m.events_ingested, m.verdict_flips) == (
             alone.verdict, alone.events_ingested, alone.verdict_flips
         )
+
+
+# ------------------------------------------------ built from components
+
+
+def test_a_plan_builds_one_analysis_per_component():
+    queries = {
+        f"rsp-within-{w}": Q.event("req").within(2).then("rsp").within(w).repeat()
+        for w in range(4, 11)
+    }
+    with instrumented() as inst:
+        plan = QueryPlan(queries)
+        mux = SessionMux(plan=plan)
+        mux.ingest_batch([("s", "req", 1), ("s", "rsp", 3), ("s", "req", 4)])
+        assert inst.registry.counter("stream.analysis_builds").value == 7
+    assert len(plan.components) == len(plan.analyses) == 7
+
+
+@pytest.mark.parametrize("compiled", [None, False])
+def test_headline_green_locks_with_the_once_channel(compiled):
+    # The headline is green iff some component is, and only hb — a
+    # satisfied once in its accepting sink — ever is: the headline
+    # locks on the very event that locks hb's own monitor.
+    plan = QueryPlan(QUERIES, ALPHA)
+    rng = random.Random(5)
+    locked = 0
+    for _trial in range(20):
+        pm = plan.monitor(compiled=compiled)
+        hb = TBAMonitor(QUERIES["hb"].tba(ALPHA), compiled=compiled)
+        for s, t in random_events(rng, 30):
+            pm.ingest(s, t)
+            hb.ingest(s, t)
+            assert pm._green_locked == hb._green_locked, (s, t)
+        locked += hb._green_locked
+        if hb._green_locked:
+            assert pm.verdict is StreamVerdict.ACCEPTING
+    assert locked > 0
+
+
+def test_configs_agree_on_both_paths():
+    plan = QueryPlan(QUERIES, ALPHA)
+    rng = random.Random(9)
+    for _trial in range(5):
+        table, interpreter = plan.monitor(), plan.monitor(compiled=False)
+        for s, t in random_events(rng, 80):
+            table.ingest(s, t)
+            interpreter.ingest(s, t)
+            assert table.configs == interpreter.configs
+            assert all(len(c) == len(plan.components) for c in table.configs)
+
+
+def product_tba(components, alphabet):
+    """The synchronous product of completed components, with the
+    any-component accepting set: the automaton a plan once built and
+    analysed as a whole, kept here as the oracle of its flag rules."""
+    components = [_rename_clocks(c, f"q{i}.") for i, c in enumerate(components)]
+    initial = tuple(c.initial for c in components)
+    states, seen, transitions, frontier = [initial], {initial}, [], [initial]
+    while frontier:
+        svec = frontier.pop()
+        for a in alphabet:
+            combos = [()]
+            for i, c in enumerate(components):
+                combos = [x + (tr,) for x in combos for tr in c._by_source.get((svec[i], a), ())]
+            for combo in combos:
+                tvec = tuple(tr.target for tr in combo)
+                if tvec not in seen:
+                    seen.add(tvec)
+                    states.append(tvec)
+                    frontier.append(tvec)
+                transitions.append(
+                    TimedTransition(
+                        svec,
+                        tvec,
+                        a,
+                        frozenset().union(*(tr.resets for tr in combo)),
+                        _and_fold(tr.guard for tr in combo),
+                    )
+                )
+    accepting = [
+        s for s in states if any(s[i] in c.accepting for i, c in enumerate(components))
+    ]
+    clocks = [x for c in components for x in c.clocks]
+    return TimedBuchiAutomaton(alphabet, states, initial, transitions, clocks, accepting)
+
+
+@pytest.mark.parametrize(
+    "queries",
+    [
+        QUERIES,
+        {
+            "once-req": Q.event("req").within(2).once(),
+            "once-rsp": Q.event("req").then("rsp").within(3).once(),
+            "repeat": Q.event("req").within(2).then("rsp").within(4).repeat(),
+        },
+    ],
+)
+def test_headline_flags_factor_through_the_components(queries):
+    # Over every configuration of the whole product, live and green
+    # with the any-component accepting set are exactly "some
+    # component's configuration is live / green" (a component reads
+    # its clocks capped at its own cmax+1).
+    plan = QueryPlan(queries, ALPHA)
+    prod = product_tba(plan.components, plan.alphabet)
+    whole = TBAAnalysis(prod)
+    assert whole.deterministic and plan.deterministic
+    where = {x: i for i, x in enumerate(prod.clocks)}
+    greens = 0
+    for state, vals in whole.universe:
+        parts = [
+            (state[i], tuple(c._cap(vals[where[f"q{i}.{x}"]]) for x in c.clocks))
+            for i, c in enumerate(plan.components)
+        ]
+        flags = [an.flags(frozenset({p})) for an, p in zip(plan.analyses, parts)]
+        config = (state, vals)
+        assert (config in whole.live) == any(f[1] for f in flags)
+        assert (config in whole.green) == any(f[2] for f in flags)
+        greens += config in whole.green
+    assert greens > 0
+
+
+def assert_fused_cells_consistent(table):
+    """Every fused row's set is the product of its components' sets, and
+    every filled cell holds the row of what each component's
+    interpreter makes of its set (the trap once one of them dies), in
+    both layouts."""
+    filled = 0
+    width = table.gap_cap + 1
+    for r, key in enumerate(table.keys):
+        assert table.set_index[key] == r
+        sets = [p.sets[k] for p, k in zip(table.parts, key)]
+        assert table.sets[r] == (frozenset(product(*sets)) if key else frozenset())
+        cells = table.table_list[r]
+        assert cells[-1] == [table.trap] * width
+        if table.table is not None:
+            assert table.table[r].tolist() == cells
+        for s, symbol in enumerate(table.symbols):
+            for gap, nxt in enumerate(cells[s]):
+                if nxt < 0:
+                    continue
+                filled += 1
+                want = [
+                    frozenset(p.tba._step_configs(m, symbol, gap))
+                    for p, m in zip(table.parts, sets)
+                ]
+                if key and all(want):
+                    got = [p.sets[k] for p, k in zip(table.parts, table.keys[nxt])]
+                    assert got == want
+                else:
+                    assert nxt == table.trap
+    return filled
+
+
+def test_threads_feeding_plan_muxes_fill_consistent_cells():
+    """Four threads feed four muxes over one plan while its fused and
+    component tables are still making rows."""
+    plan = QueryPlan(QUERIES, ALPHA)
+    if plan.compiled is None:
+        pytest.skip("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
+    assert len(plan.compiled.sets) == 2  # the trap and the initial row
+    rng = random.Random(11)
+    streams = {f"s{i}": random_events(rng, 40) for i in range(40)}
+    feed = [
+        (name, s, t) for k in range(40) for name, evs in streams.items()
+        for s, t in [evs[k]]
+    ]
+    muxes = [SessionMux(plan=plan) for _ in range(4)]
+    errors = []
+
+    def run(k):
+        try:
+            step = 7 * (k + 1)
+            for lo in range(0, len(feed), step):
+                muxes[k].ingest_batch(feed[lo : lo + step])
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    serial = SessionMux(plan=plan, compiled=False)
+    for event in feed:
+        serial.ingest(*event)
+    for mux in muxes:
+        for name in streams:
+            m, want = mux.monitor(name), serial.monitor(name)
+            assert m.query_verdicts() == want.query_verdicts(), name
+            assert m.channel_accept_visits() == want.channel_accept_visits()
+            assert (m.verdict, m.verdict_flips, m.accept_visits) == (
+                want.verdict, want.verdict_flips, want.accept_visits
+            )
+    assert plan.compiled.table is not None
+    assert assert_fused_cells_consistent(plan.compiled) > 0
 
 
 def test_checkpoint_refuses_plan_monitors():

@@ -114,6 +114,31 @@ def test_pool_grows_past_two_shards_on_a_wider_machine(monkeypatch):
     assert fingerprint(sharded) == fingerprint(serial)
 
 
+def test_a_short_decide_reply_is_judged_in_process(monkeypatch):
+    # A worker whose decide reply drops its last report: the pool files
+    # the chunk as a protocol failure instead of a KeyError, and the
+    # chunk is judged in-process.  Patched before the pool forks.
+    from repro.shard.wire import OP_DECIDE
+    from repro.shard.worker import _Worker
+
+    decide = _Worker.HANDLERS[OP_DECIDE]
+
+    def short(self, payload):
+        reports, delta = decide(self, payload)
+        return reports[:-1], delta
+
+    monkeypatch.setitem(_Worker.HANDLERS, OP_DECIDE, short)
+    tba, words = bounded_gap_tba(), make_words(60)
+    serial = decide_many(tba, words, horizon=200, backend="serial")
+    with instrumented() as inst:
+        sharded = decide_many(tba, words, horizon=200, workers=2, backend="shards")
+    assert fingerprint(sharded) == fingerprint(serial)
+    fallbacks = inst.registry.counter("engine.backend_fallbacks")
+    assert fallbacks.labels(reason="shard-protocol").value > 0
+    resilient = decide_many_resilient(tba, words, horizon=200, workers=2, backend="shards")
+    assert fingerprint(resilient.reports) == fingerprint(serial)
+
+
 def test_unshippable_acceptor_falls_back_with_recorded_reason():
     words = make_words(70)
     serial = decide_many(

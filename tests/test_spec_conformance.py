@@ -100,6 +100,29 @@ def test_a_disagreement_that_does_not_reproduce_is_reported_unshrunk(
     assert len(calls) == 2
 
 
+def test_a_disagreement_only_a_batch_shows_is_shrunk_to_its_words(monkeypatch):
+    # A batch check that disagrees only when two given words are judged
+    # together: no single word reproduces it, so the sweep checks the
+    # batch again and drops the other words.
+    from repro.spec import conformance
+
+    first = []
+
+    def pair_in_one_batch(spec, alphabet, words):
+        if not first:
+            first.extend(words)
+        together = all(any(w is x for x in words) for w in (first[1], first[3]))
+        return "injected" if together else None
+
+    monkeypatch.setitem(conformance._CASE_CHECKS, "strategy", pair_in_one_batch)
+    stats = conformance.run(cases=1, pairs=("strategy",), words_per_case=4)
+    (d,) = stats.disagreements
+    assert d.detail == "injected"
+    assert len(d.words) == 2
+    assert d.word is d.words[0] is first[1] and d.words[1] is first[3]
+    assert "batch: lasso(" in d.describe()
+
+
 if HAVE_HYPOTHESIS:
 
     @settings(
