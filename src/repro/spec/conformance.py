@@ -1,128 +1,56 @@
 """Conformance fuzzing: every decision path must tell the same story.
 
 The repo has grown several independently-implemented routes from a
-timed specification to a verdict; each route pair below is a
-*differential oracle* — on any (spec, word) the two sides must agree,
-so a disagreement is a bug in one of them by construction, no expected
-output needed:
+timed specification to a verdict.  Each pair of routes is a
+*differential oracle*: on any case the two sides must agree, so a
+disagreement is a bug in one of them by construction, no expected
+output needed.  ``docs/spec.md`` ("Conformance fuzzing") says what
+each pair compares.
 
-``semantics``
-    the spec-compiled TBA (:func:`repro.spec.compile.spec_acceptor`,
-    exact lasso acceptance through ``engine.decide``) vs the direct
-    denotational semantics (:func:`repro.spec.semantics.holds`).
-``monitor``
-    :class:`~repro.stream.monitor.TBAMonitor` on the compiled
-    successor-table path vs the interpreted ``_step_configs`` path —
-    per-event verdict streams, accept-visit counters, and the
-    ``ingest_many`` bulk scan vs the event-at-a-time loop.
-``strategy``
-    ``engine.decide(strategy="online-incremental")`` (stream replay)
-    vs ``strategy="lasso-exact"`` (batch) on the shared §3.1.1 machine
-    compilation — report-identical, not just verdict-identical.  On a
-    frozen-time lasso the machine's report, cut at its derived unroll
-    bound, must also equal its report on ``ZENO_UNROLL`` unrollings.
-    On every case, deterministic or not, ``lasso-exact`` judges on the
-    machine's successor table, and its report must equal
-    :func:`kernel_report`'s
-    (``machine.decide``, then ``resolve_zeno`` on the interpreted
-    automaton) on every field, at the pair's horizon, at −1, at 0 and
-    at an instant inside the word.  All of a case's words are also
-    judged in one ``decide_many`` call, one pass over the table, and
-    each report must equal the word's :func:`kernel_report` at the
-    case's horizon, at −1 and at 0.  Each advancing word's
-    frozen-time variant (its loop's events at the loop's first instant,
-    the shape the pass stops at a repeated loop-boundary row and
-    settles) is checked too, alone and in the batch.
-``shards``
-    ``decide_many(backend="shards")`` on a
-    :class:`~repro.words.batch.LassoBatch` of a case's words
-    (persistent worker pool, warm compiled caches, the batch shipped in
-    slices) vs ``backend="serial"`` on the word list, every report
-    field, on raw deterministic TBAs.
-``checkpoint``
-    mid-stream :func:`repro.stream.checkpoint.checkpoint` / ``restore``
-    across *both* stepping paths (compiled snapshot → interpreted
-    restore and vice versa, plus a JSON round-trip) vs the
-    uninterrupted run; and the same for a whole mux
-    (``checkpoint_mux`` → JSON → ``restore_mux`` halfway through the
-    ``mux`` pair's feed, on time and under a lateness bound) vs an
-    uninterrupted scalar mux — verdicts, ``stats()`` and every
-    session's state.
-``mux``
-    :meth:`~repro.stream.session.SessionMux.ingest_batch` on the
-    shared compiled table vs scalar ``ingest`` on
-    ``SessionMux(compiled=False)``: jittered copies of the word (in
-    order, shifted, out of order, with stale events spliced in) replay
-    into several sessions, cut into random batch sizes so the wave
-    kernel, the deep-slice scan and the late fallback all run —
-    verdicts after every batch, ``stats()`` and per-session state.
+Every pair is one :class:`Pair` declaration in :data:`PAIRS`: the
+generators it runs under, the case it judges in a drawn
+:class:`Sample`, its word check, its batch check or both, when it
+applies, its shrinks and its source form.  The sweep (:func:`run`),
+:func:`check_pair`, the minimizer and the printed regressions read
+nothing else.  The cases the pairs judge:
+
+``semantics``, ``monitor``, ``strategy``, ``shards``, ``checkpoint``, ``mux``
+    a combinator spec or a raw automaton, under every generator;
 ``recovery``
-    the ``mux`` pair's batches under a schedule seeded from them —
-    closes of random active sessions, ``evict_idle`` at ``now=None`` or
-    an explicit ``now`` with a random ttl, drains, checkpoints, crash
-    plus ``recover``, crash plus ``fail_over`` and ``rebalance(1–4)``
-    — run on two recovering fronts, each against one uninterrupted
-    ``SessionMux(compiled=False)``: a
-    :class:`~repro.stream.supervisor.MuxSupervisor` fed through both
-    ``ingest`` and ``ingest_batch`` at a drawn ``checkpoint_every``,
-    which also opens a private-query session (the case's query text
-    under ``gen="query"``, else a fixed query over the alphabet) whose
-    events only it and its reference see; and a
-    :class:`~repro.shard.router.ShardRouter` of 2–4 shards with drawn
-    ``batch_events``, ``chunk_events`` and ``checkpoint_every``.  After
-    every step verdicts, close reports, eviction victims, drained
-    eviction reports and ``stats()`` must agree; at the end, every
-    session's state on the supervisor.
-
-Words and specs come from a seeded generator (reproducible without any
-third-party dependency; ``tests/test_spec_conformance.py`` adds a
-hypothesis-driven layer when hypothesis is importable).  On a
-disagreement the harness checks the case again and *minimizes* the
-counterexample — greedily shrinking the word (drop events, tighten
-times) and then the spec (drop alternatives, phases, bounds) while the
-disagreement persists — and emits a ready-to-paste regression test via
-:func:`regression_source`.  A case that does not disagree again on its
-own (a fault that depends on table state the first check filled, or
-one only a batch of words shows) is reported unshrunk.
-
-Three generator modes share the oracle pairs and the minimizer.  The
-default fuzzes combinator *specs*; ``gen="tba"`` (CLI ``--gen tba``)
-fuzzes **raw random automata** from :func:`gen_tba` instead — states,
-guarded/resetting transitions, and accepting sets drawn directly, so
-the sweep covers TBA shapes the spec compiler never emits
-(nondeterministic branching that is not an ``alt`` of chains,
-multi-clock guards, unreachable or dead states).  The ``semantics``
-pair then reads ground truth from region-exact ``accepts_lasso``
-rather than the combinator denotation, and shrinking drops
-transitions/guards/resets/accepting states instead of spec phases.
-
-``gen="query"`` (CLI ``--gen query``) draws random :mod:`repro.query`
-builder queries (:func:`gen_query`) and runs their *lowered* ω-specs
-through every pair above, plus two query-layer differentials per case:
-
+    a spec plus the text of its private-query session;
 ``query-roundtrip``
-    ``parse(to_text(q))`` must lower to the identical spec — the text
-    grammar and the fluent builder are the same algebra.
-``query-plan``
-    a fused :class:`~repro.query.plan.QueryPlan` over 2–3 random chain
-    queries vs independent per-query
-    :class:`~repro.stream.monitor.TBAMonitor`\\ s — per-event
-    ``query_verdicts()`` streams, and the headline verdict, its flips
-    and the accepting visits derived from the independent monitors
-    (:class:`_Headline`), must match on both stepping paths, and the
-    plan monitor's bulk scan must land where its scalar loop does.
-``query-mux`` (with the ``mux`` pair)
-    the same plan as a ``SessionMux(plan=...)`` fed by ``ingest_batch``
-    vs one scalar mux per query — every session's ``query_verdicts()``
-    and derived headline after every batch, on both stepping paths.
+    a builder query (``gen="query"``);
+``query-plan``, ``query-mux``
+    a plan's ``{name: query}``, with a word of its own (``gen="query"``).
+
+Three seeded generators (:data:`GENS`) draw the cases without any
+third-party dependency (``tests/test_spec_conformance.py`` adds a
+hypothesis layer): combinator specs (:func:`gen_spec`), raw random
+automata (:func:`gen_tba`: nondeterministic branching, multi-clock
+guards, dead and unreachable states, so ``semantics`` reads ground
+truth from region-exact ``accepts_lasso``) and :mod:`repro.query`
+builder queries (:func:`gen_query`, plus :func:`gen_plan_queries`).
+
+The sweep checks on warm caches.  On a disagreement it runs the same
+check again from empty compiled caches (:func:`clear_caches`): a case
+that agrees there keeps the first check's detail and a note.  One that
+still disagrees is *minimized* — the words shrunk (drop words, drop
+events, tighten times), then the case by the pair's shrinks, each step
+re-checked from empty caches — and printed as a pytest function
+(:func:`regression_source`) that re-runs exactly that check, its batch
+of words included, and fails until the fault is fixed.  A check with
+nothing to compare (``shards`` on a nondeterministic case, ``monitor``
+with the compiled path off) counts as skipped.
 
 CLI::
 
     python -m repro.spec.conformance --seed 0 --cases 200
     python -m repro.spec.conformance --gen tba --cases 100
-    python -m repro.spec.conformance --gen query --cases 200
+    python -m repro.spec.conformance --gen query --pairs query-plan,query-mux
 
-exits non-zero iff any pair disagreed.
+``--pairs`` runs exactly the pairs it names (by default every pair
+that runs under ``--gen``); the exit status is non-zero iff any pair
+disagreed.
 """
 
 from __future__ import annotations
@@ -130,18 +58,22 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..automata.timed import TimedBuchiAutomaton, TimedTransition
+from ..engine.batch import clear_caches as clear_engine_caches
 from ..engine.batch import compiled_tba, decide_many
 from ..engine.strategies import decide, resolve_zeno
 from ..engine.verdict import DecisionReport, Verdict
 from ..kernel.clock import And, Ge, Le, Not, TrueConstraint
 from ..machine.from_tba import _is_deterministic
 from ..machine.tape import ZENO_UNROLL, zeno_event_cap
+from ..stream.compiled import compilation_enabled
 from ..words.batch import LassoBatch
 from ..words.timedword import TimedWord
 from .combinators import (
@@ -157,44 +89,38 @@ from .combinators import (
     seq,
     to_source,
 )
-from .compile import spec_acceptor, to_tba
+from .compile import _to_tba_cached, spec_acceptor, to_tba
 from .semantics import holds
 
 __all__ = [
     "PAIRS",
     "GENS",
     "Case",
+    "Pair",
+    "Sample",
     "Disagreement",
     "gen_spec",
     "gen_tba",
     "gen_query",
     "gen_plan_queries",
     "gen_word",
+    "draw",
     "kernel_report",
     "case_source",
     "check_pair",
+    "clear_caches",
     "minimize",
     "regression_source",
     "run",
     "main",
 ]
 
-#: What an oracle pair judges: a combinator spec or a raw automaton.
-Case = Any  # Spec | TimedBuchiAutomaton
+#: What an oracle pair judges: a combinator spec or a raw automaton for
+#: most pairs (see :data:`PAIRS` for the rest).
+Case = Any
 
 #: The case generator modes ``run(gen=...)`` accepts.
 GENS: Tuple[str, ...] = ("spec", "tba", "query")
-
-#: The differential oracle pairs, in the order the CLI reports them.
-PAIRS: Tuple[str, ...] = (
-    "semantics",
-    "monitor",
-    "strategy",
-    "shards",
-    "checkpoint",
-    "mux",
-    "recovery",
-)
 
 #: Events replayed into stream monitors per word (prefix + unrollings).
 REPLAY_LOOPS = 3
@@ -202,39 +128,34 @@ REPLAY_LOOPS = 3
 
 @dataclass
 class Disagreement:
-    """One oracle-pair violation, already minimized."""
+    """One oracle-pair violation: minimized, unless it agreed when
+    checked again from empty caches."""
 
     pair: str
-    spec: Case
+    case: Case
     alphabet: Tuple[Any, ...]
-    word: TimedWord
+    #: The word the pair's word check disagreed on, or the list of
+    #: words its batch check did.
+    word: Any
     detail: str
-    #: The private query text the ``recovery`` pair ran (``--gen query``).
-    query: Optional[str] = None
-    #: The words of a batch that disagrees only when judged together
-    #: (``word`` is the first of them).
-    words: Optional[List[TimedWord]] = None
+    reproduced: bool = True
 
     def describe(self) -> str:
-        source = regression_source(
-            self.pair, self.spec, self.alphabet, self.word, self.query
-        )
-        batch = "".join(f"  batch: {_word_source(w)}\n" for w in self.words or ())
-        return (
-            f"[{self.pair}] {self.detail}\n"
-            f"  spec:  {case_source(self.spec)}\n"
-            f"  word:  {_word_source(self.word)}\n"
-            f"{batch}"
-            f"  alpha: {self.alphabet!r}\n"
-            f"{source}"
-        )
+        words = self.word if isinstance(self.word, list) else [self.word]
+        label = "batch:" if words is self.word else "word: "
+        lines = [
+            f"[{self.pair}] {self.detail}",
+            f"  case:  {PAIRS[self.pair].source(self.case)}",
+            *(f"  {label} {_word_source(w)}" for w in words),
+            f"  alpha: {self.alphabet!r}",
+        ]
+        if self.reproduced:
+            lines.append(regression_source(self.pair, self.case, self.alphabet, self.word))
+        return "\n".join(lines)
 
 
 def _word_source(word: TimedWord) -> str:
-    return (
-        f"lasso(prefix={list(word.prefix)!r}, loop={list(word.loop)!r}, "
-        f"shift={word.shift})"
-    )
+    return f"TimedWord.lasso({list(word.prefix)!r}, {list(word.loop)!r}, shift={word.shift})"
 
 
 # -- seeded generators -------------------------------------------------
@@ -427,6 +348,46 @@ def gen_word(
     return TimedWord.lasso(prefix, pairs, shift=span + rng.choice((0, 0, 1, 2)))
 
 
+@dataclass
+class Sample:
+    """One case of the sweep as drawn: an alphabet, a spec or raw
+    automaton with its words and, under ``gen="query"``, the query the
+    spec lowers from and a plan's queries with a word of their own."""
+
+    alphabet: Tuple[Any, ...]
+    case: Case
+    words: List[TimedWord]
+    query: Any = None
+    plan: Optional[Dict[str, Any]] = None
+    plan_word: Optional[TimedWord] = None
+
+
+def draw(
+    rng: random.Random, gen: str = "spec", depth: int = 2, words_per_case: int = 3
+) -> Sample:
+    """One case from generator ``gen``: :func:`gen_spec`,
+    :func:`gen_tba` or :func:`gen_query` (which also draws
+    :func:`gen_plan_queries`), whatever pairs judge it."""
+    symbols = ["a", "b", "c", "d"]
+    actions = symbols[: rng.randrange(1, 4)]
+    # Sometimes widen the alphabet past the actions: symbols the spec
+    # never mentions still have to be stepped correctly.
+    alphabet = tuple(symbols[: len(actions) + rng.randrange(2)])
+    query = plan = plan_word = None
+    if gen == "tba":
+        case: Case = gen_tba(rng, alphabet)
+    elif gen == "query":
+        query = gen_query(rng, actions, depth=depth)
+        case = query.spec()
+    else:
+        case = gen_spec(rng, actions, depth=depth)
+    words = [gen_word(rng, case, alphabet) for _ in range(words_per_case)]
+    if query is not None:
+        plan = gen_plan_queries(rng, actions)
+        plan_word = gen_word(rng, alt(*(q.spec() for q in plan.values())), alphabet)
+    return Sample(alphabet, case, words, query, plan, plan_word)
+
+
 def _events(word: TimedWord, n: int) -> List[Tuple[Any, int]]:
     return [word[i] for i in range(n)]
 
@@ -524,8 +485,6 @@ def _check_monitor(
     from ..stream.monitor import TBAMonitor
 
     tba = _case_tba(spec, alphabet)
-    if not TBAMonitor(tba).compiled:
-        return None  # compiled path unavailable here: nothing to compare
     events = _events(word, _replay_len(word))
     for fw in F_WINDOWS:
         cv = _monitor_trace(TBAMonitor(tba, f_window=fw), events)
@@ -709,8 +668,6 @@ def _check_shards(
     alphabet: Tuple[Any, ...],
     words: Sequence[TimedWord],
 ) -> Optional[str]:
-    if not _case_deterministic(spec):
-        return None  # raw nondeterministic TBAs are a batch-local path
     tba = _case_tba(spec, alphabet)
     # A word-scaled horizon keeps each machine run to a few dozen
     # events (the default 10k-event horizon would dominate the sweep).
@@ -1072,19 +1029,19 @@ def _recovery_router(tba, steps, rng) -> Optional[str]:
 
 
 def _check_recovery(
-    spec: Case, alphabet: Tuple[Any, ...], word: TimedWord, query: Optional[str] = None
+    case: Tuple[Case, str], alphabet: Tuple[Any, ...], word: TimedWord
 ) -> Optional[str]:
     """The ``mux`` pair's feed under a seeded lifecycle schedule through
     a supervisor and a 2–4 shard router, each against one
     uninterrupted ``SessionMux(compiled=False)``; the supervisor side
-    also runs a private-query session (``query``, or a fixed one)."""
+    also runs a private-query session (``case`` is the spec and that
+    session's query text)."""
+    spec, query = case
     tba = _case_tba(spec, alphabet)
     events = _events(word, _replay_len(word))
     batches = _mux_feed(events)
     rng = random.Random(repr(batches))
     steps = _recovery_schedule(batches, rng)
-    if query is None:
-        query = " | ".join(f"repeat({a} within 2)" for a in alphabet)
     return _recovery_supervisor(tba, steps, events, query, rng) or _recovery_router(
         tba, steps, rng
     )
@@ -1212,9 +1169,9 @@ def _check_query_mux(
     return None
 
 
-def _check_query_roundtrip(query: Any) -> Optional[str]:
+def _check_query_roundtrip(query: Any, alphabet: Tuple[Any, ...], words: List[TimedWord]) -> Optional[str]:
     """Text grammar vs fluent builder: ``parse(to_text(q))`` must lower
-    to the identical combinator spec."""
+    to the identical combinator spec (no word takes part)."""
     from ..query import parse
 
     text = query.to_text()
@@ -1279,41 +1236,6 @@ def _check_query_plan(
     return None
 
 
-def check_pair(
-    pair: str,
-    spec: Case,
-    alphabet: Sequence[Any],
-    word: TimedWord,
-    query: Optional[str] = None,
-) -> Optional[str]:
-    """Run one oracle pair on one case; ``None`` means agreement.
-
-    ``spec`` is either a combinator :class:`Spec` or a raw
-    :class:`TimedBuchiAutomaton` (the ``gen="tba"`` mode); every pair
-    handles both, reading ground truth from ``accepts_lasso`` when
-    there is no combinator denotation.  ``query`` is the text of the
-    ``recovery`` pair's private-query session (a fixed query over the
-    alphabet when ``None``).  This is the entry point minimized
-    counterexamples pin in their emitted regression tests.
-    """
-    alpha = tuple(alphabet)
-    if pair == "semantics":
-        return _check_semantics(spec, alpha, word)
-    if pair == "monitor":
-        return _check_monitor(spec, alpha, word)
-    if pair == "strategy":
-        return _check_strategy(spec, alpha, word)
-    if pair == "shards":
-        return _check_shards(spec, alpha, [word])
-    if pair == "checkpoint":
-        return _check_checkpoint(spec, alpha, word)
-    if pair == "mux":
-        return _check_mux(spec, alpha, word)
-    if pair == "recovery":
-        return _check_recovery(spec, alpha, word, query)
-    raise ValueError(f"unknown pair {pair!r}; known: {PAIRS}")
-
-
 # -- counterexample minimization ---------------------------------------
 
 def _word_shrinks(word: TimedWord) -> Iterator[TimedWord]:
@@ -1339,6 +1261,19 @@ def _word_shrinks(word: TimedWord) -> Iterator[TimedWord]:
                 (s, squeezed[len(prefix) + j]) for j, (s, _) in enumerate(pairs)
             ]
             yield TimedWord.lasso(np, nl, shift)
+
+
+def _words_shrinks(word: Any) -> Iterator[Any]:
+    """Shrinks of one word, or of a list of words: drop a word, then
+    shrink one."""
+    if isinstance(word, TimedWord):
+        yield from _word_shrinks(word)
+        return
+    for i in range(len(word) if len(word) > 1 else 0):
+        yield word[:i] + word[i + 1 :]
+    for i, w in enumerate(word):
+        for s in _word_shrinks(w):
+            yield word[:i] + [s] + word[i + 1 :]
 
 
 def _spec_shrinks(spec: Spec) -> Iterator[Spec]:
@@ -1403,110 +1338,29 @@ def _tba_shrinks(tba: TimedBuchiAutomaton) -> Iterator[TimedBuchiAutomaton]:
             yield rebuild(trs, tba.accepting - {s})
 
 
-def _disagrees(
-    pair: str,
-    spec: Case,
-    alphabet: Sequence[Any],
-    word: TimedWord,
-    query: Optional[str],
-) -> Optional[str]:
-    """:func:`check_pair`, with a check that crashes read as agreement
-    (a shrink that crashes is a different case)."""
-    try:
-        return check_pair(pair, spec, alphabet, word, query)
-    except Exception:
-        return None
+def _case_shrinks(case: Case) -> Iterator[Case]:
+    if isinstance(case, TimedBuchiAutomaton):
+        return _tba_shrinks(case)
+    return _spec_shrinks(case)
 
 
-def _disagreement(
-    pair: str,
-    spec: Case,
-    alphabet: Tuple[Any, ...],
-    words: Sequence[TimedWord],
-    detail: str,
-    query: Optional[str] = None,
-) -> Disagreement:
-    """A disagreement, minimized from the first of ``words`` that still
-    disagrees when checked again on its own.
+def _plan_shrinks(queries: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    """Smaller plans: drop a query, or shrink one chain the way
+    :func:`_spec_shrinks` shrinks its lowered spec."""
+    from ..query.builder import ChainQuery, QStep
+    from .combinators import Loop
 
-    When none does, a pair that judges whole batches checks the batch
-    again and drops words while it keeps disagreeing: the words left
-    are recorded.  A case that does not disagree again at all is
-    recorded unshrunk, with the first check's detail: a fault that
-    depends on table rows and cells the first check filled does not
-    reproduce.
-    """
-    culprit = next(
-        (w for w in words if _disagrees(pair, spec, alphabet, w, query) is not None),
-        None,
-    )
-    if culprit is not None:
-        mspec, mword, mdetail = minimize(pair, spec, alphabet, culprit, query)
-        return Disagreement(pair, mspec, alphabet, mword, mdetail, query)
-    check = _CASE_CHECKS.get(pair)
-    batch = list(words)
-    bdetail = None if check is None else _batch_disagrees(check, spec, alphabet, batch)
-    if bdetail is None:
-        note = "did not reproduce when checked again, so not minimized"
-        return Disagreement(pair, spec, alphabet, words[0], f"{detail} [{note}]", query)
-    i = 0
-    while i < len(batch) and len(batch) > 1:
-        rest = batch[:i] + batch[i + 1 :]
-        d = _batch_disagrees(check, spec, alphabet, rest)
-        if d is None:
-            i += 1
-        else:
-            batch, bdetail = rest, d
-    return Disagreement(pair, spec, alphabet, batch[0], bdetail, query, words=batch)
+    if len(queries) > 1:
+        for name in queries:
+            yield {k: q for k, q in queries.items() if k != name}
+    for name, q in queries.items():
+        for s in _spec_shrinks(q.spec()):
+            steps = tuple(QStep(p.action, p.lo, p.hi) for p in s.body.phases)
+            mode = "repeat" if isinstance(s, Loop) else "once"
+            yield {**queries, name: ChainQuery(steps, mode)}
 
 
-def _batch_disagrees(
-    check: Callable[..., Optional[str]],
-    spec: Case,
-    alphabet: Tuple[Any, ...],
-    words: List[TimedWord],
-) -> Optional[str]:
-    """A pair's batch check, with a crash read as agreement."""
-    try:
-        return check(spec, alphabet, words)
-    except Exception:
-        return None
-
-
-def minimize(
-    pair: str,
-    spec: Case,
-    alphabet: Sequence[Any],
-    word: TimedWord,
-    query: Optional[str] = None,
-) -> Tuple[Case, TimedWord, str]:
-    """Greedily shrink a disagreeing case while it still disagrees."""
-
-    def fails(s: Case, w: TimedWord) -> Optional[str]:
-        return _disagrees(pair, s, alphabet, w, query)
-
-    case_shrinks = (
-        _tba_shrinks if isinstance(spec, TimedBuchiAutomaton) else _spec_shrinks
-    )
-    detail = fails(spec, word)
-    assert detail is not None, "minimize() needs a disagreeing case"
-    changed = True
-    while changed:
-        changed = False
-        for w in _word_shrinks(word):
-            d = fails(spec, w)
-            if d is not None:
-                word, detail, changed = w, d, True
-                break
-        if changed:
-            continue
-        for s in case_shrinks(spec):
-            d = fails(s, word)
-            if d is not None:
-                spec, detail, changed = s, d, True
-                break
-    return spec, word, detail
-
+# -- source forms ----------------------------------------------------
 
 def _guard_source(guard: Any) -> str:
     if isinstance(guard, TrueConstraint):
@@ -1545,27 +1399,199 @@ def case_source(case: Case, indent: str = "") -> str:
     )
 
 
-def regression_source(
-    pair: str,
-    spec: Case,
-    alphabet: Sequence[Any],
-    word: TimedWord,
-    query: Optional[str] = None,
-) -> str:
-    """A ready-to-paste pytest function pinning the (fixed) case."""
-    name = f"test_conformance_{pair}_regression"
-    extra = "" if query is None else f", query={query!r}"
-    return (
-        f"def {name}():\n"
-        f"    # minimized by repro.spec.conformance\n"
-        f"    spec = {case_source(spec, indent='    ')}\n"
-        f"    word = TimedWord.lasso(\n"
-        f"        {list(word.prefix)!r},\n"
-        f"        {list(word.loop)!r},\n"
-        f"        shift={word.shift},\n"
-        f"    )\n"
-        f"    assert check_pair({pair!r}, spec, {tuple(alphabet)!r}, word{extra}) is None\n"
+def _repr_source(case: Any, indent: str = "") -> str:
+    return repr(case)
+
+
+# -- the registry ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Pair:
+    """One oracle pair, declared once: all the sweep, :func:`check_pair`,
+    the minimizer and the printed regression know of it."""
+
+    #: The generators (:data:`GENS`) it runs under.
+    gens: Tuple[str, ...]
+    #: The case it judges in a drawn :class:`Sample`, and its words.
+    pick: Callable[[Sample], Tuple[Any, List[TimedWord]]]
+    #: ``word(case, alphabet, word)``, run on each word; ``None`` agrees.
+    word: Optional[Callable[..., Optional[str]]] = None
+    #: ``batch(case, alphabet, words)``, run once on all of them.
+    batch: Optional[Callable[..., Optional[str]]] = None
+    #: Whether a case has anything to compare; the rest count as skipped.
+    applies: Callable[[Any], bool] = lambda case: True
+    #: Smaller cases, for the minimizer.
+    shrinks: Callable[[Any], Iterator[Any]] = _case_shrinks
+    #: ``source(case, indent)``: the case as Python source.
+    source: Callable[..., str] = case_source
+
+
+def _drawn(s: Sample) -> Tuple[Case, List[TimedWord]]:
+    return s.case, s.words
+
+
+def _recovery_case(s: Sample) -> Tuple[Tuple[Case, str], List[TimedWord]]:
+    """The ``recovery`` case: the spec plus the text of its private-query
+    session (the case's query under ``gen="query"``, else one over the
+    alphabet)."""
+    text = " | ".join(f"repeat({a} within 2)" for a in s.alphabet)
+    return (s.case, text if s.query is None else s.query.to_text()), s.words
+
+
+def _plan(s: Sample) -> Tuple[Dict[str, Any], List[TimedWord]]:
+    return s.plan, [s.plan_word]
+
+
+#: The differential oracle pairs, in the order the CLI reports them.
+PAIRS: Dict[str, Pair] = {
+    "semantics": Pair(GENS, _drawn, word=_check_semantics),
+    "monitor": Pair(GENS, _drawn, word=_check_monitor, applies=lambda case: compilation_enabled()),
+    "strategy": Pair(GENS, _drawn, word=_check_strategy, batch=_check_strategy_batch),
+    "shards": Pair(GENS, _drawn, batch=_check_shards, applies=_case_deterministic),
+    "checkpoint": Pair(GENS, _drawn, word=_check_checkpoint),
+    "mux": Pair(GENS, _drawn, word=_check_mux),
+    "recovery": Pair(
+        GENS,
+        _recovery_case,
+        word=_check_recovery,
+        shrinks=lambda case: ((c, case[1]) for c in _case_shrinks(case[0])),
+        source=lambda case, indent="": f"({case_source(case[0], indent)}, {case[1]!r})",
+    ),
+    "query-roundtrip": Pair(
+        ("query",),
+        lambda s: (s.query, []),
+        batch=_check_query_roundtrip,
+        shrinks=lambda query: iter(()),
+        source=_repr_source,
+    ),
+    "query-plan": Pair(
+        ("query",), _plan, word=_check_query_plan, shrinks=_plan_shrinks, source=_repr_source
+    ),
+    "query-mux": Pair(
+        ("query",), _plan, word=_check_query_mux, shrinks=_plan_shrinks, source=_repr_source
+    ),
+}
+
+
+def check_pair(pair: str, case: Case, alphabet: Sequence[Any], word: Any) -> Optional[str]:
+    """Run one oracle pair on one case; ``None`` means agreement, or
+    nothing to compare (a case the pair does not apply to).
+
+    ``case`` is what the pair judges (:data:`PAIRS`): a combinator
+    :class:`Spec` or a raw :class:`TimedBuchiAutomaton`, a ``(spec,
+    query text)`` pair for ``recovery``, a builder query for
+    ``query-roundtrip``, a plan's ``{name: query}`` for ``query-plan``
+    and ``query-mux``.  ``word`` is one :class:`TimedWord` for the
+    pair's word check, or a list of them for its batch check (a pair
+    without one checks each word).  Printed regressions pin this entry
+    point.
+    """
+    p = PAIRS.get(pair)
+    if p is None:
+        raise ValueError(f"unknown pair {pair!r}; known: {tuple(PAIRS)}")
+    alpha = tuple(alphabet)
+    if not p.applies(case):
+        return None
+    if isinstance(word, TimedWord) and p.word is not None:
+        return p.word(case, alpha, word)
+    words = [word] if isinstance(word, TimedWord) else list(word)
+    if p.batch is not None:
+        return p.batch(case, alpha, words)
+    for w in words:
+        detail = p.word(case, alpha, w)
+        if detail is not None:
+            return detail
+    return None
+
+
+def clear_caches() -> None:
+    """Drop what the checks share between calls — ``to_tba``'s memo and
+    the engine cache of analyses, their tables and compiled machines —
+    so the next check builds every automaton from empty caches."""
+    clear_engine_caches()
+    _to_tba_cached.cache_clear()
+
+
+def _disagrees(pair: str, case: Case, alphabet: Sequence[Any], word: Any) -> Optional[str]:
+    """:func:`check_pair` from empty caches, with a check that crashes
+    read as agreement (a shrink that crashes is a different case)."""
+    clear_caches()
+    try:
+        return check_pair(pair, case, alphabet, word)
+    except Exception:
+        return None
+
+
+def minimize(
+    pair: str, case: Case, alphabet: Sequence[Any], word: Any
+) -> Tuple[Case, Any, str]:
+    """Greedily shrink a disagreeing case and its word, or list of
+    words, while it still disagrees from empty caches: the words first,
+    then the case by the pair's shrinks."""
+    detail = _disagrees(pair, case, alphabet, word)
+    assert detail is not None, "minimize() needs a disagreeing case"
+    changed = True
+    while changed:
+        changed = False
+        smaller = chain(
+            ((case, w) for w in _words_shrinks(word)),
+            ((c, word) for c in PAIRS[pair].shrinks(case)),
+        )
+        for c, w in smaller:
+            d = _disagrees(pair, c, alphabet, w)
+            if d is not None:
+                case, word, detail, changed = c, w, d, True
+                break
+    return case, word, detail
+
+
+def _disagreement(
+    pair: str, case: Case, alphabet: Tuple[Any, ...], word: Any, detail: str
+) -> Disagreement:
+    """The record of a disagreement the sweep found: minimized when it
+    disagrees again from empty caches, else the first check's detail
+    with a note and no test (a fault only the warm caches show)."""
+    if _disagrees(pair, case, alphabet, word) is None:
+        note = "did not reproduce when checked again from empty caches, so not minimized"
+        return Disagreement(pair, case, alphabet, word, f"{detail} [{note}]", False)
+    case, word, detail = minimize(pair, case, alphabet, word)
+    return Disagreement(pair, case, alphabet, word, detail)
+
+
+#: What a printed regression may import; a line is printed when one of
+#: its names is called.
+_IMPORTS = (
+    ("repro.automata", "TimedBuchiAutomaton", "TimedTransition"),
+    ("repro.kernel.clock", "And", "Ge", "Le", "Not", "TrueConstraint"),
+    ("repro.query.builder", "AndQuery", "ChainQuery", "OrQuery", "QStep"),
+    ("repro.spec", "alt", "both", "eventually", "loop", "rt_bound", "seq"),
+    ("repro.spec.conformance", "check_pair", "clear_caches"),
+    ("repro.words", "TimedWord"),
+)
+
+
+def regression_source(pair: str, case: Case, alphabet: Sequence[Any], word: Any) -> str:
+    """A ready-to-paste pytest function that re-runs the check that
+    disagreed, from empty caches: the word check on ``word``, or the
+    batch check on a list of words.  It passes once the fault is
+    fixed."""
+    if isinstance(word, list):
+        lines = "".join(f"        {_word_source(w)},\n" for w in word)
+        arg, words = "words", f"    words = [\n{lines}    ]\n"
+    else:
+        arg, words = "word", f"    word = {_word_source(word)}\n"
+    body = (
+        f"    case = {PAIRS[pair].source(case, '    ')}\n{words}"
+        f"    clear_caches()\n"
+        f"    assert check_pair({pair!r}, case, {tuple(alphabet)!r}, {arg}) is None\n"
     )
+    imports = "".join(
+        f"    from {module} import {', '.join(used)}\n"
+        for module, *names in _IMPORTS
+        if (used := [n for n in names if re.search(rf"\b{n}[(.]", body)])
+    )
+    name = f"test_conformance_{pair.replace('-', '_')}_regression"
+    return f"def {name}():\n    # minimized by repro.spec.conformance\n{imports}{body}"
 
 
 # -- the sweep ---------------------------------------------------------
@@ -1574,130 +1600,55 @@ def regression_source(
 class SweepStats:
     cases: int = 0
     checks: Dict[str, int] = field(default_factory=dict)
+    #: Checks with nothing to compare: the pair does not apply to the case.
+    skipped: Dict[str, int] = field(default_factory=dict)
     disagreements: List[Disagreement] = field(default_factory=list)
 
 
 def run(
     seed: int = 0,
     cases: int = 200,
-    pairs: Sequence[str] = PAIRS,
+    pairs: Optional[Sequence[str]] = None,
     words_per_case: int = 3,
     depth: int = 2,
     gen: str = "spec",
     log: Callable[[str], None] = lambda line: None,
 ) -> SweepStats:
-    """The conformance sweep: ``cases`` random cases, each fuzzed with
-    ``words_per_case`` words against every pair in ``pairs``.
-
-    ``gen="spec"`` draws combinator specs (:func:`gen_spec`);
-    ``gen="tba"`` draws raw automata (:func:`gen_tba`) through the same
-    oracle pairs and minimizer; ``gen="query"`` draws builder queries
-    (:func:`gen_query`), runs their lowered specs through every pair,
-    and adds the ``query-roundtrip`` / ``query-plan`` differentials
-    (and ``query-mux`` when the ``mux`` pair runs).
-    """
-    for p in pairs:
-        if p not in PAIRS:
-            raise ValueError(f"unknown pair {p!r}; known: {PAIRS}")
+    """The conformance sweep: ``cases`` cases drawn by generator ``gen``
+    (:func:`draw`), each judged by every pair in ``pairs`` (by default
+    every pair that runs under ``gen``): a pair's batch check once on
+    its case's words, its word check on each word."""
     if gen not in GENS:
         raise ValueError(f"unknown gen {gen!r}; known: {GENS}")
+    if pairs is None:
+        pairs = [name for name, p in PAIRS.items() if gen in p.gens]
+    for name in pairs:
+        if name not in PAIRS:
+            raise ValueError(f"unknown pair {name!r}; known: {tuple(PAIRS)}")
+        if gen not in PAIRS[name].gens:
+            raise ValueError(f"pair {name!r} does not run under gen {gen!r}")
     rng = random.Random(seed)
-    stats = SweepStats()
-    symbols = ["a", "b", "c", "d"]
-    for case in range(cases):
+    stats = SweepStats(checks=dict.fromkeys(pairs, 0), skipped=dict.fromkeys(pairs, 0))
+    for n in range(cases):
         stats.cases += 1
-        actions = symbols[: rng.randrange(1, 4)]
-        # Sometimes widen the alphabet past the actions: symbols the
-        # spec never mentions still have to be stepped correctly.
-        alphabet = tuple(symbols[: len(actions) + rng.randrange(2)]) or ("a",)
-        query = None
-        if gen == "tba":
-            spec: Case = gen_tba(rng, alphabet)
-        elif gen == "query":
-            query = gen_query(rng, actions, depth=depth)
-            spec = query.spec()
-        else:
-            spec = gen_spec(rng, actions, depth=depth)
-        words = [gen_word(rng, spec, alphabet) for _ in range(words_per_case)]
-        text = None if query is None else query.to_text()
-        if query is not None:
-            # Query-layer differentials ride along on every case; they
-            # have no word/spec shrink space, so disagreements are
-            # recorded unminimized.
-            stats.checks["query-roundtrip"] = (
-                stats.checks.get("query-roundtrip", 0) + 1
-            )
-            detail = _check_query_roundtrip(query)
-            if detail is not None:
-                log(f"case {case}: DISAGREEMENT query-roundtrip")
-                stats.disagreements.append(
-                    Disagreement(
-                        "query-roundtrip", spec, alphabet, words[0], detail
-                    )
-                )
-            pqs = gen_plan_queries(rng, actions)
-            pword = gen_word(
-                rng, alt(*(q.spec() for q in pqs.values())), alphabet
-            )
-            stats.checks["query-plan"] = stats.checks.get("query-plan", 0) + 1
-            detail = _check_query_plan(pqs, alphabet, pword)
-            if detail is not None:
-                log(f"case {case}: DISAGREEMENT query-plan")
-                stats.disagreements.append(
-                    Disagreement(
-                        "query-plan",
-                        alt(*(q.spec() for q in pqs.values())),
-                        alphabet,
-                        pword,
-                        detail,
-                    )
-                )
-            if "mux" in pairs:
-                stats.checks["query-mux"] = stats.checks.get("query-mux", 0) + 1
-                detail = _check_query_mux(pqs, alphabet, pword)
+        sample = draw(rng, gen, depth, words_per_case)
+        for name in pairs:
+            pair = PAIRS[name]
+            case, words = pair.pick(sample)
+            runs = ([words] if pair.batch else []) + (words if pair.word else [])
+            if not pair.applies(case):
+                stats.skipped[name] += len(runs)
+                continue
+            for word in runs:
+                stats.checks[name] += 1
+                detail = check_pair(name, case, sample.alphabet, word)
                 if detail is not None:
-                    log(f"case {case}: DISAGREEMENT query-mux")
+                    log(f"case {n}: DISAGREEMENT {name}, minimizing…")
                     stats.disagreements.append(
-                        Disagreement(
-                            "query-mux",
-                            alt(*(q.spec() for q in pqs.values())),
-                            alphabet,
-                            pword,
-                            detail,
-                        )
-                    )
-        for pair in pairs:
-            case_check = _CASE_CHECKS.get(pair)
-            if case_check is not None:
-                # One batch of every word per case (the shard pool is
-                # persistent, so this stays cheap across the sweep).
-                stats.checks[pair] = stats.checks.get(pair, 0) + 1
-                detail = case_check(spec, alphabet, words)
-                if detail is not None:
-                    log(f"case {case}: DISAGREEMENT {pair}, minimizing…")
-                    stats.disagreements.append(
-                        _disagreement(pair, spec, alphabet, words, detail)
-                    )
-                    continue
-            if pair == "shards":
-                continue  # its one check is the batch
-            for word in words:
-                stats.checks[pair] = stats.checks.get(pair, 0) + 1
-                detail = check_pair(pair, spec, alphabet, word, text)
-                if detail is not None:
-                    log(f"case {case}: DISAGREEMENT {pair}, minimizing…")
-                    stats.disagreements.append(
-                        _disagreement(pair, spec, alphabet, [word], detail, text)
+                        _disagreement(name, case, sample.alphabet, word, detail)
                     )
                     break
     return stats
-
-
-#: Pairs that also judge all of a case's words together.
-_CASE_CHECKS: Dict[str, Callable[..., Optional[str]]] = {
-    "strategy": _check_strategy_batch,
-    "shards": _check_shards,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1710,8 +1661,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--cases", type=int, default=200)
     parser.add_argument(
         "--pairs",
-        default=",".join(PAIRS),
-        help=f"comma-separated subset of {','.join(PAIRS)}",
+        default="",
+        help=f"comma-separated subset of {','.join(PAIRS)} "
+        "(default: every pair that runs under --gen)",
     )
     parser.add_argument("--words-per-case", type=int, default=3)
     parser.add_argument(
@@ -1724,24 +1676,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--gen",
         choices=GENS,
         default="spec",
-        help="case generator: combinator specs (default) or raw random TBAs",
+        help="case generator: combinator specs (default), raw random TBAs "
+        "or builder queries",
     )
     args = parser.parse_args(argv)
-    pairs = tuple(p for p in args.pairs.split(",") if p)
     stats = run(
         seed=args.seed,
         cases=args.cases,
-        pairs=pairs,
+        pairs=[p for p in args.pairs.split(",") if p] or None,
         words_per_case=args.words_per_case,
         depth=args.depth,
         gen=args.gen,
         log=lambda line: print(line, file=sys.stderr),
     )
-    extras = tuple(k for k in stats.checks if k not in pairs)
-    for pair in tuple(pairs) + extras:
-        bad = sum(1 for d in stats.disagreements if d.pair == pair)
+    for pair, checks in stats.checks.items():
+        bad = sum(d.pair == pair for d in stats.disagreements)
         print(
-            f"{pair:16s} {stats.checks.get(pair, 0):6d} checks  "
+            f"{pair:16s} {checks:6d} checks {stats.skipped[pair]:6d} skipped  "
             f"{bad} disagreement(s)"
         )
     for d in stats.disagreements:

@@ -7,15 +7,17 @@ counterexamples the harness surfaced, committed alongside their fixes.
 
 import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.query import Q
 from repro.spec import eventually, loop, rt_bound, seq, to_tba
 from repro.spec.conformance import (
     PAIRS,
     check_pair,
-    gen_spec,
-    gen_word,
+    draw,
     minimize,
     run,
 )
@@ -33,10 +35,14 @@ except ImportError:  # pragma: no cover - baked into the image
 # ------------------------------------------------------ seeded corpus
 
 
+def _pairs_under(gen):
+    return {name for name, pair in PAIRS.items() if gen in pair.gens}
+
+
 def test_seeded_corpus_agrees():
     stats = run(seed=0, cases=40)
     assert stats.disagreements == []
-    assert set(stats.checks) == set(PAIRS)
+    assert set(stats.checks) == _pairs_under("spec")
 
 
 def test_seeded_corpus_deep_grammar_agrees():
@@ -45,20 +51,22 @@ def test_seeded_corpus_deep_grammar_agrees():
 
 
 def test_seeded_corpus_query_gen_agrees():
-    # The query front-end mode: lowered specs through every pair, plus
-    # the text round-trip and fused-plan differentials.
+    # The query front-end mode runs every pair by default: lowered specs
+    # through the spec pairs, plus the text round-trip and fused-plan
+    # pairs.
     stats = run(seed=3, cases=12, gen="query")
     assert stats.disagreements == []
     assert stats.checks["query-roundtrip"] == 12
-    assert stats.checks["query-plan"] == 12
-    assert set(PAIRS) <= set(stats.checks)
+    assert stats.checks["query-plan"] == stats.checks["query-mux"] == 12
+    assert set(PAIRS) == set(stats.checks)
 
 
 def test_mux_pair_agrees_under_every_generator():
     # ingest_batch vs scalar ingest (and, for queries, a fused plan mux
     # vs per-query muxes) across waves, deep slices and late fallback.
     for gen, cases in (("spec", 30), ("tba", 20), ("query", 6)):
-        stats = run(seed=5, cases=cases, pairs=("mux",), gen=gen)
+        pairs = ("mux", "query-mux") if gen == "query" else ("mux",)
+        stats = run(seed=5, cases=cases, pairs=pairs, gen=gen)
         assert stats.disagreements == [], gen
         assert stats.checks["mux"] == 3 * cases
     assert stats.checks["query-mux"] == 6
@@ -91,36 +99,127 @@ def test_a_disagreement_that_does_not_reproduce_is_reported_unshrunk(
         calls.append(word)
         return "injected" if len(calls) == 1 else None
 
-    monkeypatch.setattr(conformance, "_check_semantics", first_call_disagrees)
+    semantics = replace(PAIRS["semantics"], word=first_call_disagrees)
+    monkeypatch.setitem(conformance.PAIRS, "semantics", semantics)
     argv = ["--cases", "1", "--pairs", "semantics", "--words-per-case", "1"]
     assert conformance.main(argv) == 1
     out = capsys.readouterr().out
-    assert "semantics             1 checks  1 disagreement(s)" in out
+    assert "semantics             1 checks      0 skipped  1 disagreement(s)" in out
     assert "[semantics] injected [did not reproduce when checked again" in out
+    assert "def test_" not in out  # a record that agrees again prints no test
     assert len(calls) == 2
+
+
+def _printed_test(printed):
+    """The test function a record prints, compiled."""
+    namespace = {}
+    exec(compile(printed[printed.index("def test_"):], "<printed>", "exec"), namespace)
+    (test,) = [f for name, f in namespace.items() if name.startswith("test_")]
+    return test
 
 
 def test_a_disagreement_only_a_batch_shows_is_shrunk_to_its_words(monkeypatch):
     # A batch check that disagrees only when two given words are judged
-    # together: no single word reproduces it, so the sweep checks the
-    # batch again and drops the other words.
-    from repro.spec import conformance
-
+    # together: no single word reproduces it, so the minimizer drops the
+    # other words, and the printed test re-runs the batch check on the
+    # two left (a one-word test would pass on the fault).
     first = []
 
     def pair_in_one_batch(spec, alphabet, words):
         if not first:
             first.extend(words)
-        together = all(any(w is x for x in words) for w in (first[1], first[3]))
+        together = first[1] in words and first[3] in words
         return "injected" if together else None
 
-    monkeypatch.setitem(conformance._CASE_CHECKS, "strategy", pair_in_one_batch)
-    stats = conformance.run(cases=1, pairs=("strategy",), words_per_case=4)
+    strategy = replace(PAIRS["strategy"], batch=pair_in_one_batch)
+    monkeypatch.setitem(PAIRS, "strategy", strategy)
+    stats = run(cases=1, pairs=("strategy",), words_per_case=4)
     (d,) = stats.disagreements
     assert d.detail == "injected"
-    assert len(d.words) == 2
-    assert d.word is d.words[0] is first[1] and d.words[1] is first[3]
-    assert "batch: lasso(" in d.describe()
+    assert d.word == [first[1], first[3]]
+    printed = d.describe()
+    assert "batch: TimedWord.lasso(" in printed
+    test = _printed_test(printed)
+    with pytest.raises(AssertionError):
+        test()
+    monkeypatch.undo()
+    test()
+
+
+# --------------------------------------------------------- the registry
+
+
+def test_check_pair_runs_the_query_pairs():
+    query = Q.event("a", 0, 2).then("b", 0, 3).repeat() | Q.event("b").once()
+    plan = {"q0": Q.event("a", 0, 2).then("b", 1, 3).repeat(), "q1": Q.event("a", 0, 1).once()}
+    word = TimedWord.lasso([("a", 0)], [("b", 1), ("a", 3)], shift=4)
+    assert check_pair("query-roundtrip", query, ("a", "b"), []) is None
+    assert check_pair("query-plan", plan, ("a", "b"), word) is None
+    assert check_pair("query-mux", plan, ("a", "b", "c"), [word]) is None
+
+
+def _injected(*args):
+    return "injected"
+
+
+@pytest.mark.parametrize(
+    "name,gen", [(name, gen) for name, pair in PAIRS.items() for gen in pair.gens]
+)
+def test_every_record_prints_a_test_that_fails_only_on_its_fault(name, gen, monkeypatch):
+    pair = PAIRS[name]
+    faulty = replace(
+        pair,
+        word=pair.word and _injected,
+        batch=pair.batch and _injected,
+        applies=lambda case: True,
+    )
+    monkeypatch.setitem(PAIRS, name, faulty)
+    (record,) = run(seed=1, cases=1, pairs=(name,), gen=gen, words_per_case=2).disagreements
+    test = _printed_test(record.describe())
+    assert test.__name__ == f"test_conformance_{name.replace('-', '_')}_regression"
+    with pytest.raises(AssertionError):
+        test()
+    monkeypatch.undo()
+    test()
+
+
+def test_the_minimizer_rechecks_from_empty_caches(monkeypatch):
+    from repro.engine import batch
+    from repro.engine.batch import compiled_tba
+    from repro.spec.compile import _to_tba_cached
+
+    sizes = []
+
+    def cold(spec, alphabet, word):
+        sizes.append((len(batch._CACHE), _to_tba_cached.cache_info().currsize))
+        return "injected"
+
+    spec = loop(seq(rt_bound("a", 0, 2), rt_bound("b", 0, 1)))
+    compiled_tba(to_tba(spec, ("a", "b")))  # warm both caches
+    monkeypatch.setitem(PAIRS, "semantics", replace(PAIRS["semantics"], word=cold))
+    minimize("semantics", spec, ("a", "b"), TimedWord.lasso([("a", 0)], [("b", 1)], shift=2))
+    assert len(sizes) > 1 and set(sizes) == {(0, 0)}
+
+
+def test_a_check_with_nothing_to_compare_counts_as_skipped(monkeypatch):
+    stats = run(seed=0, cases=10, pairs=("shards",))
+    assert stats.skipped["shards"] > 0  # nondeterministic specs
+    assert stats.checks["shards"] + stats.skipped["shards"] == 10
+    monkeypatch.setenv("REPRO_STREAM_COMPILED", "0")
+    stats = run(seed=0, cases=2, pairs=("monitor",))
+    assert (stats.checks["monitor"], stats.skipped["monitor"]) == (0, 6)
+
+
+def test_a_sweep_runs_exactly_the_pairs_it_names():
+    stats = run(seed=0, cases=2, pairs=("mux",), gen="query")
+    assert set(stats.checks) == {"mux"}
+    with pytest.raises(ValueError, match="does not run under gen"):
+        run(cases=1, pairs=("query-plan",))
+
+
+def test_every_pair_is_documented():
+    text = (Path(__file__).resolve().parent.parent / "docs" / "spec.md").read_text()
+    assert [name for name in PAIRS if f"**{name}**" not in text] == []
 
 
 if HAVE_HYPOTHESIS:
@@ -132,15 +231,11 @@ if HAVE_HYPOTHESIS:
     )
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_property_random_cases_agree(seed):
-        rng = random.Random(seed)
-        actions = ["a", "b"][: rng.randrange(1, 3)]
-        alphabet = ("a", "b", "c")[: len(actions) + rng.randrange(2)]
-        spec = gen_spec(rng, actions)
-        word = gen_word(rng, spec, alphabet)
-        for pair in PAIRS:
-            if pair == "shards":
-                continue  # pool spin-up per example is too heavy here
-            assert check_pair(pair, spec, alphabet, word) is None, pair
+        sample = draw(random.Random(seed), words_per_case=1)
+        # shards: a pool spin-up per example is too heavy here
+        for name in sorted(_pairs_under("spec") - {"shards"}):
+            case, (word,) = PAIRS[name].pick(sample)
+            assert check_pair(name, case, sample.alphabet, word) is None, name
 
 
 # ------------------------------------------- whole-mux JSON round-trip
@@ -326,7 +421,7 @@ def test_strategy_pair_checks_the_derived_cut():
 def test_tba_corpus_agrees():
     stats = run(seed=0, cases=25, gen="tba")
     assert stats.disagreements == []
-    assert set(stats.checks) == set(PAIRS)
+    assert set(stats.checks) == _pairs_under("tba")
 
 
 def test_unknown_gen_rejected():
