@@ -1,8 +1,9 @@
-"""Online monitoring throughput: events/sec, fan-in, and the ablation.
+"""Online monitoring throughput: events/sec, fan-in, the ablation, and
+what a session's lifecycle costs.
 
-Three regimes over :mod:`repro.stream`, each measured on both stepping
-paths so the compiled-vs-interpreted speedup is a committed artifact
-(``docs/performance.md`` reads these rows):
+Four regimes over :mod:`repro.stream`, the first two measured on both
+stepping paths so the compiled-vs-interpreted speedup is a committed
+artifact (``docs/performance.md`` reads these rows):
 
 * **single-session** — raw ingest throughput of one monitor:
   ``single-session-tba`` is the interpreted :class:`TBAMonitor`
@@ -21,13 +22,22 @@ paths so the compiled-vs-interpreted speedup is a committed artifact
   :meth:`~repro.stream.session.SessionMux.ingest_batch`;
 * **online-vs-batch ablation** — ``engine.decide`` under
   ``"online-incremental"`` vs ``"lasso-exact"``: the per-event overhead
-  the incremental path pays for never having to see the whole word.
+  the incremental path pays for never having to see the whole word;
+* **session lifecycle** — what a session costs besides its events on a
+  ``fanin`` mux (``pq_query(6, 4)``, the perfbench automaton): opening
+  through ``ingest_batch`` and through ``open``, scalar ``ingest`` on
+  batch-opened sessions, ``close``, ``evict_idle``,
+  ``extract_sessions``, ``checkpoint_mux`` and ``restore_mux``, each
+  per session (per event for ``ingest``), uninstrumented, the median of
+  a few repetitions on fresh muxes; the verdicts are checked against a
+  loop of ``open`` and ``ingest``.
 
 Events/sec per regime land in the ``--bench-json`` capture
 (``BENCH_stream.json`` in the repo root).  Set ``REPRO_BENCH_QUICK=1``
 for CI-sized parameters (the stream-smoke CI job does).
 """
 
+import statistics
 import time
 
 import pytest
@@ -36,6 +46,8 @@ from conftest import quick_sized
 from repro.automata import TimedBuchiAutomaton, TimedTransition
 from repro.engine import compiled_tba, decide
 from repro.kernel import Le
+from repro.obs import hooks
+from repro.query import as_query, pq_query
 from repro.stream import (
     Monitor,
     SessionMux,
@@ -43,10 +55,13 @@ from repro.stream import (
     TBAMonitor,
     analysis_for,
     checkpoint,
+    checkpoint_mux,
     compiled_for,
     replay_into_mux,
     restore,
+    restore_mux,
 )
+from repro.stream.checkpoint import extract_sessions
 from repro.words import TimedWord
 
 N_EVENTS = quick_sized(2_000, 500)
@@ -54,6 +69,10 @@ N_SESSIONS = quick_sized(500, 200)
 MUX_UNTIL = quick_sized(60, 30)
 ABLATION_HORIZON = quick_sized(400, 200)
 BUFFER_LIMIT = 16
+LIFECYCLE_SESSIONS = quick_sized(2_000, 200)
+LIFECYCLE_REPS = quick_sized(5, 3)
+#: Scalar events per session after its batch-door open (in-budget gaps).
+LIFECYCLE_EVENTS = [("answer", 3), ("issue", 5), ("answer", 8), ("issue", 10), ("answer", 12)]
 
 
 def bounded_gap_tba(bound=2):
@@ -244,3 +263,91 @@ def test_checkpoint_round_trip_cost(benchmark, report, bench_record):
     bench_record(mode="checkpoint-round-trip", events_behind=N_EVENTS,
                  round_trips_per_sec=rps)
     report.add(events_behind=N_EVENTS, round_trips_per_sec=rps)
+
+
+def session_lifecycle(n_sessions=LIFECYCLE_SESSIONS, reps=LIFECYCLE_REPS):
+    """Per-session seconds of each lifecycle operation (per event for
+    ``ingest``) on fresh ``fanin`` muxes, the median of ``reps``; and
+    whether every verdict equals a loop of ``open`` and ``ingest``."""
+    tba = as_query(pq_query(6, 4)).tba()
+    names = [f"s{i:05d}" for i in range(n_sessions)]
+    first = [(name, "issue", 1) for name in names]
+    later = [(name, sym, t) for sym, t in LIFECYCLE_EVENTS for name in names]
+    loop = SessionMux(tba)
+    for name in names:
+        loop.open(name)
+    for event in first:
+        loop.ingest(*event)
+    want_first = loop.verdicts()
+    for event in later:
+        loop.ingest(*event)
+    want = loop.verdicts()
+
+    def opened():
+        mux = SessionMux(tba)
+        mux.ingest_batch(first)
+        return mux
+
+    def fed():
+        return ingest_later(opened())
+
+    def ingest_later(mux):
+        for event in later:
+            mux.ingest(*event)
+        return mux
+
+    def batch_open(mux):
+        mux.ingest_batch(first)
+        return mux
+
+    def evict_all(mux):
+        mux.evict_idle(now=10**6, idle_ttl=1)
+        return {r.name: r.verdict for r in mux.drain_evictions()}
+
+    def timed(prepare, op, per):
+        """Median seconds of ``op`` per unit, and its last result."""
+        times = []
+        for _ in range(reps):
+            state = prepare()
+            t0 = time.perf_counter()
+            out = op(state)
+            times.append((time.perf_counter() - t0) / per)
+        return statistics.median(times), out
+
+    row, outs = {}, {}
+    ops = {
+        "batch_open": (lambda: SessionMux(tba), batch_open, n_sessions),
+        "open": (lambda: SessionMux(tba), lambda m: [m.open(n) for n in names], n_sessions),
+        "ingest": (opened, ingest_later, len(later)),
+        "checkpoint_mux": (fed, checkpoint_mux, n_sessions),
+        "close": (fed, lambda m: {n: m.close(n).verdict for n in names}, n_sessions),
+        "evict_idle": (fed, evict_all, n_sessions),
+        "extract_sessions": (fed, lambda m: extract_sessions(m, names), n_sessions),
+    }
+    for name, (prepare, op, per) in ops.items():
+        row[name + "_s"], outs[name] = timed(prepare, op, per)
+    snap = outs["checkpoint_mux"]
+    row["restore_mux_s"], back = timed(
+        lambda: SessionMux(tba), lambda m: restore_mux(snap, m), n_sessions
+    )
+    ok = (
+        outs["batch_open"].verdicts() == want_first
+        and outs["ingest"].verdicts() == back.verdicts() == want
+        and outs["close"] == outs["evict_idle"] == want
+        and list(outs["extract_sessions"]) == names
+    )
+    return row, ok
+
+
+def test_session_lifecycle(once, report, bench_record):
+    """What a session costs besides its events, per lifecycle door."""
+    inst = hooks.uninstall()  # time the lifecycle, not the instrumentation
+    try:
+        row, ok = once(session_lifecycle)
+    finally:
+        if inst is not None:
+            hooks.install(inst)
+    assert ok, "a lifecycle path disagreed with a loop of open and ingest"
+    us = {k[:-2] + "_us": round(v * 1e6, 3) for k, v in row.items()}
+    bench_record(mode="session-lifecycle", sessions=LIFECYCLE_SESSIONS, **us)
+    report.add(sessions=LIFECYCLE_SESSIONS, **us)

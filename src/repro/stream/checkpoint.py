@@ -19,10 +19,11 @@ JSON-able dictionaries:
   carries the query's text (``Query.to_text()``, rendered at checkpoint
   time; a query with no text form refuses).  :func:`restore_mux` and
   :func:`restore_sessions` reopen each session through the receiving
-  mux, as ``open`` would (its factory, or the session's own query),
-  refuse a snapshot whose kind or monitor settings (``lateness``,
-  ``late_policy``, ``f_window``) differ from that monitor's, and only
-  then load the state.
+  mux, as ``open`` would (a row on its table, its factory, or the
+  session's own query), refuse a snapshot whose kind or monitor
+  settings (``lateness``, ``late_policy``, ``f_window``) differ from
+  that monitor's, and only then load the state; a refused session is
+  taken out again.
 
 Symbols, TBA states, and clock values cross the serialization boundary
 as ``repr`` strings inverted by :func:`ast.literal_eval`, so streams
@@ -191,6 +192,8 @@ def _load(monitor: Any, snapshot: Dict[str, Any]) -> Any:
             f"snapshot (kind, lateness, late_policy, f_window) {saved} does not "
             f"fit this mux's monitor {built}"
         )
+    if state["buffer"] and not state["lateness"]:
+        raise ValueError("snapshot buffers events, which lateness 0 never does")
     h = _obs.HOOKS
     if h is not None:
         h.count("stream.checkpoints", op="restore")
@@ -291,18 +294,23 @@ def checkpoint_mux(mux: SessionMux) -> Dict[str, Any]:
         },
         "eviction_reports": [_report_state(r) for r in mux.eviction_reports],
         "sessions": {
-            name: _session_entry(mux, name, m) for name, m in mux._sessions.items()
+            name: _session_entry(mux, name, mux._session(name)) for name in mux.active
         },
     }
 
 
 def _restore_entries(mux: SessionMux, entries: Dict[str, Dict[str, Any]]) -> List[str]:
-    # Each session reopens through the mux's own door (its artifacts, its path).
+    # Each session reopens through the mux's own door (its artifacts, its
+    # path); one its snapshot does not fit is taken out again.
     for name, entry in entries.items():
         if name in mux:
             raise ValueError(f"session {name!r} already live on this mux")
-        query = entry.get("query")
-        mux._add(name, _load(mux._new_monitor(query), entry["snapshot"]), query)
+        mux._register([name], entry.get("query"))
+        try:
+            _load(mux._session(name), entry["snapshot"])
+        except Exception:
+            mux._forget(name)
+            raise
         if entry["drops"]:
             mux._drops[name] = entry["drops"]
     h = _obs.HOOKS
@@ -357,7 +365,7 @@ def extract_sessions(mux: SessionMux, names) -> Dict[str, Dict[str, Any]]:
     entries: Dict[str, Dict[str, Any]] = {}
     for name in names:
         if name in mux:
-            entries[name] = _session_entry(mux, name, mux.monitor(name))
+            entries[name] = _session_entry(mux, name, mux._session(name))
             mux._drops.pop(name, None)
             mux._forget(name)
     h = _obs.HOOKS

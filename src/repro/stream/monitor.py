@@ -118,9 +118,9 @@ class _BaseMonitor:
     """Watermark/reorder machinery shared by both monitor flavours.
 
     Subclasses hold the verdict state (``verdict``, ``max_seen``,
-    ``events_ingested``, ``verdict_flips``), implement :meth:`_advance`
-    (apply one released event) and may override :attr:`absorbed` (the
-    verdict can no longer change).
+    ``events_ingested``, ``late_events``, ``verdict_flips``), implement
+    :meth:`_advance` (apply one released event) and may override
+    :attr:`absorbed` (the verdict can no longer change).
     """
 
     def __init__(self, *, lateness: int = 0, late_policy: str = "raise"):
@@ -130,7 +130,6 @@ class _BaseMonitor:
             raise ValueError(f"late_policy must be 'raise' or 'drop', got {late_policy!r}")
         self.lateness = lateness
         self.late_policy = late_policy
-        self.late_events = 0
         self._heap: List[Tuple[int, int, Any]] = []
 
     @property
@@ -291,6 +290,7 @@ class Monitor(_BaseMonitor):
         self.verdict = StreamVerdict.INCONCLUSIVE
         self.max_seen: Optional[int] = None
         self.events_ingested = 0
+        self.late_events = 0
         self.verdict_flips = 0
         self.acceptor = acceptor
         self.f_window = f_window
@@ -397,19 +397,21 @@ _CODES = {v: code for code, v in enumerate(_VERDICTS)}
 
 
 class SlotTable:
-    """The state of many :class:`TBAMonitor`\\ s, one slot per monitor.
+    """The state of many sessions, one slot each: a mux's rows, or the
+    one slot of a standalone :class:`TBAMonitor`.
 
     :attr:`cols` holds the :attr:`COLUMNS` (``None`` times stored as
     ``-1``; ``lat`` is the last accepting visit, ``glock`` the green
-    lock, ``vcode`` the verdict code; ``ci`` is the row of the
-    configuration set).  A table over a compiled artifact owns the
+    lock, ``vcode`` the verdict code, ``late`` the late-event count;
+    ``ci`` is the row of the configuration set), so a slot is a
+    session's whole state.  A table over a compiled artifact owns the
     judge rule in two layouts:
     :meth:`scan` (one slot, an event slice) and :meth:`step_wave` (many
     slots, one event each).  Both fill the successor cells they miss.
     Only a ``columnar`` table — a mux's shared one — runs the kernel:
     its columns are numpy arrays, read per slot through memoryviews.
     Other tables keep plain lists.  ``ledger`` tables also carry
-    :class:`~repro.query.plan.PlanMonitor`'s per-slot occupancy ledger
+    :class:`~repro.query.plan.PlanMonitor`'s occupancy ledger by slot
     (visit counts and last visit times per row), Python lists the scan
     writes directly and widens in place as rows are added.
     """
@@ -418,6 +420,7 @@ class SlotTable:
         ("ci", "int32"), ("prev_t", "int64"), ("max_seen", "int64"),
         ("lat", "int64"), ("glock", "bool"), ("vcode", "int8"),
         ("events", "int64"), ("visits", "int64"), ("flips", "int64"),
+        ("late", "int64"),
     )
     #: Column positions in :attr:`cols`, by name.
     INDEX = {name: i for i, (name, _dtype) in enumerate(COLUMNS)}
@@ -426,8 +429,8 @@ class SlotTable:
         self.comp = comp
         self.f_window = f_window
         self.arrays: Optional[Dict[str, Any]] = {} if columnar else None
-        self.svc: Optional[List[Any]] = [] if ledger else None
-        self.slt: Optional[List[Any]] = [] if ledger else None
+        self.svc: Optional[Dict[int, Any]] = {} if ledger else None
+        self.slt: Optional[Dict[int, Any]] = {} if ledger else None
         self.capacity = 0
         self._used = 0
         self._free: List[int] = []
@@ -444,65 +447,58 @@ class SlotTable:
                 comp.fill, comp.accepting_list, comp.live_list, comp.green_list,
             )
         #: What a new monitor starts from: the judged initial state.
-        self._fresh = (ci, 0, -1, -1, glock, v, 0, 0, int(v != INC))
+        self._fresh = (ci, 0, -1, -1, glock, v, 0, 0, int(v != INC), 0)
         self.cols: List[Any] = [] if columnar else [[] for _ in self.COLUMNS]
 
     def _grow(self) -> None:
-        self.capacity = cap = max(1, 2 * self.capacity)
+        """Make room for every used slot; new slots start fresh."""
+        self.capacity = cap = max(self._used, 2 * self.capacity)
         self.cols = []
-        for name, dtype in self.COLUMNS:
-            col = np.zeros(cap, dtype=dtype)
+        for (name, dtype), value in zip(self.COLUMNS, self._fresh):
+            col = np.full(cap, value, dtype=dtype)
             old = self.arrays.get(name)
             if old is not None:
                 col[: len(old)] = old
             self.arrays[name] = col
             self.cols.append(memoryview(col))
 
-    def _put(self, values: Any) -> int:
-        """A free or new slot holding ``values``, one per column."""
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._used
-            self._used += 1
-            if self.svc is not None:
-                self.svc.append(None)
-                self.slt.append(None)
-            if self.arrays is None:
-                for col, value in zip(self.cols, values):
-                    col.append(value)
-                return slot
-            if slot >= self.capacity:
-                self._grow()
-        for col, value in zip(self.cols, values):
-            col[slot] = value
-        return slot
-
-    def alloc(self) -> int:
-        """A new slot holding a fresh monitor's initial state."""
-        slot = self._put(self._fresh)
+    def alloc(self, n: int = 1) -> List[int]:
+        """``n`` slots holding a fresh monitor's judged initial state,
+        freed slots first (each one counts its initial verdict as a
+        flip).  Growth fills new slots, so only reused ones are written."""
+        free, fresh = self._free, self._fresh
+        slots = [free.pop() for _ in range(min(n, len(free)))]
+        for slot in slots:
+            for col, value in zip(self.cols, fresh):
+                col[slot] = value
+        start, self._used = self._used, self._used + n - len(slots)
+        slots.extend(range(start, self._used))
+        if self.arrays is None:
+            for col, value in zip(self.cols, fresh):
+                col.extend([value] * (self._used - start))
+        elif self._used > self.capacity:
+            self._grow()
         if self.svc is not None:
-            if self.comp is not None:
-                self.svc[slot], self.slt[slot] = [], []
-            else:
-                self.svc[slot], self.slt[slot] = {}, {}
-        v = self._fresh[5]
+            empty = list if self.comp is not None else dict
+            for slot in slots:
+                self.svc[slot], self.slt[slot] = empty(), empty()
         h = _obs.HOOKS
-        if v != INC and h is not None:
-            h.count("stream.verdict_flips", to=_VERDICTS[v].value)
-        return slot
+        if fresh[5] != INC and h is not None:
+            h.count("stream.verdict_flips", n, to=_VERDICTS[fresh[5]].value)
+        return slots
 
-    def take(self, src: "SlotTable", slot: int) -> int:
-        """Move ``src``'s slot into this table; returns the new slot."""
-        new = self._put([col[slot] for col in src.cols])
+    def detach(self, slot: int) -> "SlotTable":
+        """A private one-slot table holding ``slot``'s state: where a
+        handle outlives its session once the slot is freed."""
+        own = SlotTable(self.comp, self.f_window, self.svc is not None)
+        own.cols, own._used = [[col[slot]] for col in self.cols], 1
         if self.svc is not None:
-            self.svc[new], self.slt[new] = src.svc[slot], src.slt[slot]
-        src.free(slot)
-        return new
+            own.svc, own.slt = {0: self.svc[slot]}, {0: self.slt[slot]}
+        return own
 
     def free(self, slot: int) -> None:
         if self.svc is not None:
-            self.svc[slot] = self.slt[slot] = None
+            del self.svc[slot], self.slt[slot]
         self._free.append(slot)
 
     def scan(self, slot: int, events: Any, counted: bool = True) -> int:
@@ -517,7 +513,7 @@ class SlotTable:
         """
         table, get, unknown, cap, fill, acc, live, green = self._rule
         fw = self.f_window
-        CI, PT, MS, LAT, GL, VC, EV, VI, FL = self.cols
+        CI, PT, MS, LAT, GL, VC, EV, VI, FL, _late = self.cols
         ci = CI[slot]
         pt = PT[slot]
         lat = LAT[slot]
@@ -854,10 +850,12 @@ class TBAMonitor(_BaseMonitor):
       set, the oracle the compiled path is tested against, run under
       ``REPRO_STREAM_COMPILED=0`` or ``compiled=False``.
 
-    The monitor is a thin view onto its slot of a :class:`SlotTable`
-    (a private list-backed one, or the shared table of the
-    :class:`~repro.stream.session.SessionMux` holding it), where
-    ``verdict``, ``prev_t``, ``max_seen`` and the counters live.  The
+    The monitor is a thin view onto its slot of a :class:`SlotTable`,
+    where ``verdict``, ``prev_t``, ``max_seen`` and the counters live:
+    a standalone monitor owns a private list-backed one-slot table; a
+    :class:`~repro.stream.session.SessionMux` session is a slot of the
+    mux's shared table, and its monitor a view the mux makes when asked
+    for (kept as the session's handle, or thrown away after a read).  The
     compiled path judges in :meth:`SlotTable.scan`, the interpreter in
     :meth:`_judge`.  Either way the whole mutable state is
     (configuration set, previous timestamp, reorder buffer, counters) —
@@ -881,6 +879,7 @@ class TBAMonitor(_BaseMonitor):
     events_ingested = _slot_column("events")
     accept_visits = _slot_column("visits")
     verdict_flips = _slot_column("flips")
+    late_events = _slot_column("late")
     _ci = _slot_column("ci")
     _last_accept_time = _slot_column("lat", none=True)
     _green_locked = _slot_column("glock")
@@ -908,7 +907,7 @@ class TBAMonitor(_BaseMonitor):
             raise ValueError("compiled stepping disabled (REPRO_STREAM_COMPILED=0)")
         self._compiled = comp
         self._tab = SlotTable(comp, self.f_window, self._ledger)
-        self._slot = self._tab.alloc()
+        (self._slot,) = self._tab.alloc()
         if comp is None:
             _acc, live, green = self._interpret_start()
             self._judge(0, live, green)

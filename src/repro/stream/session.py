@@ -3,7 +3,7 @@
 A service front-end does not monitor one stream; it monitors thousands
 of named sessions against a handful of *languages*.  The
 :class:`SessionMux` owns that fan-in: sessions are created on first
-event, every session gets its own O(state) monitor, and the expensive
+event, each keeps O(state) of its own, and the expensive
 per-language artifacts are shared — one
 :class:`~repro.stream.monitor.TBAAnalysis` **and one**
 :class:`~repro.stream.compiled.CompiledTBA` per automaton (via the
@@ -21,7 +21,7 @@ so by ``tests/test_stream_compiled.py``:
   through.
 * :meth:`SessionMux.ingest_batch` — many ``(name, symbol, t)`` events
   at once.  On a compiled table (any plain TBA or a fused plan) each
-  session's monitor is a view onto one slot of a columnar
+  session is one slot of a columnar
   :class:`~repro.stream.monitor.SlotTable`.  Few deep sessions run the
   table's scalar scan; otherwise the batch is encoded once into
   columns and handed to :meth:`SessionMux.ingest_columns`, where each
@@ -31,11 +31,28 @@ so by ``tests/test_stream_compiled.py``:
   or out-of-order events — falls back to the scalar path, event order
   preserved per session.
 
+Sessions are rows.  On a mux with a table (lateness 0, compilation on),
+a session is its name, an id and its slot, whose columns hold its whole
+state (late-event count included); :meth:`SessionMux.session_ids`, the
+door every open goes through, opens all of a batch's new sessions in
+one step: ids, and one allocation of slots that hold the judged initial
+state.  A :class:`~repro.stream.monitor.TBAMonitor` or
+:class:`~repro.query.plan.PlanMonitor` over a slot is a view made when
+asked for: :meth:`SessionMux.open`'s result and
+:meth:`SessionMux.monitor`'s are the session's live handle (the scalar
+path makes one too when an event needs the monitor's policy), and every
+other read — verdicts, eviction, close, checkpoint — goes through a
+throwaway view.  Retiring a session frees its slot; only a session that
+gave out a handle moves its final state to a private one-slot table,
+where the handle keeps reading it.  Sessions off the table (a private
+query, or a mux without one: ``lateness > 0``, machine acceptors,
+``monitor_factory``, ``compiled=False``) keep monitor objects of their
+own.
+
 The columns are integer ids: every session has an id while it is open
-(:meth:`SessionMux.session_ids`; freed on close, eviction or
-extraction and reused), an id-indexed column gives its slot on the
-table (``-1`` off it), and symbols take the table's ``sym_index``
-codes, any other symbol interned after them
+(freed on close, eviction or extraction and reused), an id-indexed
+column gives its slot on the table (``-1`` off it), and symbols take
+the table's ``sym_index`` codes, any other symbol interned after them
 (:meth:`SessionMux.symbol_ids`).  A shard worker
 (:mod:`repro.shard.worker`) hands the router's columns to
 :meth:`SessionMux.ingest_columns` directly, so both front-ends share
@@ -73,7 +90,7 @@ per-event metrics come from the monitors themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, takewhile
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -83,7 +100,8 @@ from ..automata.timed import TimedBuchiAutomaton
 from ..engine.verdict import DecisionReport, Verdict
 from ..obs import hooks as _obs
 from .compiled import compiled_for
-from .monitor import Monitor, SlotTable, StreamVerdict, TBAMonitor, analysis_for
+from .monitor import _VCODE, _VERDICTS, Monitor, SlotTable, StreamVerdict, TBAMonitor
+from .monitor import _BaseMonitor, analysis_for
 
 __all__ = ["BackpressureError", "SessionReport", "SessionMux"]
 
@@ -123,17 +141,18 @@ class SessionMux:
     """Route named event streams into per-session online monitors.
 
     ``acceptor`` is the shared language artifact: a
-    :class:`~repro.automata.timed.TimedBuchiAutomaton` (sessions get
-    :class:`TBAMonitor`\\ s over one cached analysis) or any
-    machine-protocol acceptor (sessions get :class:`Monitor`\\ s around
-    the shared program).  ``monitor_factory`` overrides the choice —
+    :class:`~repro.automata.timed.TimedBuchiAutomaton` (sessions are
+    slots of one table over one cached analysis, read through
+    :class:`TBAMonitor` views) or any machine-protocol acceptor
+    (sessions get :class:`Monitor`\\ s around the shared program).  ``monitor_factory`` overrides the choice —
     any zero-argument callable returning a monitor.  ``query`` (text or
     a ``Q`` builder query; ``alphabet`` optionally widens its symbol
     set) compiles to a TBA and proceeds like an automaton acceptor;
     ``plan`` shares one :class:`~repro.query.plan.QueryPlan` —
-    every session gets a :class:`~repro.query.plan.PlanMonitor` over
-    the plan's one fused table, and session reports carry per-query
-    verdicts.
+    every session is a slot of the plan's one fused table, read through
+    :class:`~repro.query.plan.PlanMonitor` views, and session reports
+    carry per-query verdicts.  Whether a session rides the table is
+    decided once, when it opens.
     """
 
     def __init__(
@@ -196,7 +215,9 @@ class SessionMux:
         #: never vanish silently); drain with :meth:`drain_evictions`.
         #: Bounded by ``max_eviction_reports`` (drop-oldest).
         self.eviction_reports: List[SessionReport] = []
-        self._sessions: Dict[str, Any] = {}
+        #: The monitor of every session off the table, and the live
+        #: handle of each session on it that gave one out.
+        self._monitors: Dict[str, Any] = {}
         #: Per-session drop counts (absent until a session drops).
         self._drops: Dict[str, int] = {}
         #: The private query of each session opened with one.
@@ -215,8 +236,9 @@ class SessionMux:
         #: The columnar session table over ``_tba_compiled`` (on-time
         #: muxes only).
         self._table: Optional[SlotTable] = None
-        #: Session ids: name → id, id → name (``None`` once freed), and
-        #: the freed ids a new session takes first.
+        #: Session ids, the session registry: name → id (in order of
+        #: opening), id → name (``None`` once freed), and the freed ids
+        #: a new session takes first.
         self._ids: Dict[str, int] = {}
         self._names: List[Optional[str]] = []
         self._free_ids: List[int] = []
@@ -229,9 +251,12 @@ class SessionMux:
             # One fused table per plan: the plan already owns it and
             # its components' analyses; every session's PlanMonitor
             # steps that same table.
+            from ..query.plan import PlanMonitor
+
             if compiled is not False:
                 self._tba_compiled = plan.compiled
             self._factory = lambda: plan.monitor(**self._monitor_kw)
+            view = PlanMonitor, {"plan": plan}
         elif isinstance(acceptor, TimedBuchiAutomaton):
             # Both per-language artifacts are built exactly once here
             # and shared by every session (and by checkpoint restores).
@@ -241,6 +266,7 @@ class SessionMux:
             self._factory = lambda: TBAMonitor(
                 acceptor, analysis=analysis, **self._monitor_kw
             )
+            view = TBAMonitor, {"tba": acceptor, "analysis": analysis}
         else:
             self._factory = lambda: Monitor(
                 acceptor,
@@ -248,34 +274,54 @@ class SessionMux:
                 late_policy=late_policy,
                 f_window=f_window,
             )
+        #: Symbol ids: the table's ``sym_index`` codes, then every other
+        #: symbol in order of arrival.
+        self._symbols: List[Any] = []
+        self._sym_ids: Dict[Any, int] = {}
         comp = self._tba_compiled
         if comp is not None and lateness == 0:
             self._table = SlotTable(
                 comp, f_window, ledger=plan is not None, columnar=True
             )
             self._slot_of = np.empty(0, dtype=np.int32)
-        #: Symbol ids: the table's ``sym_index`` codes, then every other
-        #: symbol in order of arrival.
-        self._symbols: List[Any] = []
-        self._sym_ids: Dict[Any, int] = {}
-        if self._table is not None:
             self._symbols, self._sym_ids = list(comp.symbols), dict(comp.sym_index)
+            # What every view of a row shares: the settings a monitor's
+            # constructor would set (checked as it checks them), the table.
+            cls, own = view
+            self._proto = cls.__new__(cls)
+            _BaseMonitor.__init__(self._proto, late_policy=late_policy)
+            self._proto.__dict__.update(
+                own, f_window=f_window, _compiled=comp, _tab=self._table
+            )
 
     # -- session table -----------------------------------------------------
     def __len__(self) -> int:
-        return len(self._sessions)
+        return len(self._ids)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._sessions
+        return name in self._ids
 
     @property
     def active(self) -> List[str]:
-        return list(self._sessions)
+        return list(self._ids)
 
     def monitor(self, name: str) -> Any:
-        """The named session's monitor (KeyError if unknown); a live
-        view, so a handle taken earlier shows every later event."""
-        return self._sessions[name]
+        """The named session's monitor (KeyError if unknown).  A session
+        on the table gets a view of its row, made on first ask and kept:
+        a live handle that shows every later event."""
+        if name not in self._monitors:
+            self._monitors[name] = self._session(name)
+        return self._monitors[name]
+
+    def _session(self, name: str) -> Any:
+        """The named session's monitor or handle, else a throwaway view
+        of its row (read it before the row is freed)."""
+        monitor = self._monitors.get(name)
+        if monitor is None:
+            slot = int(self._slot_of[self._ids[name]])
+            monitor = object.__new__(type(self._proto))
+            monitor.__dict__ = dict(self._proto.__dict__, _slot=slot, _heap=[])
+        return monitor
 
     def open(self, name: str, query: Any = None) -> Any:
         """Create a session explicitly; returns its monitor.
@@ -286,85 +332,82 @@ class SessionMux:
         compiled artifact differs from the shared one, so batch
         ingestion automatically routes its events down the scalar path.
         """
-        if name in self._sessions:
+        if name in self._ids:
             raise ValueError(f"session {name!r} already open")
-        if self.max_sessions is not None and len(self._sessions) >= self.max_sessions:
-            raise BackpressureError(
-                f"session table full ({self.max_sessions}); close or evict first"
-            )
-        monitor = self._new_monitor(query)
-        self._add(name, monitor, query)
-        self.sessions_opened += 1
-        h = _obs.HOOKS
-        if h is not None:
-            h.count("stream.sessions", op="opened")
-            h.gauge("stream.sessions_active", len(self._sessions))
-        return monitor
+        self._open([name], query)
+        return self.monitor(name)
 
-    def _new_monitor(self, query: Any = None) -> Any:
-        """A fresh monitor from the mux's factory or on a private
-        ``query``: the one door of :meth:`open` and every restore."""
-        if query is None:
-            return self._factory()
-        from ..query import query_monitor
+    def _open(self, names: List[str], query: Any = None) -> None:
+        """Open new sessions in order (the one door of every open); past
+        ``max_sessions``, open those that fit and refuse the next."""
+        cap = self.max_sessions
+        fit = names if cap is None else names[: max(cap - len(self._ids), 0)]
+        if fit:
+            self._register(fit, query)
+            self.sessions_opened += len(fit)
+            h = _obs.HOOKS
+            if h is not None:
+                h.count("stream.sessions", len(fit), op="opened")
+                h.gauge("stream.sessions_active", len(self._ids))
+        if len(fit) < len(names):
+            raise BackpressureError(f"session table full ({cap}); close or evict first")
 
-        return query_monitor(query, **self._monitor_kw)
-
-    def _add(self, name: str, monitor: Any, query: Any = None) -> None:
-        """Register a session under a free id; an on-time monitor over
-        the shared compiled artifact moves its slot into the mux's table."""
-        self._sessions[name] = monitor
+    def _register(self, names: List[str], query: Any = None) -> None:
+        """Give new sessions free ids, and each a row on the table (its
+        judged initial state, one allocation for all) or, off it, a
+        monitor of its own: the mux's factory's, or one on a private
+        ``query`` (the door of every open and restore).  The monitors
+        are built first: one that fails registers nothing."""
         if query is not None:
-            self._queries[name] = query
-        if self._free_ids:
-            sid = self._free_ids.pop()
-            self._names[sid] = name
-        else:
-            sid = len(self._names)
-            self._names.append(name)
-        self._ids[name] = sid
-        tab = self._table
-        if tab is None:
-            return
-        if sid >= len(self._slot_of):
-            grown = np.full(max(16, 2 * sid), -1, dtype=np.int32)
-            grown[: len(self._slot_of)] = self._slot_of
-            self._slot_of = grown
-        slot = -1
-        if (
-            getattr(monitor, "_compiled", None) is tab.comp
-            and monitor.lateness == 0
-            and not monitor._heap
-            and monitor.f_window == tab.f_window
-            and monitor._ledger == (tab.svc is not None)
-        ):
-            monitor._slot = slot = tab.take(monitor._tab, monitor._slot)
-            monitor._tab = tab
-        self._slot_of[sid] = slot
+            from ..query import query_monitor
 
-    def _forget(self, name: str) -> Any:
-        """Unregister a session and free its id; its monitor keeps its
-        final state in a private one-slot table (handles outlive the
-        session)."""
-        monitor = self._sessions.pop(name)
+            own = {n: query_monitor(query, **self._monitor_kw) for n in names}
+            self._queries.update(dict.fromkeys(names, query))
+        else:
+            own = {n: self._factory() for n in names} if self._table is None else {}
+        free, known = self._free_ids, self._names
+        sids = [free.pop() for _ in range(min(len(names), len(free)))]
+        sids += range(len(known), len(known) + len(names) - len(sids))
+        known.extend([None] * (sids[-1] + 1 - len(known)))
+        for sid, name in zip(sids, names):
+            known[sid] = name
+        self._ids.update(zip(names, sids))
+        if self._table is not None:
+            if len(known) > len(self._slot_of):
+                self._slot_of = np.append(self._slot_of, np.full(len(known), -1, np.int32))
+            self._slot_of[sids] = -1 if query is not None else self._table.alloc(len(names))
+        self._monitors.update(own)
+
+    def _forget(self, name: str) -> None:
+        """Unregister a session and free its id and row; a handle given
+        out keeps the row's final state in a private one-slot table."""
+        monitor = self._monitors.pop(name, None)
         self._queries.pop(name, None)
         sid = self._ids.pop(name)
         self._names[sid] = None
         self._free_ids.append(sid)
         if self._table is not None:
-            slot = int(self._slot_of[sid])
-            self._slot_of[sid] = -1
+            slot, self._slot_of[sid] = int(self._slot_of[sid]), -1
             if slot >= 0:
-                own = SlotTable(self._table.comp, self._table.f_window, monitor._ledger)
-                monitor._slot, monitor._tab = own.take(self._table, slot), own
-        return monitor
+                if monitor is not None:
+                    monitor._tab, monitor._slot = self._table.detach(slot), 0
+                self._table.free(slot)
 
     # -- ingestion ---------------------------------------------------------
     def ingest(self, name: str, symbol: Any, t: int) -> StreamVerdict:
         """Feed one event into the named session (opened on demand)."""
-        monitor = self._sessions.get(name)
+        monitor = self._monitors.get(name)
+        if monitor is None and name not in self._ids:
+            self._open([name])
+            monitor = self._monitors.get(name)
         if monitor is None:
-            monitor = self.open(name)
+            # A row without a handle: an on-time event of an
+            # uninstrumented mux is one scan; anything else goes through
+            # the session's handle, which stays.
+            slot = int(self._slot_of[self._ids[name]])
+            if _obs.HOOKS is None and self._table.scan(slot, ((symbol, t),)):
+                return _VERDICTS[self._table.cols[_VCODE][slot]]
+            monitor = self.monitor(name)
         if monitor.pending >= self.buffer_limit:
             if self.drop_policy == "reject":
                 raise BackpressureError(
@@ -440,21 +483,19 @@ class SessionMux:
 
     def session_ids(self, names) -> Tuple[List[int], Optional[BackpressureError]]:
         """The session id of every name, opening unknown sessions in
-        order of first appearance.
+        order of first appearance, all in one step.
 
         On a refused open, returns the ids of the names before the
         refused session's first appearance, with the refusal (the
         sessions opened before it stay open).
         """
-        get = self._ids.get
-        ids = list(map(get, names))
+        ids = list(map(self._ids.get, names))
         if None in ids:
-            for name in dict.fromkeys(n for n, i in zip(names, ids) if i is None):
-                try:
-                    self.open(name)
-                except BackpressureError as exc:
-                    return list(map(get, names[: names.index(name)])), exc
-            ids = list(map(get, names))
+            try:
+                self._open(list(dict.fromkeys(n for n, i in zip(names, ids) if i is None)))
+            except BackpressureError as exc:
+                return [self._ids[n] for n in takewhile(self._ids.__contains__, names)], exc
+            ids = list(map(self._ids.get, names))
         return ids, None
 
     def symbol_ids(self, symbols) -> List[int]:
@@ -561,7 +602,7 @@ class SessionMux:
 
     def verdicts(self) -> Dict[str, StreamVerdict]:
         """Current verdict-so-far of every open session."""
-        return {name: m.verdict for name, m in self._sessions.items()}
+        return {name: self._session(name).verdict for name in self._ids}
 
     # -- lifecycle ---------------------------------------------------------
     def _report(self, name: str, monitor: Any, decision: Any) -> SessionReport:
@@ -589,18 +630,20 @@ class SessionMux:
         batch-equivalent :class:`~repro.engine.verdict.DecisionReport`
         rides along in ``decision``.
         """
-        monitor = self._forget(name)
+        monitor = self._session(name)
         decision: Optional[DecisionReport] = None
         if horizon is not None and hasattr(monitor, "finish"):
             decision = monitor.finish(horizon)
         else:
             monitor.flush()
+        report = self._report(name, monitor, decision)
+        self._forget(name)
         self.sessions_closed += 1
         h = _obs.HOOKS
         if h is not None:
             h.count("stream.sessions", op="closed")
-            h.gauge("stream.sessions_active", len(self._sessions))
-        return self._report(name, monitor, decision)
+            h.gauge("stream.sessions_active", len(self._ids))
+        return report
 
     def evict_idle(
         self, now: Optional[int] = None, idle_ttl: Optional[int] = None
@@ -628,7 +671,7 @@ class SessionMux:
             now = self.newest()
             if now is None:
                 return []
-        last = {name: m.max_seen for name, m in self._sessions.items()}
+        last = {name: self._session(name).max_seen for name in self._ids}
         victims = [
             name for name, t in last.items() if t is None or now - t > ttl
         ]
@@ -638,7 +681,7 @@ class SessionMux:
     def newest(self) -> Optional[int]:
         """The newest event time (``max_seen``) of any open session, or
         ``None``: what :meth:`evict_idle` takes for ``now`` by default."""
-        stamps = [m.max_seen for m in self._sessions.values()]
+        stamps = [self._session(name).max_seen for name in self._ids]
         return max((t for t in stamps if t is not None), default=None)
 
     def _evict(self, victims: List[str], now: int) -> None:
@@ -646,7 +689,7 @@ class SessionMux:
         eviction summaries (a journal replays an eviction through here)."""
         h = _obs.HOOKS
         for name in victims:
-            monitor = self._forget(name)
+            monitor = self._session(name)
             last = monitor.max_seen
             so_far = monitor.verdict
             final = (
@@ -668,11 +711,12 @@ class SessionMux:
                 strategy="evicted",
             )
             self._file([self._report(name, monitor, decision)])
+            self._forget(name)
             self.sessions_evicted += 1
             if h is not None:
                 h.count("stream.sessions", op="evicted")
         if victims and h is not None:
-            h.gauge("stream.sessions_active", len(self._sessions))
+            h.gauge("stream.sessions_active", len(self._ids))
 
     def _file(self, reports: List[SessionReport]) -> None:
         """Add eviction summaries to the backlog (a journal files a
@@ -712,11 +756,12 @@ class SessionMux:
     def stats(self) -> Dict[str, int]:
         """Aggregate counters (the bounded-memory demo's assertions)."""
         return {
-            "active": len(self._sessions),
+            "active": len(self._ids),
             "opened": self.sessions_opened,
             "closed": self.sessions_closed,
             "evicted": self.sessions_evicted,
             "eviction_reports_dropped": self.eviction_reports_dropped,
             "drops": self.drops,
-            "pending_total": sum(m.pending for m in self._sessions.values()),
+            # A row holds no buffer: only sessions with monitors can.
+            "pending_total": sum(m.pending for m in self._monitors.values()),
         }

@@ -35,9 +35,7 @@ is what ``benchmarks/bench_resilience.py`` measures.
 
 Observability: ``stream.failovers``, ``stream.supervisor_checkpoints``,
 ``stream.journal_depth`` (gauge, in events), and the ``stream.failover``
-span.  ``snapshot_path`` additionally persists each checkpoint as JSON
-via :func:`~repro.stream.checkpoint.save_json` for process-restart
-durability.
+span.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..obs import hooks as _obs
 from .checkpoint import CLOSE, DRAIN, EVENT, EVENTS, EVICT, OPEN, Journal, apply_record
-from .checkpoint import checkpoint_mux, restore_mux, save_json
+from .checkpoint import checkpoint_mux, restore_mux
 from .monitor import LateEventError, StreamVerdict
 from .session import BackpressureError, SessionMux, SessionReport
 
@@ -69,7 +67,6 @@ class MuxSupervisor:
         mux_factory: Callable[[], SessionMux],
         *,
         checkpoint_every: int = 64,
-        snapshot_path: Optional[str] = None,
     ):
         if checkpoint_every < 1:
             raise ValueError(
@@ -77,7 +74,6 @@ class MuxSupervisor:
             )
         self._factory = mux_factory
         self.checkpoint_every = checkpoint_every
-        self.snapshot_path = snapshot_path
         self.mux: Optional[SessionMux] = mux_factory()
         self.checkpoints_taken = 0
         self.failovers = 0
@@ -155,8 +151,6 @@ class MuxSupervisor:
         snapshot = checkpoint_mux(self._live())
         self.journal = Journal(snapshot)
         self.checkpoints_taken += 1
-        if self.snapshot_path is not None:
-            save_json(self.snapshot_path, snapshot)
         h = _obs.HOOKS
         if h is not None:
             h.count("stream.supervisor_checkpoints")

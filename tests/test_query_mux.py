@@ -133,6 +133,10 @@ def test_open_with_session_private_query():
     }
     with pytest.raises(ValueError, match="already open"):
         mux.open("special", query="a")
+    # A private query that does not parse opens nothing.
+    with pytest.raises(ValueError):
+        mux.open("broken", query="repeat(")
+    assert "broken" not in mux and sorted(mux.active) == ["plain", "special"]
 
 
 def test_session_private_query_takes_scalar_batch_path():

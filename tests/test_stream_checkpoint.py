@@ -19,6 +19,13 @@ from repro.stream import (
     restore_mux,
     save_json,
 )
+from repro.stream.compiled import compilation_enabled
+
+
+needs_compiled = pytest.mark.skipif(
+    not compilation_enabled(),
+    reason="compiled stepping disabled (REPRO_STREAM_COMPILED=0)",
+)
 
 
 def bounded_gap_tba(bound=2):
@@ -279,6 +286,7 @@ class TestMuxSnapshots:
             for name, m in ((n, mux.monitor(n)) for n in mux.active)
         } == {"alpha": (5, 9, 5, 1), "beta": (3, 10, 1, 2), "gamma": (1, 3, 1, 1)}
 
+    @needs_compiled
     def test_interpreted_restore_onto_compiled_mux_takes_batches(self):
         # A private-query session, saved from the interpreter and
         # restored onto a compiled mux, steps its own language off the
@@ -295,6 +303,26 @@ class TestMuxSnapshots:
         source.ingest_batch([("s", "a", 2), ("s", "a", 3)])
         assert mux.verdicts() == source.verdicts() == {"s": StreamVerdict.ACCEPTING}
         assert mux.monitor("s").events_ingested == 3
+
+    @pytest.mark.parametrize("move", ["mux", "sessions"])
+    def test_late_events_of_a_session_without_a_handle_survive(self, move):
+        # The late count lives in the session's row: a restored session
+        # has no handle, and moving it on again carries the count.
+        from repro.stream.checkpoint import extract_sessions, restore_sessions
+
+        tba = bounded_gap_tba(3)
+        source = SessionMux(tba, late_policy="drop")
+        source.ingest_batch([("s", "a", 5), ("t", "a", 5)])
+        source.ingest("s", "a", 2)  # late
+        hops = [source, SessionMux(tba, late_policy="drop"), SessionMux(tba, late_policy="drop")]
+        for here, there in zip(hops, hops[1:]):
+            if move == "mux":
+                restore_mux(checkpoint_mux(here), there)
+            else:
+                restore_sessions(there, extract_sessions(here, ["s", "t"]))
+            if there._table is not None:
+                assert not there._monitors
+        assert [hops[-1].close(n).late_events for n in ("s", "t")] == [1, 0]
 
     def test_wrong_kind_rejected(self):
         snap = checkpoint(TBAMonitor(bounded_gap_tba()))
@@ -353,6 +381,21 @@ class TestRestoreThroughTheMux:
         source.ingest("s", "a", 1)
         with pytest.raises(ValueError, match="lateness"):
             restore_mux(checkpoint_mux(source), SessionMux(tba), tba=tba)
+
+    def test_buffered_events_under_lateness_zero_are_refused(self):
+        # Lateness 0 never buffers, so such a snapshot was not written by
+        # a monitor; no session may take it and drop its buffer.
+        tba = bounded_gap_tba()
+        source = SessionMux(tba)
+        source.ingest("s", "a", 5)
+        snap = checkpoint_mux(source)
+        snap["sessions"]["s"]["snapshot"]["state"]["buffer"] = [[4, 1, "'a'"]]
+        for target in (SessionMux(tba), SessionMux(tba, compiled=False)):
+            with pytest.raises(ValueError, match="lateness 0"):
+                restore_mux(snap, target)
+            assert len(target) == 0
+        with pytest.raises(ValueError, match="lateness 0"):
+            restore(snap["sessions"]["s"]["snapshot"], tba=tba)
 
     def test_other_f_window_is_refused_by_restore_sessions(self):
         from repro.stream.checkpoint import extract_sessions, restore_sessions

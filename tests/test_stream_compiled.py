@@ -40,6 +40,7 @@ from repro.stream import (
     restore_mux,
 )
 from repro.stream import compiled as compiled_mod
+from repro.stream.checkpoint import extract_sessions
 
 from test_stream_monitor import TBA_FAMILY, alternating_tba, bounded_gap_tba, random_lasso
 
@@ -342,17 +343,31 @@ class TestMuxBatch:
 
     @pytest.mark.parametrize("ti", range(len(CORPUS)))
     def test_handles_taken_before_a_batch_are_live_views(self, ti):
-        """A monitor handle is a view onto its session's slot: taken
-        before a batch, it shows the batch's effect afterwards (waves
-        and deep slices alike), and it keeps its final state once the
-        session closes."""
-        tba = CORPUS[ti]
-        rng = random.Random(2600 + ti)
+        """A monitor handle is a view onto its session's slot, whether
+        ``open`` returned it or ``monitor(name)`` made it for a session
+        a batch opened: taken before a batch, it shows the batch's
+        effect afterwards (waves and deep slices alike), and it keeps
+        its final state once the session is closed, evicted or
+        extracted, even when its freed row goes to a new session."""
+        for door in ("open", "monitor"):
+            for retire in ("close", "evict_idle", "extract_sessions"):
+                self._handles_stay_live(CORPUS[ti], random.Random(2600 + ti), door, retire)
+
+    @staticmethod
+    def _handles_stay_live(tba, rng, door, retire):
         batched = SessionMux(tba, late_policy="drop")
         scalar = SessionMux(tba, late_policy="drop", compiled=False)
-        handles = {f"s{i}": batched.open(f"s{i}") for i in range(12)}
-        for name in handles:
-            scalar.open(name)
+        names = [f"s{i}" for i in range(12)]
+        if door == "open":
+            handles = {name: batched.open(name) for name in names}
+            for name in names:
+                scalar.open(name)
+        else:
+            opening = [(name, "a", 0) for name in names]
+            batched.ingest_batch(opening)
+            for event in opening:
+                scalar.ingest(*event)
+            handles = {name: batched.monitor(name) for name in names}
         clocks = dict.fromkeys(handles, 0)
         for size in (40, 40, 300):  # waves, waves, then deep slices
             events = []
@@ -366,11 +381,19 @@ class TestMuxBatch:
             for name, m in handles.items():
                 assert m is batched.monitor(name)
                 assert monitor_state(m) == monitor_state(scalar.monitor(name))
-        final = monitor_state(handles["s0"])
-        batched.close("s0")
-        # s12 may reuse s0's freed slot; the closed handle must not see it.
-        batched.ingest_batch([(f"s{i}", "a", 10_000) for i in range(1, 13)])
-        assert monitor_state(handles["s0"]) == final
+        final = {name: monitor_state(m) for name, m in handles.items()}
+        if retire == "close":
+            for name in names:
+                batched.close(name)
+        elif retire == "evict_idle":
+            assert sorted(batched.evict_idle(now=10**6, idle_ttl=1)) == sorted(names)
+        else:
+            assert sorted(extract_sessions(batched, names)) == sorted(names)
+        assert not batched._monitors and not batched.active, (door, retire)
+        # New sessions take the freed rows; the retired handles must not
+        # see them.
+        batched.ingest_batch([(f"n{i}", "a", 10_000) for i in range(12)])
+        assert {name: monitor_state(m) for name, m in handles.items()} == final, (door, retire)
 
     @needs_compiled
     def test_restore_writes_land_in_the_slot(self):

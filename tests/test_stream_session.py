@@ -249,6 +249,33 @@ class TestSessionObservability:
         assert inst.registry.gauge("stream.sessions_active").value == 0
         assert inst.registry.gauge("stream.sessions_active").peak == 2
 
+    @pytest.mark.parametrize("compiled", [None, False])
+    def test_bulk_open_counts_like_a_loop_of_open(self, compiled):
+        # An automaton ACCEPTING from its start (green at once), so each
+        # open also counts its initial verdict as a flip.
+        tba = TimedBuchiAutomaton(
+            "a", ["s"], "s", [TimedTransition.make("s", "s", "a")], [], ["s"]
+        )
+        names = [f"s{i}" for i in range(5)]
+
+        def counts(open_all):
+            with instrumented() as inst:
+                mux = SessionMux(tba, compiled=compiled)
+                open_all(mux)
+                assert set(mux.verdicts().values()) == {StreamVerdict.ACCEPTING}
+            reg = inst.registry
+            active = reg.gauge("stream.sessions_active")
+            return (
+                reg.counter("stream.sessions").labels(op="opened").value,
+                reg.counter("stream.verdict_flips").labels(to="accepting").value,
+                active.value,
+                active.peak,
+            )
+
+        bulk = counts(lambda mux: mux.session_ids(names))
+        assert bulk == counts(lambda mux: [mux.open(name) for name in names])
+        assert bulk == (5, 5, 5, 5)
+
     def test_drop_counter_reaches_obs(self):
         with instrumented() as inst:
             mux = buffering_mux(buffer_limit=1, drop_policy="drop-new")
@@ -392,6 +419,33 @@ def test_empty_and_generator_batches():
     for e in events:
         ref.ingest(*e)
     assert mux.verdicts() == ref.verdicts()
+
+
+def test_rows_without_handles_are_reused(monkeypatch):
+    """Sessions that never gave out a handle retire by freeing their
+    rows, which the next sessions take: no private table is built and
+    the table stays within twice the peak of live sessions."""
+    from repro.stream.monitor import SlotTable
+
+    built = []
+    init = SlotTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SlotTable, "__init__", counted)
+    mux = SessionMux(bounded_gap_tba())
+    for r in range(10):
+        names = [f"r{r}-{i}" for i in range(1000)]
+        mux.ingest_batch([(name, "a", 1) for name in names])
+        for name in names:
+            assert mux.close(name).verdict is StreamVerdict.ACCEPTING
+    assert mux.stats()["opened"] == mux.stats()["closed"] == 10_000
+    if mux._table is None:  # compilation off: monitors of their own
+        return
+    assert built == [mux._table]
+    assert mux._table.capacity <= 2 * 1000
 
 
 def test_session_ids_are_reused_and_the_slot_column_follows():

@@ -21,7 +21,6 @@ from repro.stream import (
     SessionMux,
     StreamVerdict,
     checkpoint_mux,
-    load_json,
 )
 
 
@@ -158,17 +157,6 @@ class TestSupervisorLedger:
         assert stats["checkpoints"] == 4
         assert stats["journal_depth"] == 10
         assert stats["failovers"] == 0
-
-    def test_snapshot_path_persists_json(self, tba, factory, tmp_path):
-        path = tmp_path / "mux.json"
-        supervisor = MuxSupervisor(
-            factory, checkpoint_every=20, snapshot_path=str(path)
-        )
-        for name, sym, t in traffic(events=60):
-            supervisor.ingest(name, sym, t)
-        doc = load_json(str(path))
-        assert doc["kind"] == "mux"
-        assert doc["sessions"]
 
     def test_validation(self, tba, factory):
         with pytest.raises(ValueError, match="checkpoint_every"):
