@@ -156,8 +156,8 @@ def test_batched_pool_bit_identical(once, report, bench_record):
 
     shutdown_pool()
     shared_pool(4)  # shard workers spawn outside the timed region
-    # The compiled machine closes over a local program and does not
-    # pickle, so the workers get the raw TBA and compile it themselves.
+    # The raw TBA compiles through the cache to ``acceptor``, which ships
+    # as its automaton: each worker compiles it once, here, untimed.
     decide_many(tba, words[:4], workers=4, backend="shards", **judge_kwargs())
 
     def pooled():

@@ -23,12 +23,14 @@ machine's successor table.
 
 There is one process backend: the warm shard pool of
 :mod:`repro.shard` (``backend="shards"``).  Its workers outlive the
-call, so the acceptor and the words cross a pipe and must pickle; an
-acceptor that closes over a local function cannot, and is judged by
-the serial loop instead, with the reason counted.  ``backend="auto"``
-is the serial loop, because on the repository benchmark's decide
-workload no process fan-out beats it (``docs/performance.md``).  The
-fault-tolerant variant — worker-death retries, deadline budgets,
+call, so the acceptor and the words cross a pipe and must pickle (a
+machine compiled from a TBA pickles as its automaton); an acceptor
+that closes over a local function cannot, and is judged by the serial
+loop instead, with the reason counted.  ``backend="auto"`` is the
+serial loop, because on the repository benchmark's decide workload no
+process fan-out beats it (``docs/performance.md``).  The pool tries
+each chunk once, and this module judges a chunk it could not finish
+in process.  The fault-tolerant variant — retries, deadline budgets,
 graceful degradation — lives in :mod:`repro.engine.resilience`; both
 entry points pick their path through :func:`_route`.
 
@@ -110,7 +112,7 @@ def _route(
     Shared by :func:`decide_many` and
     :func:`~repro.engine.resilience.decide_many_resilient`, which each
     resolve ``"auto"`` before calling.  Returns ``(acceptor, words,
-    strategy, mode, specs)``: the acceptor the parent judges with (a raw
+    strategy, mode, specs)``: the acceptor every side judges with (a raw
     TBA compiled through the cache), ``mode`` ``"serial"`` or
     ``"shards"``, and for shards the ``(language, strategy)`` specs the
     workers receive.  ``"shards"`` runs serially when there is nothing
@@ -133,6 +135,10 @@ def _route(
     if not isinstance(words, LassoBatch):
         words = list(words)
     strat = get_strategy(strategy)
+    from ..automata.timed import TimedBuchiAutomaton
+
+    if isinstance(acceptor, TimedBuchiAutomaton):
+        acceptor = compiled_tba(acceptor)
     h = _obs.HOOKS
     mode, specs = "serial", None
     if backend == "shards" and workers > 1 and len(words) > 1:
@@ -142,8 +148,6 @@ def _route(
         if "fork" not in multiprocessing.get_all_start_methods():
             reason = "fork-unavailable"
         else:
-            # A raw TBA ships as itself: the workers compile it into
-            # their own warm caches.
             try:
                 specs = (
                     shard_pool.language_spec(acceptor),
@@ -155,10 +159,6 @@ def _route(
             mode = "shards"
         elif h is not None:
             h.count("engine.backend_fallbacks", reason=reason)
-    from ..automata.timed import TimedBuchiAutomaton
-
-    if isinstance(acceptor, TimedBuchiAutomaton):
-        acceptor = compiled_tba(acceptor)
     if h is not None:
         h.count("engine.batches", mode=mode)
         h.count("engine.batch_words", len(words))
@@ -207,8 +207,8 @@ def decide_many(
             *specs, words, shard_pool.plan_chunks(n, workers, chunk_size),
             horizon=horizon, seed=seed, workers=workers,
         )
-        # Any chunk the pool could not finish is judged in-process —
-        # same pure function, so the batch stays bit-identical.
+        # Any chunk the pool could not finish, a dead worker's included,
+        # is judged in-process: same pure function, same reports.
         for lo, hi, reason, _detail in failures:
             if h is not None:
                 h.count("engine.backend_fallbacks", reason=f"shard-{reason}")

@@ -1,21 +1,24 @@
-"""Fault-tolerant decision fan-out: the crash-recovering pool path.
+"""Fault-tolerant decision fan-out: one recovery ladder, two executors.
 
 :func:`repro.engine.batch.decide_many` has no recovery ladder: an
 acceptor exception aborts the sweep, and a slow word holds every
 verdict hostage.  Production fan-out needs the failure model real-time
 parallel computation treats as first-class: processors die, and
-recovery itself has a timing budget.  This module is that layer.  It
-runs the batch's chunks over the warm shard pool of :mod:`repro.shard`
-(or the serial loop), and every failure comes back to the parent as an
-explicit record:
+recovery itself has a timing budget.  This module is that layer: one
+round-based loop that hands each round's chunks to an executor — the
+warm shard pool of :mod:`repro.shard`, which tries each chunk once, or
+an in-process round of one-word chunks (one word, because a chunk
+judged in process cannot be killed at the deadline) — and files every
+failure that comes back as an explicit record:
 
 * **worker death** — the worker's pipe closes with nothing on it
-  (SIGKILL, OOM, segfault).  The pool respawns the worker, and the
-  chunk is retried with capped exponential backoff, optionally split in
-  half first so a single poison word is isolated in O(log chunk)
-  retries;
-* **worker exception** — the worker reports the error and keeps
-  serving; same retry path, with the reason preserved;
+  (SIGKILL, OOM, segfault).  The pool respawns the worker and returns
+  the chunk, and the chunk is retried with capped exponential backoff,
+  optionally split in half first so a single poison word is isolated
+  in O(log chunk) retries;
+* **exception** — a worker reports the error and keeps serving, or the
+  in-process round catches it; same retry path, with the reason
+  preserved;
 * **deadline budget** — ``deadline_s`` bounds the whole batch in
   wall-clock seconds.  On expiry every still-missing word gets an
   explicit :data:`~repro.engine.verdict.Verdict.UNDECIDED` report
@@ -24,14 +27,16 @@ explicit record:
   hang;
 * **graceful degradation** — a chunk that exhausts its retries falls
   back to the parent's serial loop under the same strategy (reports
-  stay bit-identical to the serial path and carry *no* marker), then
-  optionally to a cheaper strategy (``fallback_strategy``, typically
-  ``"long-prefix-empirical"``), whose reports are explicitly marked
+  stay bit-identical to the serial path and carry *no* marker; an
+  in-process chunk skips this rung, which would re-run what just
+  failed), then optionally to a cheaper strategy
+  (``fallback_strategy``, typically ``"long-prefix-empirical"``),
+  whose reports are explicitly marked
   ``evidence["degraded"] = "strategy-fallback:<name>"``.
 
 An acceptor that cannot pickle never reaches a worker.  It is judged
-by the serial loop — retries and the deadline still apply, process
-isolation does not — and
+in process — retries and the deadline still apply, process isolation
+does not — and
 ``engine.backend_fallbacks{reason="unshippable-acceptor"}`` counts it.
 
 The invariant the fault suite pins: **every unmarked report is
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import hooks as _obs
 from .batch import _decide_one, _route
@@ -124,19 +129,6 @@ class BatchOutcome:
         return not self.degraded_indices and not self.deadline_missed
 
 
-class _Chunk:
-    __slots__ = ("lo", "hi", "attempt", "not_before")
-
-    def __init__(self, lo: int, hi: int, attempt: int = 0, not_before: float = 0.0):
-        self.lo = lo
-        self.hi = hi
-        self.attempt = attempt
-        self.not_before = not_before
-
-    def indices(self) -> range:
-        return range(self.lo, self.hi)
-
-
 def _inconclusive(
     index: int, seed: int, strat_name: str, reason: str, detail: Optional[str] = None
 ) -> DecisionReport:
@@ -171,11 +163,11 @@ def decide_many_resilient(
     docstring.  Returns a :class:`BatchOutcome` carrying the reports
     and the recovery ledger.
 
-    ``backend`` picks the fan-out like ``decide_many``'s, except that
+    ``backend`` picks the executor like ``decide_many``'s, except that
     ``"auto"`` sends ``workers > 1`` to ``"shards"``: the persistent
     pool of :mod:`repro.shard`, where worker deaths are healed by
-    respawn and the retry/degrade ladder applies.  An acceptor that
-    cannot pickle is judged serially instead, with the reason recorded.
+    respawn.  An acceptor that cannot pickle is judged in process
+    instead, with the reason recorded.
     """
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
@@ -194,16 +186,10 @@ def decide_many_resilient(
 
     def run() -> None:
         slots: List[Optional[DecisionReport]] = [None] * n
-        if mode == "shards":
-            _run_pooled_shards(
-                slots, acceptor, words, horizon, strat, seed, workers,
-                chunk_size, retry, degrade, deadline_at, outcome, specs,
-            )
-        else:
-            _run_serial(
-                slots, acceptor, words, horizon, strat, seed,
-                retry, degrade, deadline_at, outcome,
-            )
+        _ladder(
+            slots, acceptor, words, horizon, strat, seed, workers,
+            chunk_size, retry, degrade, deadline_at, outcome, specs,
+        )
         for i in range(n):
             if slots[i] is None:
                 slots[i] = _inconclusive(i, seed, strat.name, "deadline")
@@ -229,10 +215,6 @@ def decide_many_resilient(
     outcome.elapsed_s = time.perf_counter() - start
     return outcome
 
-
-# ----------------------------------------------------------------------
-# degrade ladder (shared by both paths)
-# ----------------------------------------------------------------------
 
 def _degrade_index(
     slots: List[Optional[DecisionReport]],
@@ -283,57 +265,7 @@ def _degrade_index(
         h.count("engine.degraded", mode="abandoned")
 
 
-# ----------------------------------------------------------------------
-# serial path: retries + deadline without a pool
-# ----------------------------------------------------------------------
-
-def _run_serial(
-    slots: List[Optional[DecisionReport]],
-    acceptor: Any,
-    words: Sequence[Any],
-    horizon: int,
-    strat: DecisionStrategy,
-    seed: int,
-    retry: RetryPolicy,
-    degrade: DegradePolicy,
-    deadline_at: Optional[float],
-    outcome: BatchOutcome,
-) -> None:
-    h = _obs.HOOKS
-    for i in range(len(words)):
-        if deadline_at is not None and time.perf_counter() >= deadline_at:
-            outcome.deadline_missed = True
-            return
-        attempt = 0
-        while True:
-            try:
-                slots[i] = _decide_one(acceptor, words[i], horizon, strat, seed, i)
-                break
-            except Exception as exc:
-                attempt += 1
-                outcome.retries += 1
-                if h is not None:
-                    h.count("engine.retries", reason="exception")
-                if attempt > retry.max_retries:
-                    # serial judging just failed, so the ladder skips
-                    # the (identical) serial-fallback rung
-                    _degrade_index(
-                        slots, i, acceptor, words, horizon, strat, seed,
-                        degrade, outcome, try_serial=False,
-                        detail=repr(exc), deadline_at=deadline_at,
-                    )
-                    break
-                delay = retry.delay(attempt)
-                if deadline_at is not None:
-                    delay = min(delay, max(0.0, deadline_at - time.perf_counter()))
-                time.sleep(delay)
-
-
-# ----------------------------------------------------------------------
-# shard-pool path: the same ladder over persistent workers
-# ----------------------------------------------------------------------
-
-def _run_pooled_shards(
+def _ladder(
     slots: List[Optional[DecisionReport]],
     acceptor: Any,
     words: Sequence[Any],
@@ -348,77 +280,99 @@ def _run_pooled_shards(
     outcome: BatchOutcome,
     specs: Any,
 ) -> None:
-    """Resilient fan-out over the persistent shard pool.
-
-    Round-based: every backoff-eligible chunk goes to the pool at once,
-    completed chunks fill their slots, and failures come back as
-    explicit records that re-enter the retry ladder (capped backoff,
-    optional chunk splitting, then the degrade ladder).  Worker deaths
-    are healed *inside* the pool by respawn — the shard that died is
-    back at strength before the retry fires.
-    """
-    from ..shard import pool as shard_pool
-
+    """The one retry loop, in rounds: every chunk whose backoff has
+    passed goes to the executor at once, completed chunks fill their
+    slots, and each failure record re-enters the ladder (capped
+    backoff, optional splitting, then the degrade ladder).  With
+    ``specs`` the executor is the shard pool, which heals a dead worker
+    by respawn before it files the chunk; without, the in-process
+    round."""
     h = _obs.HOOKS
-    pending: List[_Chunk] = [
-        _Chunk(lo, hi)
-        for lo, hi in shard_pool.plan_chunks(len(words), workers, chunk_size)
-    ]
+    if specs is None:
+        ranges = [(i, i + 1) for i in range(len(words))]
+    else:
+        from ..shard import pool as shard_pool
 
-    def fail(chunk: _Chunk, reason: str, detail: Optional[str]) -> None:
-        attempt = chunk.attempt + 1
-        if reason == "worker-death":
-            outcome.worker_deaths += 1
-        if attempt > retry.max_retries:
-            for i in chunk.indices():
-                if slots[i] is None:
-                    _degrade_index(
-                        slots, i, acceptor, words, horizon, strat, seed,
-                        degrade, outcome, try_serial=degrade.serial_fallback,
-                        detail=detail, deadline_at=deadline_at,
-                    )
-            return
-        outcome.retries += 1
-        if h is not None:
-            h.count("engine.retries", reason=reason)
-        not_before = time.perf_counter() + retry.delay(attempt)
-        if retry.split_chunks and chunk.hi - chunk.lo > 1:
-            mid = (chunk.lo + chunk.hi) // 2
-            pending.append(_Chunk(chunk.lo, mid, attempt, not_before))
-            pending.append(_Chunk(mid, chunk.hi, attempt, not_before))
-        else:
-            pending.append(_Chunk(chunk.lo, chunk.hi, attempt, not_before))
-
+        ranges = shard_pool.plan_chunks(len(words), workers, chunk_size)
+    # Each chunk still to judge: (lo, hi, failed attempts, not before).
+    pending = [(lo, hi, 0, 0.0) for lo, hi in ranges]
     while pending:
         now = time.perf_counter()
         if deadline_at is not None and now >= deadline_at:
             outcome.deadline_missed = True
             return
-        eligible = [c for c in pending if c.not_before <= now]
-        if not eligible:
-            target = min(c.not_before for c in pending)
+        attempts = {(lo, hi): k for lo, hi, k, not_before in pending if not_before <= now}
+        if not attempts:
+            target = min(c[3] for c in pending)
             if deadline_at is not None:
                 target = min(target, deadline_at)
             time.sleep(max(0.0, target - time.perf_counter()))
             continue
-        for chunk in eligible:
-            pending.remove(chunk)
-        by_range = {(c.lo, c.hi): c for c in eligible}
-        results, failures = shard_pool.run_chunks(
-            *specs, words, list(by_range),
-            horizon=horizon, seed=seed, workers=workers,
-            deadline_at=deadline_at, max_retries=0,
-        )
+        pending = [c for c in pending if c[3] > now]
+        if specs is None:
+            results, failures = _in_process(
+                acceptor, words, list(attempts), horizon, strat, seed, deadline_at
+            )
+        else:
+            results, failures = shard_pool.run_chunks(
+                *specs, words, list(attempts),
+                horizon=horizon, seed=seed, workers=workers, deadline_at=deadline_at,
+            )
         for i, report in results.items():
             slots[i] = report
         for lo, hi, reason, detail in failures:
-            chunk = by_range[(lo, hi)]
             if reason == "deadline":
                 # missing slots become explicit deadline markers upstream
                 outcome.deadline_missed = True
                 continue
-            fail(
-                chunk,
-                "worker-death" if reason in ("worker-death", "no-workers") else "exception",
-                detail,
-            )
+            attempt = attempts[lo, hi] + 1
+            reason = "worker-death" if reason in ("worker-death", "no-workers") else "exception"
+            if reason == "worker-death":
+                outcome.worker_deaths += 1
+            if attempt > retry.max_retries:
+                # An in-process chunk skips the serial-fallback rung: it
+                # would re-run exactly what just failed.
+                try_serial = degrade.serial_fallback and specs is not None
+                for i in range(lo, hi):
+                    if slots[i] is None:
+                        _degrade_index(
+                            slots, i, acceptor, words, horizon, strat, seed, degrade,
+                            outcome, try_serial=try_serial, detail=detail,
+                            deadline_at=deadline_at,
+                        )
+                continue
+            outcome.retries += 1
+            if h is not None:
+                h.count("engine.retries", reason=reason)
+            not_before = time.perf_counter() + retry.delay(attempt)
+            if retry.split_chunks and hi - lo > 1:
+                mid = (lo + hi) // 2
+                pending += [(lo, mid, attempt, not_before), (mid, hi, attempt, not_before)]
+            else:
+                pending.append((lo, hi, attempt, not_before))
+
+
+def _in_process(
+    acceptor: Any,
+    words: Sequence[Any],
+    chunks: List[Tuple[int, int]],
+    horizon: int,
+    strat: DecisionStrategy,
+    seed: int,
+    deadline_at: Optional[float],
+) -> Tuple[Dict[int, DecisionReport], List[Tuple[int, int, str, Optional[str]]]]:
+    """The in-process executor, shaped like
+    :func:`~repro.shard.pool.run_chunks`: the deadline is checked
+    before each chunk (one word each: ``hi == lo + 1``), and an
+    exception is filed as an ``exception`` record."""
+    slots: Dict[int, DecisionReport] = {}
+    failures: List[Tuple[int, int, str, Optional[str]]] = []
+    for lo, hi in chunks:
+        if deadline_at is not None and time.perf_counter() >= deadline_at:
+            failures.append((lo, hi, "deadline", None))
+            continue
+        try:
+            slots[lo] = _decide_one(acceptor, words[lo], horizon, strat, seed, lo)
+        except Exception as exc:
+            failures.append((lo, hi, "exception", repr(exc)))
+    return slots, failures

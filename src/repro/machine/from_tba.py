@@ -109,6 +109,29 @@ def zeno_unroll(tba: TimedBuchiAutomaton) -> int:
     return min(ZENO_UNROLL, len(tba.states) * 2 ** len(tba.clocks) + 1)
 
 
+class _TBAMachine(RealTimeAlgorithm):
+    """A machine :func:`tba_to_algorithm` compiled.  Its program closes
+    over the automaton, so it pickles as the automaton plus its other
+    attributes (``name``, ``space_limit``, ...).  Unpickling it (in a
+    shard worker, or by :func:`copy.copy`) makes a new machine with the
+    program and table of the engine cache's compilation, then sets
+    those attributes on it."""
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        state = dict(vars(self))
+        del state["program"], state["successor_table"]
+        return _recompiled, (self.source_tba,), state
+
+
+def _recompiled(tba: TimedBuchiAutomaton) -> "_TBAMachine":
+    """A new machine sharing the cached compilation of ``tba``."""
+    from ..engine.batch import compiled_tba
+
+    machine = _TBAMachine.__new__(_TBAMachine)
+    vars(machine).update(vars(compiled_tba(tba, True)))
+    return machine
+
+
 def tba_to_algorithm(
     tba: TimedBuchiAutomaton, allow_nondeterministic: bool = False
 ) -> RealTimeAlgorithm:
@@ -151,7 +174,7 @@ def tba_to_algorithm(
                 if ctx.output.can_write():
                     ctx.emit_f()
 
-    algo = RealTimeAlgorithm(program, name="TBA-sim")
+    algo = _TBAMachine(program, name="TBA-sim")
     # Keep the source automaton on the machine: judges use it to fall
     # back on exact region mathematics where the operational discipline
     # cannot decide (frozen-time lassos never reach the time horizon),

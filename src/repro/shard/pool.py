@@ -2,30 +2,33 @@
 
 This is the engine's one process backend.  It keeps one process-wide
 :class:`~repro.shard.router.ShardRouter` (decide-only: no muxes) alive
-across calls, so repeat batches hit workers whose language artifacts
-are already compiled and warm — a per-batch fork would pay the fork,
-the warmup and the compiled-acceptor rebuild on every call.
+across calls, so repeat batches hit workers whose acceptors are
+already installed and warm — a per-batch fork would pay the fork, the
+warmup and the compiled-acceptor rebuild on every call.
 
 A persistent worker is forked *before* the batch exists, so nothing
 can be inherited: the acceptor and the words must actually cross the
-pipe.  That is a real restriction: an acceptor that closes over a
-local function does not pickle.  :func:`language_spec` preflights this
-and raises :class:`LanguageUnshippable` so the engine can judge such a
-batch serially (and count why) instead of dying mid-batch.  TBAs,
-timed words (in lists or :class:`~repro.words.batch.LassoBatch` slices),
-strategies, machines over module-level programs, and
-:class:`~repro.engine.verdict.DecisionReport` lists are all plain data
-and travel fine.
+pipe.  Every acceptor ships as itself.  A machine compiled from a TBA
+pickles as its automaton and its attributes, and the worker compiles
+the automaton again (as a raw TBA is: the engine compiles it first);
+timed words (in lists or :class:`~repro.words.batch.LassoBatch`
+slices), strategies, machines over module-level programs, fault
+wrappers around any of these, and
+:class:`~repro.engine.verdict.DecisionReport` lists are plain data.
+An acceptor that closes over a local function does not pickle:
+:func:`language_spec` preflights this and raises
+:class:`LanguageUnshippable` so the engine can judge such a batch
+serially (and count why) instead of dying mid-batch.
 
-:func:`run_chunks` is the scheduling loop shared by
-``decide_many(backend="shards")`` and
-``decide_many_resilient(backend="shards")``: one outstanding chunk per
-shard, worker death detected as pipe EOF and healed by respawn (the
-router keeps the pool at strength), deadlines enforced with a kill —
-failures come back as explicit ``(lo, hi, reason, detail)`` records for
-the caller's own recovery ladder, and every reply carries the worker's
-metric delta so child-side counts land in the parent registry.  The
-pool serves one batch at a time.
+:func:`run_chunks` is the executor ``decide_many(backend="shards")``
+and ``decide_many_resilient`` share: it tries each chunk once, one
+outstanding chunk per shard, with worker death detected as pipe EOF
+and healed by respawn (the router keeps the pool at strength) and
+deadlines enforced with a kill.  Failures come back as explicit
+``(lo, hi, reason, detail)`` records for the caller's own recovery
+ladder, and every reply carries the worker's metric delta so
+child-side counts land in the parent registry.  The pool serves one
+batch at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..automata.timed import TimedBuchiAutomaton
 from ..obs import hooks as _obs
 from .router import ShardError, ShardRouter
 from .wire import OP_DECIDE, OP_ERR, OP_REPLY, recv_frame, send_frame
@@ -116,21 +118,16 @@ def shutdown_pool() -> None:
         _ANCHORS.clear()
 
 
-def language_spec(acceptor: Any) -> Tuple[int, str, Any]:
-    """``(key, kind, payload)`` for shipping ``acceptor`` to workers.
-
-    TBAs ship as themselves and are compiled *in the worker* (into its
-    warm cache); any other picklable acceptor ships directly.  Raises
-    :class:`LanguageUnshippable` for closure-laden acceptors.
-    """
-    kind = "tba" if isinstance(acceptor, TimedBuchiAutomaton) else "obj"
+def language_spec(acceptor: Any) -> Tuple[int, Any]:
+    """``(key, acceptor)`` for shipping ``acceptor`` to workers; raises
+    :class:`LanguageUnshippable` for closure-laden acceptors."""
     try:
         pickle.dumps(acceptor, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise LanguageUnshippable("unshippable-acceptor", repr(exc)) from exc
     key = id(acceptor)
     _ANCHORS[key] = acceptor
-    return key, kind, acceptor
+    return key, acceptor
 
 
 def strategy_spec(strategy: Union[str, Any]) -> Any:
@@ -166,7 +163,7 @@ def plan_chunks(
 
 
 def run_chunks(
-    spec: Tuple[int, str, Any],
+    spec: Tuple[int, Any],
     strat_spec: Any,
     words: Sequence[Any],
     chunks: List[Tuple[int, int]],
@@ -175,18 +172,18 @@ def run_chunks(
     seed: int,
     workers: int,
     deadline_at: Optional[float] = None,
-    max_retries: int = 1,
 ) -> Tuple[Dict[int, Any], List[Tuple[int, int, str, Optional[str]]]]:
-    """Schedule decide chunks over shard workers.
+    """Try each decide chunk once over shard workers.
 
     Returns ``(slots, failures)``: ``slots`` maps word index to its
     report for every chunk that completed; ``failures`` lists
-    ``(lo, hi, reason, detail)`` for chunks that did not (reasons:
-    ``worker-death``, ``exception``, ``deadline``, ``unshippable``,
-    ``no-workers``, and ``protocol`` for a reply of another opcode or
-    with another number of reports than the chunk has words).  A dead
-    worker is respawned and its chunk retried up to ``max_retries``
-    times before failing; no index appears in both returns.
+    ``(lo, hi, reason, detail)`` once for each chunk that did not
+    (reasons: ``worker-death``, ``exception``, ``deadline``,
+    ``unshippable``, ``no-workers``, and ``protocol`` for a reply of
+    another opcode or with another number of reports than the chunk
+    has words).  A dead worker is respawned before its chunk is filed,
+    so the pool is back at strength for the next chunk and the next
+    batch; no index appears in both returns.
 
     The call holds the pool for the whole batch, growing it to
     ``workers`` shards first.  A caller with a ``deadline_at`` waits for
@@ -198,35 +195,28 @@ def run_chunks(
         return {}, [(lo, hi, "deadline", None) for lo, hi in chunks]
     try:
         router = shared_pool(workers)
-        key, kind, payload = spec
+        key, acceptor = spec
         use = router.shard_ids[: max(1, min(workers, router.n_shards))]
         idle = [router._shards[sid] for sid in use]
         busy: Dict[Any, Tuple[Any, Tuple[int, int]]] = {}
         queue = deque(chunks)
-        attempts: Dict[Tuple[int, int], int] = {}
         slots: Dict[int, Any] = {}
         failures: List[Tuple[int, int, str, Optional[str]]] = []
 
-        def give_up(chunk: Tuple[int, int], reason: str, detail: Optional[str]) -> None:
-            failures.append((chunk[0], chunk[1], reason, detail))
-
-        def revive(shard: Any, chunk: Tuple[int, int], detail: str) -> None:
-            attempts[chunk] = attempt = attempts.get(chunk, 0) + 1
+        def died(shard: Any, chunk: Tuple[int, int], detail: str) -> None:
+            shard.alive = False
             try:
                 router.recover(shard.id)
             except Exception as exc:
-                give_up(chunk, "worker-death", f"{detail}; respawn failed: {exc!r}")
-                return
-            idle.append(router._shards[shard.id])
-            if attempt > max_retries:
-                give_up(chunk, "worker-death", detail)
+                detail = f"{detail}; respawn failed: {exc!r}"
             else:
-                queue.append(chunk)
+                idle.append(router._shards[shard.id])
+            failures.append((*chunk, "worker-death", detail))
 
         def submit(shard: Any, chunk: Tuple[int, int]) -> None:
             lo, hi = chunk
             try:
-                router.install_language(shard, key, kind, payload)
+                router.install_language(shard, key, acceptor)
                 shard.seq += 1
                 send_frame(
                     shard.conn,
@@ -235,12 +225,11 @@ def run_chunks(
                     (key, lo, words[lo:hi], horizon, strat_spec, seed),
                 )
             except (ShardError, BrokenPipeError, OSError) as exc:
-                shard.alive = False
-                revive(shard, chunk, repr(exc))
+                died(shard, chunk, repr(exc))
                 return
             except Exception as exc:  # e.g. an unpicklable word mid-batch
                 idle.append(shard)
-                give_up(chunk, "unshippable", repr(exc))
+                failures.append((lo, hi, "unshippable", repr(exc)))
                 return
             busy[shard.conn] = (shard, chunk)
 
@@ -249,7 +238,7 @@ def run_chunks(
                 submit(idle.pop(), queue.popleft())
             if not busy:
                 while queue:  # every worker gone and none revivable
-                    give_up(queue.popleft(), "no-workers", None)
+                    failures.append((*queue.popleft(), "no-workers", None))
                 break
             timeout = None
             if deadline_at is not None:
@@ -258,42 +247,40 @@ def run_chunks(
             if not ready:
                 # Deadline: kill the stragglers (respawn keeps the pool at
                 # strength for the next batch) and fail everything left.
-                for conn, (shard, chunk) in list(busy.items()):
+                for shard, chunk in busy.values():
                     try:
                         router.recover(shard.id)
                     except Exception:  # pragma: no cover
                         pass
-                    give_up(chunk, "deadline", None)
+                    failures.append((*chunk, "deadline", None))
                 busy.clear()
                 while queue:
-                    give_up(queue.popleft(), "deadline", None)
+                    failures.append((*queue.popleft(), "deadline", None))
                 break
             for conn in ready:
                 shard, chunk = busy.pop(conn)
                 try:
                     frame = recv_frame(conn)
                 except (EOFError, OSError) as exc:
-                    shard.alive = False
-                    revive(shard, chunk, repr(exc))
+                    died(shard, chunk, repr(exc))
                     continue
+                idle.append(shard)
+                lo, hi = chunk
                 if frame.op == OP_REPLY:
                     reports, delta = frame.payload
                     h = _obs.HOOKS
                     if h is not None and delta:
                         h.registry.merge(delta)
-                    idle.append(shard)
-                    lo, hi = chunk
                     if len(reports) != hi - lo:
-                        give_up(chunk, "protocol", f"{len(reports)} reports for {hi - lo} words")
+                        detail = f"{len(reports)} reports for {hi - lo} words"
+                        failures.append((lo, hi, "protocol", detail))
                         continue
                     for i, report in enumerate(reports):
                         slots[lo + i] = report
                 elif frame.op == OP_ERR:
-                    idle.append(shard)
-                    give_up(chunk, "exception", frame.payload)
+                    failures.append((lo, hi, "exception", frame.payload))
                 else:
-                    idle.append(shard)
-                    give_up(chunk, "protocol", f"opcode {frame.op}")
+                    failures.append((lo, hi, "protocol", f"opcode {frame.op}"))
         return slots, failures
     finally:
         _POOL_LOCK.release()

@@ -808,9 +808,9 @@ class ShardRouter:
         return {"n_shards": len(self._shards), "moved": moved}
 
     # -- decide-path support (used by repro.shard.pool) --------------------
-    def install_language(self, shard: _Shard, key: int, kind: str, payload: Any) -> None:
+    def install_language(self, shard: _Shard, key: int, acceptor: Any) -> None:
         if key not in shard.langs:
-            self._request(shard, OP_INSTALL_LANG, (key, kind, payload))
+            self._request(shard, OP_INSTALL_LANG, (key, acceptor))
             shard.langs.add(key)
 
     # -- metrics -----------------------------------------------------------

@@ -61,7 +61,7 @@ OP_RESTORE = 5       # mux snapshot → rebuild the mux from it
 OP_EXTRACT = 6       # [names] → {name: session entry} (removed from mux)
 OP_ADOPT = 7         # {name: session entry} → restored into the mux
 OP_RECORD = 8        # journal record (op, payload) → apply_record's result
-OP_INSTALL_LANG = 9  # (key, kind, payload) → warm a language artifact
+OP_INSTALL_LANG = 9  # (key, acceptor) → keep the acceptor for OP_DECIDE
 OP_DECIDE = 10       # (lang_key, lo, words, horizon, strategy, seed) → reports
 OP_METRICS = 11      # () → registry delta dump
 OP_SHUTDOWN = 12     # () → final metrics delta, then the worker exits

@@ -12,10 +12,11 @@ is the router's per-shard recovery path).  Everything expensive lives
   or an adoption reopens each session through the mux itself, so the
   worker never names a language and any mux the factory builds,
   ``monitor_factory`` ones included, checkpoints and recovers);
-* the engine's :class:`~repro.engine.batch.AcceptorCache` — a language
-  installed via ``OP_INSTALL_LANG`` is compiled once and then serves
-  every subsequent ``OP_DECIDE`` chunk without recompilation or
-  re-pickling;
+* the acceptors installed via ``OP_INSTALL_LANG``, each of which
+  serves every later ``OP_DECIDE`` chunk without re-pickling; a machine
+  compiled from a TBA arrives as itself and is compiled again, once,
+  into the engine's :class:`~repro.engine.batch.AcceptorCache` as it
+  unpickles;
 * the worker's own :class:`~repro.obs.Instrumentation` — metrics
   recorded here (``stream.*``, ``kernel.*``, ``engine.*``) are shipped
   to the parent as :class:`~repro.obs.DeltaDumper` deltas riding on
@@ -50,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..engine.batch import _decide_chunk, compiled_tba
+from ..engine.batch import _decide_chunk
 from ..engine.strategies import get_strategy
 from ..obs import DeltaDumper, Instrumentation
 from ..obs import hooks as _obs_hooks
@@ -203,16 +204,8 @@ class _Worker:
         return self._live_mux().newest()
 
     def on_install_lang(self, payload) -> bool:
-        key, kind, obj = payload
-        if key not in self.langs:
-            if kind == "tba":
-                # compiled once into the worker's warm engine LRU;
-                # every future OP_DECIDE for this key reuses it
-                self.langs[key] = compiled_tba(obj)
-            elif kind == "obj":
-                self.langs[key] = obj
-            else:
-                raise ValueError(f"unknown language kind {kind!r}")
+        key, acceptor = payload
+        self.langs[key] = acceptor
         return True
 
     def on_decide(self, payload) -> Any:

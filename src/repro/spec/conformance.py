@@ -14,7 +14,8 @@ applies, its shrinks and its source form.  The sweep (:func:`run`),
 :func:`check_pair`, the minimizer and the printed regressions read
 nothing else.  The cases the pairs judge:
 
-``semantics``, ``monitor``, ``strategy``, ``shards``, ``checkpoint``, ``mux``
+``semantics``, ``monitor``, ``strategy``, ``shards``, ``ladder``,
+``checkpoint``, ``mux``
     a combinator spec or a raw automaton, under every generator;
 ``recovery``
     a spec plus the text of its private-query session;
@@ -39,8 +40,8 @@ events, tighten times), then the case by the pair's shrinks, each step
 re-checked from empty caches — and printed as a pytest function
 (:func:`regression_source`) that re-runs exactly that check, its batch
 of words included, and fails until the fault is fixed.  A check with
-nothing to compare (``shards`` on a nondeterministic case, ``monitor``
-with the compiled path off) counts as skipped.
+nothing to compare (``monitor`` with the compiled path off) counts as
+skipped.
 
 CLI::
 
@@ -57,9 +58,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
+import time
 from dataclasses import dataclass, field
 from itertools import chain
 from types import SimpleNamespace
@@ -71,7 +74,6 @@ from ..engine.batch import compiled_tba, decide_many
 from ..engine.strategies import decide, resolve_zeno
 from ..engine.verdict import DecisionReport, Verdict
 from ..kernel.clock import And, Ge, Le, Not, TrueConstraint
-from ..machine.from_tba import _is_deterministic
 from ..machine.tape import ZENO_UNROLL, zeno_event_cap
 from ..stream.compiled import compilation_enabled
 from ..words.batch import LassoBatch
@@ -82,7 +84,6 @@ from .combinators import (
     alt,
     both,
     eventually,
-    is_deterministic_spec,
     loop,
     max_bound,
     rt_bound,
@@ -189,12 +190,6 @@ def _case_tba(case: Case, alphabet: Tuple[Any, ...]) -> TimedBuchiAutomaton:
     if isinstance(case, TimedBuchiAutomaton):
         return case
     return to_tba(case, alphabet)
-
-
-def _case_deterministic(case: Case) -> bool:
-    if isinstance(case, TimedBuchiAutomaton):
-        return _is_deterministic(case)
-    return is_deterministic_spec(case)
 
 
 def gen_tba(
@@ -668,15 +663,16 @@ def _check_shards(
     alphabet: Tuple[Any, ...],
     words: Sequence[TimedWord],
 ) -> Optional[str]:
-    tba = _case_tba(spec, alphabet)
+    machine = compiled_tba(_case_tba(spec, alphabet), allow_nondeterministic=True)
     # A word-scaled horizon keeps each machine run to a few dozen
     # events (the default 10k-event horizon would dominate the sweep).
     horizon = max(_horizon(w) for w in words)
-    serial = decide_many(tba, words, backend="serial", horizon=horizon)
+    serial = decide_many(machine, words, backend="serial", horizon=horizon)
     try:
-        # The pool ships the batch to its workers in slices.
+        # The pool ships the machine as its automaton, and the batch
+        # to its workers in slices.
         sharded = decide_many(
-            tba, LassoBatch.of(words), backend="shards", workers=2, horizon=horizon
+            machine, LassoBatch.of(words), backend="shards", workers=2, horizon=horizon
         )
     except Exception as exc:  # the serial side judged the same words
         return f"shards raised {exc!r} where serial judged every word"
@@ -688,6 +684,54 @@ def _check_shards(
                 f"word {i}: serial reports {_report_fields(a)} but shards "
                 f"{_report_fields(b)}"
             )
+    return None
+
+
+def _check_ladder(
+    spec: Case, alphabet: Tuple[Any, ...], words: Sequence[TimedWord]
+) -> Optional[str]:
+    """``decide_many_resilient`` on the case's machine under a fault
+    schedule seeded from the words vs serial ``decide_many``: one report
+    per word, every unmarked one equal on every field, the marked ones
+    exactly ``degraded_indices``, and a call with a deadline back within
+    it plus one injected delay plus 1 s."""
+    from ..engine import faults
+    from ..engine.resilience import DegradePolicy, RetryPolicy, decide_many_resilient
+
+    machine = compiled_tba(_case_tba(spec, alphabet), allow_nondeterministic=True)
+    horizon = max(_horizon(w) for w in words)
+    rng = random.Random(repr(words))
+    fuse = faults.FileFuse(shots=rng.randint(0, 4))
+    delay = rng.randint(1, 5) / 1000
+    wrapper = rng.choice(("CrashingAcceptor", "FailingAcceptor", "DelayingAcceptor", None))
+    arg = delay if wrapper == "DelayingAcceptor" else fuse
+    acceptor = machine if wrapper is None else getattr(faults, wrapper)(machine, arg)
+    knobs = dict(
+        retry=RetryPolicy(rng.randint(0, 2), 0.001, 0.004, rng.random() < 0.5),
+        degrade=DegradePolicy(rng.random() < 0.5, rng.choice((None, "long-prefix-empirical"))),
+        workers=rng.randint(1, 2),
+        chunk_size=rng.choice((None, 1, 2)),
+        deadline_s=rng.choice((None, rng.uniform(0.005, 0.05))),
+    )
+    where = f"{wrapper} ({fuse.shots} shots, {delay} s), {knobs}"
+    start = time.perf_counter()
+    try:
+        out = decide_many_resilient(acceptor, words, horizon=horizon, **knobs)
+    finally:
+        os.remove(fuse.path)
+    took = time.perf_counter() - start
+    serial = decide_many(machine, words, horizon=horizon)
+    if len(out.reports) != len(serial):
+        return f"{where}: {len(out.reports)} reports for {len(serial)} words"
+    marked = [i for i, r in enumerate(out.reports) if "degraded" in r.evidence]
+    if marked != out.degraded_indices:
+        return f"{where}: reports {marked} are marked but degraded_indices is {out.degraded_indices}"
+    for i, (a, b) in enumerate(zip(out.reports, serial)):
+        if i not in marked and a != b:
+            return f"{where}: word {i} reports {a!r} {a.evidence} but serial {b!r} {b.evidence}"
+    slack = delay if wrapper == "DelayingAcceptor" else 0.0
+    if knobs["deadline_s"] is not None and took > knobs["deadline_s"] + slack + 1.0:
+        return f"{where}: returned after {took:.3f} s"
     return None
 
 
@@ -1447,7 +1491,8 @@ PAIRS: Dict[str, Pair] = {
     "semantics": Pair(GENS, _drawn, word=_check_semantics),
     "monitor": Pair(GENS, _drawn, word=_check_monitor, applies=lambda case: compilation_enabled()),
     "strategy": Pair(GENS, _drawn, word=_check_strategy, batch=_check_strategy_batch),
-    "shards": Pair(GENS, _drawn, batch=_check_shards, applies=_case_deterministic),
+    "shards": Pair(GENS, _drawn, batch=_check_shards),
+    "ladder": Pair(GENS, _drawn, batch=_check_ladder),
     "checkpoint": Pair(GENS, _drawn, word=_check_checkpoint),
     "mux": Pair(GENS, _drawn, word=_check_mux),
     "recovery": Pair(

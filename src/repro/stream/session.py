@@ -40,9 +40,12 @@ state.  A :class:`~repro.stream.monitor.TBAMonitor` or
 :class:`~repro.query.plan.PlanMonitor` over a slot is a view made when
 asked for: :meth:`SessionMux.open`'s result and
 :meth:`SessionMux.monitor`'s are the session's live handle (the scalar
-path makes one too when an event needs the monitor's policy), and every
-other read — verdicts, eviction, close, checkpoint — goes through a
-throwaway view.  Retiring a session frees its slot; only a session that
+path makes one too when an event needs the monitor's policy).
+Verdicts and event times are gathered from the columns in one read
+(:meth:`SessionMux.verdicts`, :meth:`SessionMux.newest`,
+:meth:`SessionMux.evict_idle`); every other read — a session's report
+on eviction or close, a checkpoint — goes through a throwaway view.
+Retiring a session frees its slot; only a session that
 gave out a handle moves its final state to a private one-slot table,
 where the handle keeps reading it.  Sessions off the table (a private
 query, or a mux without one: ``lateness > 0``, machine acceptors,
@@ -109,6 +112,15 @@ DROP_POLICIES = ("drop-new", "drop-old", "reject")
 
 #: Fields of a ``(name, symbol, t)`` batch event.
 _NAME, _SYMBOL, _TIME = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+#: Verdicts by ``vcode``, as an array that decodes a column at once.
+_VERDICT_OF = np.array(_VERDICTS, dtype=object)
+
+
+def _stamps(column: Any) -> Any:
+    """``max_seen`` table entries as monitors read them."""
+    return np.where(column < 0, None, column)
 
 
 def _as_list(column: Any) -> List[Any]:
@@ -602,7 +614,20 @@ class SessionMux:
 
     def verdicts(self) -> Dict[str, StreamVerdict]:
         """Current verdict-so-far of every open session."""
-        return {name: self._session(name).verdict for name in self._ids}
+        return self._read("verdict", "vcode", _VERDICT_OF.__getitem__)
+
+    def _read(self, attr: str, column: str, decode: Callable[[Any], Any]) -> Dict[str, Any]:
+        """Every open session's ``attr`` by name: the table's ``column``
+        gathered over the sessions' slots and decoded in one read, then
+        the sessions in ``_monitors`` (off the table, or handles) read
+        one by one."""
+        ids, monitors, tab = self._ids, self._monitors, self._table
+        if tab is None or not tab.capacity:
+            return {name: getattr(monitors[name], attr) for name in ids}
+        slots = self._slot_of[np.fromiter(ids.values(), np.intp, len(ids))]
+        out = dict(zip(ids, decode(tab.arrays[column][slots]).tolist()))
+        out.update((name, getattr(m, attr)) for name, m in monitors.items())
+        return out
 
     # -- lifecycle ---------------------------------------------------------
     def _report(self, name: str, monitor: Any, decision: Any) -> SessionReport:
@@ -667,11 +692,11 @@ class SessionMux:
         ttl = idle_ttl if idle_ttl is not None else self.idle_ttl
         if ttl is None:
             raise ValueError("no idle_ttl configured or passed")
+        last = self._read("max_seen", "max_seen", _stamps)
         if now is None:
-            now = self.newest()
+            now = max((t for t in last.values() if t is not None), default=None)
             if now is None:
                 return []
-        last = {name: self._session(name).max_seen for name in self._ids}
         victims = [
             name for name, t in last.items() if t is None or now - t > ttl
         ]
@@ -681,7 +706,7 @@ class SessionMux:
     def newest(self) -> Optional[int]:
         """The newest event time (``max_seen``) of any open session, or
         ``None``: what :meth:`evict_idle` takes for ``now`` by default."""
-        stamps = [self._session(name).max_seen for name in self._ids]
+        stamps = self._read("max_seen", "max_seen", _stamps).values()
         return max((t for t in stamps if t is not None), default=None)
 
     def _evict(self, victims: List[str], now: int) -> None:

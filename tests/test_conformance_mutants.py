@@ -87,6 +87,12 @@ MUTANTS = {
         "            lo, hi, step = i.indices(len(self) - 1)\n",
         ("--pairs", "shards", "--cases", "1"),
     ),
+    "strategy-fallback-loses-its-mark": Mutant(
+        "repro/engine/resilience.py",
+        '            report.evidence["degraded"] = f"strategy-fallback:{cheap.name}"\n',
+        "",
+        ("--pairs", "ladder", "--cases", "11"),
+    ),
     "headline-green-from-every-component": Mutant(
         "repro/stream/compiled.py",
         _GREEN,

@@ -1,5 +1,7 @@
 """Tests for the TBA → real-time algorithm compilation (§3.1.1 claim)."""
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -96,6 +98,20 @@ class TestCompilation:
             tba_to_algorithm(tba)
         # but allowed explicitly
         tba_to_algorithm(tba, allow_nondeterministic=True)
+
+    def test_copies_keep_the_machines_own_attributes(self):
+        # A copy or an unpickled machine (what a shard worker receives)
+        # shares a cached compilation's program and table, but keeps the
+        # name, space limit and unroll count set on this machine.
+        machine = tba_to_algorithm(two_phase_tba())
+        machine.name, machine.space_limit, machine.zeno_unroll = "metered", 3, 2
+        word = TimedWord.lasso([("a", 1), ("b", 3)], [("a", 7)], shift=4)
+        for twin in (copy.copy(machine), pickle.loads(pickle.dumps(machine))):
+            assert twin is not machine
+            assert (twin.name, twin.space_limit, twin.zeno_unroll) == ("metered", 3, 2)
+            assert twin.decide(word, 40) == machine.decide(word, 40)
+        cached = compiled_tba(two_phase_tba())
+        assert copy.copy(cached) is not cached
 
 
 class TestAgreementWithAutomatonJudge:

@@ -10,6 +10,7 @@ The three pinned guarantees:
 """
 
 import os
+import time
 
 import pytest
 
@@ -289,6 +290,41 @@ class TestDeadlineBudget:
         for i, r in enumerate(out.reports):
             if i not in out.degraded_indices:
                 assert r == serial[i]
+
+
+class TestOneLadder:
+    """The pool and the in-process round run one retry loop, so one
+    fault schedule keeps the same invariants on either."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fault_schedule_keeps_the_ladder_invariants(self, sweep, tmp_path, workers):
+        acceptor, words, serial = sweep
+        delay, deadline_s = 0.02, 0.3
+        faulty = FailingAcceptor(
+            DelayingAcceptor(acceptor, delay), fuse(tmp_path, shots=3)
+        )
+        start = time.perf_counter()
+        out = decide_many_resilient(
+            faulty, words, horizon=HORIZON, workers=workers, seed=3,
+            retry=RetryPolicy(max_retries=1, backoff_base=0.005),
+            degrade=DegradePolicy(
+                serial_fallback=False, fallback_strategy="long-prefix-empirical"
+            ),
+            deadline_s=deadline_s,
+        )
+        elapsed = time.perf_counter() - start
+        assert out.mode == ("serial" if workers == 1 else "shards")
+        assert out.retries >= 1
+        # one report per word; every unmarked one is the serial one
+        assert len(out.reports) == len(words)
+        marked = [i for i, r in enumerate(out.reports) if "degraded" in r.evidence]
+        for i, report in enumerate(out.reports):
+            if i not in marked:
+                assert report == serial[i]
+        # the marked reports are exactly the degraded indices
+        assert marked == out.degraded_indices
+        # back within the deadline, one injected delay and a second
+        assert elapsed < deadline_s + delay + 1.0
 
 
 class TestObservability:

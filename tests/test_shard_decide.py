@@ -13,8 +13,10 @@ import threading
 import pytest
 
 from repro.automata import TimedBuchiAutomaton, TimedTransition
-from repro.engine import decide_many, decide_many_resilient
+from repro.engine import FailingAcceptor, FileFuse, decide_many, decide_many_resilient
+from repro.engine.batch import compiled_tba
 from repro.kernel import Le
+from repro.machine import RealTimeAlgorithm, SpaceLimitExceeded, tba_to_algorithm
 from repro.obs import instrumented
 from repro.shard import pool as shard_pool
 from repro.shard import shared_pool, shutdown_pool
@@ -36,6 +38,22 @@ def bounded_gap_tba(bound=2):
         ["s"],
         "s",
         [TimedTransition.make("s", "s", "a", resets=["x"], guard=Le("x", bound))],
+        ["x"],
+        ["s"],
+    )
+
+
+def branching_tba():
+    """Nondeterministic: two ``a`` edges leave ``s``."""
+    return TimedBuchiAutomaton(
+        "a",
+        ["s", "t"],
+        "s",
+        [
+            TimedTransition.make("s", "s", "a", resets=["x"], guard=Le("x", 2)),
+            TimedTransition.make("s", "t", "a"),
+            TimedTransition.make("t", "t", "a", guard=Le("x", 9)),
+        ],
         ["x"],
         ["s"],
     )
@@ -157,6 +175,68 @@ def test_unshippable_acceptor_falls_back_with_recorded_reason():
     counter = inst.registry.counter("engine.backend_fallbacks")
     assert counter.labels(reason="unshippable-acceptor").value == 1
     assert not pool_is_warm()  # nothing was spun up for the fallback
+
+
+def test_compiled_machines_and_wrappers_around_them_run_on_the_pool(tmp_path):
+    # A machine compiled from a TBA pickles as its automaton and its
+    # attributes, so it ships as itself, nondeterministic or metered,
+    # and so does a fault wrapper around it.  The wrapper's one shot
+    # fails one chunk in a worker, which is then judged in process.
+    words = make_words(40)
+    metered = tba_to_algorithm(bounded_gap_tba())
+    metered.space_limit = 2  # judged by the kernel's metered replay
+    machines = (
+        compiled_tba(bounded_gap_tba()),
+        compiled_tba(branching_tba(), allow_nondeterministic=True),
+        metered,
+    )
+    for k, machine in enumerate(machines):
+        serial = decide_many(machine, words, horizon=200, backend="serial")
+        flaky = FailingAcceptor(machine, FileFuse(shots=1, path=str(tmp_path / f"f{k}")))
+        for acceptor, failed in ((machine, 0), (flaky, 1)):
+            with instrumented() as inst:
+                sharded = decide_many(acceptor, words, horizon=200, workers=2, backend="shards")
+            assert inst.registry.counter("engine.batches").labels(mode="shards").value == 1
+            fallbacks = inst.registry.counter("engine.backend_fallbacks")
+            assert fallbacks.labels(reason="unshippable-acceptor").value == 0
+            assert fallbacks.labels(reason="shard-exception").value == failed
+            assert sharded == serial
+    # A limit the machine exceeds raises on the pool as it does in process.
+    tight = tba_to_algorithm(bounded_gap_tba())
+    tight.space_limit = 1
+    for backend in ("serial", "shards"):
+        with pytest.raises(SpaceLimitExceeded):
+            decide_many(tight, words, horizon=200, workers=2, backend=backend)
+    outcome = decide_many_resilient(tight, words, horizon=200, workers=2)
+    assert outcome.mode == "shards" and outcome.degraded_indices == list(range(len(words)))
+
+
+def starts_with_a(ctx):
+    """Module-level, so the machine pickles into shard workers."""
+    symbol, _t = yield ctx.input.read()
+    if symbol == "a":
+        ctx.accept()
+    else:
+        ctx.reject()
+
+
+def test_run_chunks_files_a_dead_workers_chunk_once():
+    machine, words = RealTimeAlgorithm(starts_with_a), make_words(8)
+    router = shared_pool(2)
+    victim = router._shards[router.shard_ids[0]]
+    os.kill(victim.proc.pid, signal.SIGKILL)
+    victim.proc.join()
+    slots, failures = shard_pool.run_chunks(
+        shard_pool.language_spec(machine), "lasso-exact", words, [(0, 4), (4, 8)],
+        horizon=200, seed=0, workers=2,
+    )
+    ((lo, hi, reason, _detail),) = failures
+    assert reason == "worker-death"
+    assert sorted(slots) == [i for i in range(8) if not lo <= i < hi]
+    serial = decide_many(machine, words, horizon=200)
+    assert all(report == serial[i] for i, report in slots.items())
+    assert router.n_shards == 2
+    assert all(s.proc.is_alive() for s in router._shards.values())
 
 
 def test_auto_is_serial_even_for_large_batches():

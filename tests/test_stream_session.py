@@ -460,3 +460,39 @@ def test_session_ids_are_reused_and_the_slot_column_follows():
         assert mux._table.arrays["events"][mux._slot_of[freed]] == 1
         mux.close("d")
         assert mux._slot_of[freed] == -1
+
+
+@pytest.mark.parametrize("kind", ["tba", "plan", "lateness"])
+def test_state_reads_equal_each_sessions_view(kind):
+    """verdicts(), newest() and evict_idle() read the rows' columns in
+    one gather and every other session through its monitor; they equal
+    what each session's own monitor or view reads, over row sessions,
+    handles, a private-query session and one opened without events."""
+    from repro.query import Q, QueryPlan
+
+    if kind == "plan":
+        rounds = {
+            "fast": Q.event("a", 0, 5).then("b").within(3).repeat(),
+            "slow": Q.event("a", 0, 5).then("b").within(8).repeat(),
+        }
+        mux = SessionMux(plan=QueryPlan(rounds))
+    else:
+        mux = SessionMux(bounded_gap_tba(), lateness=2 if kind == "lateness" else 0)
+    events = [(f"s{i % 7}", "ab"[i % 2] if kind == "plan" else "a", i // 7 * (1 + i % 3))
+              for i in range(70)]
+    mux.ingest_batch(events[:35])
+    handle = mux.monitor("s1")
+    mux.open("q", query="repeat(a within 3)")
+    mux.open("idle")
+    mux.ingest_batch(events[35:] + [("q", "a", 1), ("q", "a", 9)])
+    views = {name: mux._session(name) for name in mux.active}
+    assert views["s1"] is handle
+    assert mux.verdicts() == {name: v.verdict for name, v in views.items()}
+    stamps = {name: v.max_seen for name, v in views.items()}
+    assert stamps["idle"] is None
+    assert mux.newest() == max(t for t in stamps.values() if t is not None)
+    now, ttl = mux.newest(), 4
+    want = [name for name, t in stamps.items() if t is None or now - t > ttl]
+    assert 0 < len(want) < len(stamps)
+    assert mux.evict_idle(idle_ttl=ttl) == want
+    assert sorted(mux.verdicts()) == sorted(set(stamps) - set(want))
